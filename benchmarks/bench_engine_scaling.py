@@ -1,10 +1,11 @@
-"""Engine-scaling benchmark: indexed evaluation vs the naive full scan (PR 2).
+"""Engine-scaling benchmark: indexed evaluation vs the naive full scan.
 
-Times ``QueryEngine.execute`` with and without the inverted index at
-1k/10k/50k rows, and warm-history ``QueryHistoryCache.submit`` with subset-key
-inference vs the linear history scan, then writes the machine-readable
-``BENCH_engine.json`` (ops/sec and speedup ratios) so the repo's performance
-trajectory is recorded run over run.
+Times ``QueryEngine.execute`` with and without the index at 1k/10k/50k/200k
+rows, reports what the rank-ordered bitmaps of one ranking cost to build
+(seconds and bytes), and times warm-history ``QueryHistoryCache.submit``
+with subset-key inference vs the linear history scan, then writes the
+machine-readable ``BENCH_engine.json`` (ops/sec and speedup ratios) so the
+repo's performance trajectory is recorded run over run.
 
 Unlike the pytest-benchmark experiments (E1–E12), this file is a standalone
 script so CI can run it as a smoke check:
@@ -13,7 +14,7 @@ script so CI can run it as a smoke check:
     PYTHONPATH=src python benchmarks/bench_engine_scaling.py --quick    # smallest size only
     PYTHONPATH=src python benchmarks/bench_engine_scaling.py --check    # assert speedup floors
 
-``--check`` enforces the PR 2 acceptance floors (≥5× indexed execute at the
+``--check`` enforces the acceptance floors (≥5× indexed execute at the
 largest size, ≥2× warm-history submit) — in quick mode a softer ≥1.5× floor
 suited to small tables and noisy CI runners — so index regressions fail loudly.
 """
@@ -35,7 +36,7 @@ from repro.database.interface import HiddenDatabaseInterface
 from repro.database.query import ConjunctiveQuery
 from repro.datasets.vehicles import VehiclesConfig, default_vehicles_ranking, generate_vehicles_table
 
-FULL_SIZES = (1_000, 10_000, 50_000)
+FULL_SIZES = (1_000, 10_000, 50_000, 200_000)
 QUICK_SIZES = (1_000,)
 K = 100
 SEED = 2009
@@ -60,6 +61,26 @@ def _time_ops(action, operands) -> float:
         action(operand)
     elapsed = time.perf_counter() - start
     return len(operands) / elapsed if elapsed > 0 else float("inf")
+
+
+def bench_bitmaps(table) -> dict:
+    """Cold build of one ranking's rank order and of all its bitmaps."""
+    ranking = default_vehicles_ranking()
+    start = time.perf_counter()
+    cache = table.index.rank_cache(ranking)
+    ordered = time.perf_counter()
+    # One predicate on every attribute builds every attribute's bitmaps.
+    cache.mask(
+        ConjunctiveQuery.from_assignment(
+            table.schema, {a.name: a.domain.values[0] for a in table.schema}
+        )
+    )
+    built = time.perf_counter()
+    return {
+        "rank_order_s": round(ordered - start, 4),
+        "bitmap_build_s": round(built - ordered, 4),
+        "bitmap_bytes": cache.bitmap_bytes(),
+    }
 
 
 def bench_execute(table, queries) -> dict:
@@ -127,14 +148,19 @@ def run(sizes, n_queries: int, n_warm: int, n_timed: int) -> dict:
         rng = random.Random(SEED + n_rows)
         table = generate_vehicles_table(VehiclesConfig(n_rows=n_rows, seed=SEED))
         queries = _random_queries(table.schema, rng, n_queries, 1, 4)
+        bitmaps = bench_bitmaps(table)
         execute = bench_execute(table, queries)
         history = bench_warm_history(table, rng, n_warm, n_timed)
-        report["sizes"][str(n_rows)] = {"execute": execute, "warm_history_submit": history}
+        report["sizes"][str(n_rows)] = {
+            "bitmaps": bitmaps, "execute": execute, "warm_history_submit": history,
+        }
         print(
             f"rows={n_rows:>6}  execute: {execute['indexed_ops_per_sec']:>8.1f} vs "
             f"{execute['scan_ops_per_sec']:>7.1f} q/s ({execute['speedup']:.1f}x)   "
             f"warm submit: {history['indexed_ops_per_sec']:>8.1f} vs "
-            f"{history['scan_ops_per_sec']:>7.1f} q/s ({history['speedup']:.1f}x)"
+            f"{history['scan_ops_per_sec']:>7.1f} q/s ({history['speedup']:.1f}x)   "
+            f"bitmaps: {bitmaps['bitmap_build_s']:.3f} s, "
+            f"{bitmaps['bitmap_bytes'] / 1e6:.2f} MB"
         )
     return report
 

@@ -27,7 +27,7 @@ The package separates *what answers conjunctive queries* (raw backends) from
 these stacks; see ``docs/architecture.md`` for the full picture.
 """
 
-from repro.backends.adapters import QueryEngineBackend, WebPageBackend, build_returned_tuple
+from repro.backends.adapters import QueryEngineBackend, WebPageBackend, build_returned_tuples
 from repro.backends.async_remote import AsyncRemoteBackend
 from repro.backends.base import BackendLayer, RawBackend, iter_chain
 from repro.backends.dispatch import ConcurrentShardRouter, DispatchLayer
@@ -93,7 +93,7 @@ __all__ = [
     "UnreliableStatistics",
     "WebPageBackend",
     "async_remote_stack",
-    "build_returned_tuple",
+    "build_returned_tuples",
     "current_deadline",
     "deadline_scope",
     "engine_stack",

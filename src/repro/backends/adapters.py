@@ -34,19 +34,33 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.web.server import HiddenWebSite
 
 
-def build_returned_tuple(
-    table: Table, row_id: int, display_columns: Sequence[str] = ()
-) -> ReturnedTuple:
-    """Render one table row the way a result page displays it."""
-    row = table[row_id]
-    values: dict[str, Value] = {
-        attribute.name: row[attribute.name] for attribute in table.schema
-    }
-    for column in display_columns:
-        if column in row:
-            values[column] = row[column]
-    selectable = table.selectable_row(row)
-    return ReturnedTuple(tuple_id=row_id, values=values, selectable_values=selectable)
+def build_returned_tuples(
+    table: Table, row_ids: Sequence[int], display_columns: Sequence[str] = ()
+) -> tuple[ReturnedTuple, ...]:
+    """Render table rows the way a result page displays them.
+
+    Selectable values come from the table index's binned columns; the schema
+    names and columns are looked up once per call, not once per row.  A row
+    holding a value outside its attribute's domain (possible only on
+    ``validate=False`` tables) raises exactly as :meth:`Table.selectable_row`.
+    """
+    names = table.schema.attribute_names
+    index = table.index
+    columns = [index.selectable_column(name) for name in names]
+    unbinnable = index.unbinnable_rows
+    rows = table.rows
+    returned = []
+    for row_id in row_ids:
+        row = rows[row_id]
+        if row_id in unbinnable:
+            table.selectable_row(row)  # raises DomainValueError
+        values: dict[str, Value] = {name: row[name] for name in names}
+        for column in display_columns:
+            if column in row:
+                values[column] = row[column]
+        selectable = {name: column[row_id] for name, column in zip(names, columns)}
+        returned.append(ReturnedTuple(tuple_id=row_id, values=values, selectable_values=selectable))
+    return tuple(returned)
 
 
 class QueryEngineBackend:
@@ -100,13 +114,11 @@ class QueryEngineBackend:
     # -- internals ------------------------------------------------------------
 
     def _build_response(self, result: QueryResult) -> InterfaceResponse:
-        tuples = tuple(
-            build_returned_tuple(self._table, row_id, self.display_columns)
-            for row_id in result.returned_row_ids
-        )
         return InterfaceResponse(
             query=result.query,
-            tuples=tuples,
+            tuples=build_returned_tuples(
+                self._table, result.returned_row_ids, self.display_columns
+            ),
             overflow=result.outcome is QueryOutcome.OVERFLOW,
             reported_count=result.total_count,
             k=result.k,

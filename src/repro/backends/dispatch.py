@@ -95,8 +95,9 @@ class ConcurrentShardRouter(ShardRouter):
     bounded executor instead of a loop.  ``max_workers`` bounds the pool
     (default: one thread per shard, capped at :data:`DEFAULT_MAX_WORKERS`).
 
-    On the :meth:`over_table` layout the shared-index intersection still runs
-    once on the calling thread; only the per-shard ranking is parallelised.
+    On the :meth:`over_table` layout the shared match mask is still computed
+    once on the calling thread; only the per-shard cut and rendering run on
+    the pool.
     Heterogeneous shards (e.g. remote or latency-wrapped backends) take the
     independent scatter path, where each ``shard.submit`` — the round-trip —
     runs on its own worker: the case concurrency was built for.
@@ -131,12 +132,12 @@ class ConcurrentShardRouter(ShardRouter):
 
     def _gather(self, query: ConjunctiveQuery) -> list[InterfaceResponse]:
         pool = self._pool.get()
-        if self._partition_index is not None:
-            buckets = self._partition(query)
+        if self._shared_ranks is not None:
+            mask = self._shared_ranks.mask(query)
             return list(
                 pool.map(
-                    scoped_to_current_deadline(lambda pair: pair[0].respond(query, pair[1])),
-                    zip(self._shards, buckets),
+                    scoped_to_current_deadline(lambda shard: shard.respond(query, mask)),
+                    self._shards,
                 )
             )
         return list(

@@ -13,8 +13,9 @@ the union of the per-part top-``k``'s; exact counts are additive over a
 disjoint partition.  To share the rank order (and the one-time index build),
 all :class:`TableShardBackend` partitions of a table reuse the table's single
 :class:`~repro.database.index.TableIndex` and its memoised
-:class:`~repro.database.index.RankCache` — the ROADMAP's "share one
-``TableIndex`` across multi-backend deployments" open item.
+:class:`~repro.database.index.RankCache`.  A shard's rows are one more
+rank-ordered bitmap there (the *residue* mask of ``row_id % n_shards``), so a
+shard answers a query by ANDing the query's mask with its residue.
 
 Both classes are raw backends: exact counts, no accounting.  Wrap the router
 in :class:`~repro.backends.stack.BackendStack` layers to get budgets, count
@@ -25,7 +26,8 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from repro.backends.adapters import build_returned_tuple
+from repro.backends.adapters import build_returned_tuples
+from repro.database.index import RankCache
 from repro.database.interface import InterfaceResponse, ReturnedTuple
 from repro.database.query import ConjunctiveQuery
 from repro.database.ranking import RankingFunction, RowIdRanking
@@ -91,34 +93,27 @@ class TableShardBackend:
 
     def submit(self, query: ConjunctiveQuery) -> InterfaceResponse:
         """Answer ``query`` over this shard's rows only; counts are exact."""
-        matching = [
-            row_id
-            for row_id in self._index.matching_row_ids(query)
-            if row_id % self.n_shards == self.shard_index
-        ]
-        return self.respond(query, matching)
+        return self.respond(query, self._rank.mask(query))
 
-    def respond(self, query: ConjunctiveQuery, matching: list[int]) -> InterfaceResponse:
-        """Rank, cut and render ``matching`` — this shard's rows for ``query``.
+    def respond(self, query: ConjunctiveQuery, mask: int) -> InterfaceResponse:
+        """Cut and render this shard's rows of ``mask``, the query's match mask.
 
-        ``matching`` must contain exactly the shard's own matching row ids.
+        ``mask`` is ``query``'s rank-ordered match bitmap over the *whole*
+        table; the shard keeps its own rows by ANDing its residue mask.
         :class:`ShardRouter` uses this to evaluate the conjunctive query once
-        on the shared index and hand every shard its pre-partitioned slice,
-        instead of paying one full intersection per shard.
+        on the shared rank cache and hand every shard the same mask, instead
+        of paying one full evaluation per shard.
         """
-        total = len(matching)
-        if total <= self._k:
-            returned = self._rank.order(matching)
-            overflow = False
-        else:
-            returned = self._rank.top_k(matching, self._k)
-            overflow = True
-        tuples = tuple(
-            build_returned_tuple(self._table, row_id, self.display_columns)
-            for row_id in returned
-        )
+        mine = mask & self._rank.residue(self.n_shards, self.shard_index)
+        total = mine.bit_count()
         return InterfaceResponse(
-            query=query, tuples=tuples, overflow=overflow, reported_count=total, k=self._k
+            query=query,
+            tuples=build_returned_tuples(
+                self._table, self._rank.first(mine, self._k), self.display_columns
+            ),
+            overflow=total > self._k,
+            reported_count=total,
+            k=self._k,
         )
 
     def rank_position(self, tuple_id: int) -> float:
@@ -168,24 +163,25 @@ class ShardRouter:
         self.display_columns: tuple[str, ...] = tuple(
             getattr(self._shards[0], "display_columns", ())
         )
-        self._partition_index = self._detect_table_partition()
+        self._shared_ranks = self._detect_table_partition()
 
-    def _detect_table_partition(self):
-        """The shared :class:`TableIndex` when the shards exactly modulo-
-        partition one table (the :meth:`over_table` layout), else ``None``.
+    def _detect_table_partition(self) -> RankCache | None:
+        """The shared :class:`RankCache` when the shards exactly modulo-
+        partition one table under one ranking (the :meth:`over_table`
+        layout), else ``None``.
 
-        Only then may the router evaluate each query once and split the
-        match list, rather than scatter a full evaluation to every shard.
+        Only then may the router evaluate each query once and hand every
+        shard the same match mask, rather than scatter a full evaluation to
+        every shard.
         """
         n = len(self._shards)
+        ranks = getattr(self._shards[0], "_rank", None)
         for position, shard in enumerate(self._shards):
             if not isinstance(shard, TableShardBackend):
                 return None
-            if shard.n_shards != n or shard.shard_index != position:
+            if shard.n_shards != n or shard.shard_index != position or shard._rank is not ranks:
                 return None
-            if shard._table is not self._shards[0]._table:
-                return None
-        return self._shards[0]._index
+        return ranks
 
     @classmethod
     def over_table(
@@ -259,25 +255,10 @@ class ShardRouter:
         touching what they compute — the merge consumes responses in shard
         order either way, which is what makes the two byte-identical.
         """
-        if self._partition_index is not None:
-            return [
-                shard.respond(query, bucket)
-                for shard, bucket in zip(self._shards, self._partition(query))
-            ]
+        if self._shared_ranks is not None:
+            mask = self._shared_ranks.mask(query)
+            return [shard.respond(query, mask) for shard in self._shards]
         return [shard.submit(query) for shard in self._shards]
-
-    def _partition(self, query: ConjunctiveQuery) -> list[list[int]]:
-        """Bucket the shared-index match list by owning shard.
-
-        Only valid on the :meth:`over_table` layout: intersect once on the
-        shared index, hand each shard its slice to rank, instead of paying
-        one full intersection per shard.
-        """
-        n = len(self._shards)
-        buckets: list[list[int]] = [[] for _ in range(n)]
-        for row_id in self._partition_index.matching_row_ids(query):
-            buckets[row_id % n].append(row_id)
-        return buckets
 
     def _merge(
         self, query: ConjunctiveQuery, responses: list[InterfaceResponse]

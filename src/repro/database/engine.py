@@ -6,14 +6,15 @@ ranking function, and return at most ``k`` of them together with an overflow
 flag.  Nothing in here is visible to the sampler except through
 :class:`~repro.database.interface.HiddenDatabaseInterface`.
 
-Complexity contract: by default the engine evaluates queries on the table's
-:class:`~repro.database.index.TableIndex` — smallest-first posting-list
-intersection for matching, ``count()`` without row materialisation, and
-memoised rank positions for ``VALID`` ordering / ``OVERFLOW`` top-k — so one
-query costs O(min-posting · |q|) plus O(m log m) integer sorting instead of a
-full O(rows · |q|) scan with per-comparison rank-key recomputation.  Passing
-``use_index=False`` restores the naive scan, which the property tests use as
-the oracle the indexed path must match result-for-result.
+Complexity contract: by default the engine evaluates queries on the
+:class:`~repro.database.index.RankCache` of its ranking — the AND of the
+predicates' rank-ordered bitmaps gives the matches, ``int.bit_count()`` the
+total, and the ``min(total, k)`` lowest set bits the displayed rows, already
+in rank order — so one query costs O(|q| · n/64) word operations plus ``k``
+bit scans instead of a full O(rows · |q|) scan with per-comparison rank-key
+recomputation.  Passing ``use_index=False`` restores the naive scan, which
+the property tests use as the oracle the indexed path must match
+result-for-result.
 """
 
 from __future__ import annotations
@@ -103,6 +104,12 @@ class QueryEngine:
         self.use_index = use_index
         self._rank_cache: RankCache | None = None
 
+    def _ranks(self) -> RankCache:
+        cache = self._rank_cache
+        if cache is None:
+            cache = self._rank_cache = self.table.index.rank_cache(self.ranking)
+        return cache
+
     def matching_row_ids(self, query: ConjunctiveQuery) -> list[int]:
         """Row ids of every tuple satisfying ``query`` (no top-k applied)."""
         if self.use_index:
@@ -112,31 +119,27 @@ class QueryEngine:
     def count(self, query: ConjunctiveQuery) -> int:
         """Exact number of tuples satisfying ``query`` (no rows materialised)."""
         if self.use_index:
-            return self.table.index.count(query)
+            return self._ranks().mask(query).bit_count()
         return len(self.table.matching_row_ids(query.matches))
-
-    def _ranked(self, matching: list[int], k: int | None) -> tuple[int, ...]:
-        """Rank ``matching`` (all of it, or its top ``k``) deterministically."""
-        if self.use_index:
-            cache = self._rank_cache
-            if cache is None:
-                cache = self._rank_cache = self.table.index.rank_cache(self.ranking)
-            if k is None:
-                return tuple(cache.order(matching))
-            return tuple(cache.top_k(matching, k))
-        if k is None:
-            return tuple(self.ranking.order(self.table, matching))
-        return tuple(self.ranking.top_k(self.table, matching, k))
 
     def execute(self, query: ConjunctiveQuery) -> QueryResult:
         """Evaluate ``query`` and apply the top-``k`` display restriction."""
-        matching = self.matching_row_ids(query)
-        total = len(matching)
+        if self.use_index:
+            cache = self._ranks()
+            mask = cache.mask(query)
+            total = mask.bit_count()
+            returned = tuple(cache.first(mask, self.k))
+        else:
+            matching = self.table.matching_row_ids(query.matches)
+            total = len(matching)
+            returned = tuple(self.ranking.top_k(self.table, matching, self.k))
         if total == 0:
-            return QueryResult(query, QueryOutcome.EMPTY, (), 0, self.k)
-        if total <= self.k:
-            return QueryResult(query, QueryOutcome.VALID, self._ranked(matching, None), total, self.k)
-        return QueryResult(query, QueryOutcome.OVERFLOW, self._ranked(matching, self.k), total, self.k)
+            outcome = QueryOutcome.EMPTY
+        elif total <= self.k:
+            outcome = QueryOutcome.VALID
+        else:
+            outcome = QueryOutcome.OVERFLOW
+        return QueryResult(query, outcome, returned, total, self.k)
 
     def rows(self, row_ids: Sequence[int]) -> list[Row]:
         """Materialise rows by id (what the result page displays)."""

@@ -1,46 +1,48 @@
-"""Inverted-index acceleration structures for the hidden-table read path.
+"""Acceleration structures for the hidden-table read path.
 
 The naive back end answers every conjunctive query with a full Python scan:
 ``Table.matching_row_ids`` re-evaluates ``ConjunctiveQuery.matches`` row by
 row, re-resolving numeric buckets on each visit, and every overflow re-sorts
 the qualifying rows with per-row rank-key recomputation.  That caps the table
 sizes and concurrent-job counts the sampling service can drive.  This module
-factorises that work into two one-time structures:
+factorises that work into two structures:
 
 * :class:`TableIndex` — built once per :class:`~repro.database.table.Table`.
-  Each searchable attribute is encoded into a columnar array of *selectable*
-  values (numeric rows are binned once via :func:`bisect.bisect_right` over
-  the domain's precomputed sorted bucket edges, not per query), and inverted
-  posting lists ``(attribute, value) -> ascending array('q') of row ids`` are
-  derived from the columns — packed C ``int64`` rows, one machine word per
-  entry instead of a ``PyObject*`` plus a boxed int.  A conjunctive query is
-  answered by intersecting its predicates' posting lists smallest-first with
-  a *galloping* merge: each candidate from the (shrinking) smaller side is
-  located in the larger side by exponential probing from the previous match
-  followed by a bounded binary search, so intersecting a short list against
-  a long one costs O(short · log(long/short)) comparisons rather than
-  O(short) hash probes over a separately materialised set (the old
-  ``frozenset`` mirrors of every posting list are gone entirely).
+  Each searchable attribute is encoded into a columnar list of *selectable*
+  values: numeric rows are binned once via :func:`bisect.bisect_right` over
+  the domain's precomputed sorted bucket edges, not per query, and rows whose
+  raw value lies outside the domain hold the ``_UNBINNABLE`` sentinel.  The
+  columns serve both query evaluation and response building (result pages
+  read a returned row's selectable values from them instead of re-binning).
 
 * :class:`RankCache` — built once per (table, ranking-function) pair and
-  memoised on the index.  It computes every row's rank key exactly once,
-  sorts the table into a global rank order, and exposes O(1) row-id → rank
-  position lookups, so ``VALID`` ordering and ``OVERFLOW`` top-k reduce to
-  sorting small integer positions (or a ``heapq.nsmallest`` over them)
-  instead of re-running the ranking function per comparison.
+  memoised on the index.  It computes every row's rank key exactly once and
+  sorts the table into a global rank order ``by_rank``.  On top of that order
+  it keeps one Python ``int`` *bitmap* per (attribute, value): bit *p* is set
+  when the row at rank position *p* holds that value.  A conjunctive query is
+  the AND of its predicates' bitmaps, its match count is ``int.bit_count()``,
+  and its top-``k`` answer is the ``k`` lowest set bits mapped through
+  ``by_rank`` — already in rank order, so neither ``VALID`` nor ``OVERFLOW``
+  needs a sort.  Bitmaps are built lazily, one attribute at a time, the first
+  time a query constrains that attribute.
 
 Complexity contracts (n = rows, m = matching rows, q = query predicates,
-k = display limit):
+k = display limit, V = values of one attribute):
 
-============================  ==============================  ===================
-operation                     naive scan                      indexed
-============================  ==============================  ===================
-build (once per table)        —                               O(n · |schema|)
-``matching_row_ids(query)``   O(n · q) bucket re-resolution   O(min-posting · q)
-``count(query)``              O(n · q)                        O(min-posting · q)
-``VALID`` ordering            O(m log m) key recomputation    O(m log m) int sort
-``OVERFLOW`` top-k            O(m log m) key recomputation    O(m log k) int heap
-============================  ==============================  ===================
+===============================  ==============================  ===========================
+operation                        naive scan                      indexed
+===============================  ==============================  ===========================
+build (once per table)           —                               O(n · |schema|)
+bitmaps (once per attribute)     —                               O(n + V · n/8) bytes
+conjunctive match                O(n · q) bucket re-resolution   O(q · n/64) word ANDs
+``count(query)``                 O(n · q)                        match + ``bit_count``
+``VALID`` ordering               O(m log m) key recomputation    k bit scans, no sort
+``OVERFLOW`` top-k               O(m log m) key recomputation    k bit scans, no sort
+===============================  ==============================  ===========================
+
+A bit scan converts the mask to bytes once (O(n/8), in C) and then visits
+only its non-zero bytes until ``k`` rows are collected.  Memory is n/8 bytes
+per (attribute, value) bitmap, per ranking in use.
 
 The naive path remains available (``QueryEngine(..., use_index=False)``) both
 as an escape hatch for non-conjunctive predicates and as the oracle the
@@ -49,12 +51,11 @@ property tests compare the indexed path against.
 
 from __future__ import annotations
 
-import heapq
 import weakref
-from array import array
-from bisect import bisect_left, bisect_right
-from typing import TYPE_CHECKING, Iterable, Sequence
+from bisect import bisect_right
+from typing import TYPE_CHECKING, Any, Sequence
 
+from repro.database.ranking import RowIdRanking
 from repro.database.schema import AttributeKind, Value
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -64,7 +65,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 
 
 class _Unbinnable:
-    """Sentinel selectable value for rows outside every numeric bucket.
+    """Sentinel selectable value for rows whose raw value is outside the domain.
 
     Only reachable on tables built with ``validate=False``; such rows match no
     selectable query value (the scan path instead raises when a query touches
@@ -79,36 +80,22 @@ class _Unbinnable:
 
 _UNBINNABLE = _Unbinnable()
 
-#: Shared empty posting list (``array('q')`` of signed 64-bit row ids).
-_EMPTY_POSTING = array("q")
+#: Byte translation table: every non-zero byte becomes 1, zero stays 0.
+_NONZERO = bytes([0]) + bytes([1]) * 255
+#: Offsets of the set bits of every byte value, lowest first.
+_BITS_OF_BYTE = tuple(tuple(bit for bit in range(8) if byte >> bit & 1) for byte in range(256))
 
 
-def _gallop_intersect(smaller: Sequence[int], larger: Sequence[int]) -> list[int]:
-    """Intersect two ascending row-id sequences, galloping through ``larger``.
-
-    Walks ``smaller`` in order while keeping a cursor into ``larger``; for
-    each candidate the cursor is advanced by exponential probing (1, 2, 4, …
-    steps) and the overshoot window is closed with :func:`bisect.bisect_left`.
-    Equal-element runs therefore cost O(1) amortised, and a tiny list against
-    a huge one costs O(|small| · log(|large|/|small|)).
-    """
-    out: list[int] = []
-    pos = 0
-    n = len(larger)
-    for value in smaller:
-        # Gallop: double the step until larger[lo + step] >= value (or EOF).
-        lo = pos
-        step = 1
-        while lo + step < n and larger[lo + step] < value:
-            lo += step
-            step <<= 1
-        pos = bisect_left(larger, value, lo, min(lo + step + 1, n))
-        if pos >= n:
-            break
-        if larger[pos] == value:
-            out.append(value)
-            pos += 1
-    return out
+def _bitmaps_of(ranked: Sequence[Any]) -> dict[Any, int]:
+    """One bitmap per distinct value of ``ranked``: bit *p* set iff ``ranked[p]`` is it."""
+    n_bytes = (len(ranked) + 7) // 8
+    planes: dict[Any, bytearray] = {}
+    for position, value in enumerate(ranked):
+        plane = planes.get(value)
+        if plane is None:
+            plane = planes[value] = bytearray(n_bytes)
+        plane[position >> 3] |= 1 << (position & 7)
+    return {value: int.from_bytes(plane, "little") for value, plane in planes.items()}
 
 
 class RankCache:
@@ -116,11 +103,19 @@ class RankCache:
 
     ``by_rank`` is the whole table sorted best-first by ``(key, row_id)`` —
     exactly the tie-breaking rule of :meth:`RankingFunction.order` — and
-    ``position[row_id]`` is the row's place in that order, so ranking any
-    subset of rows never calls the ranking function again.
+    ``position[row_id]`` is the row's place in that order.  Queries are
+    answered on rank-ordered bitmaps (:meth:`mask`, :meth:`first`), so
+    ranking any subset of rows never calls the ranking function again.
+
+    Thread safety: the bitmap and residue memos are filled lazily by
+    whichever thread first needs them, without a lock.  Each attribute's
+    bitmaps are built into a local dict and published with one dict-item
+    assignment, so a reader sees either nothing (and builds an identical
+    copy itself) or the complete set — never a half-built one.
     """
 
-    __slots__ = ("by_rank", "position")
+    __slots__ = ("by_rank", "position", "_index", "_n_bytes", "_everything",
+                 "_bitmaps", "_residues")
 
     def __init__(self, table: "Table", ranking: "RankingFunction") -> None:
         keys = ranking.keys_for_table(table)
@@ -130,20 +125,61 @@ class RankCache:
         self.position: list[int] = [0] * len(self.by_rank)
         for position, row_id in enumerate(self.by_rank):
             self.position[row_id] = position
+        self._index = table.index
+        self._n_bytes = (len(keys) + 7) // 8
+        self._everything = (1 << len(keys)) - 1
+        #: attribute name -> {selectable value -> bitmap}, filled lazily.
+        self._bitmaps: dict[str, dict[Value, int]] = {}
+        #: n_shards -> {shard index -> bitmap of the rows it owns}.
+        self._residues: dict[int, dict[int, int]] = {}
 
-    def order(self, row_ids: Iterable[int]) -> list[int]:
-        """``row_ids`` sorted best-first; identical to the naive ``order``."""
-        return sorted(row_ids, key=self.position.__getitem__)
+    def bitmap(self, attribute_name: str, value: Value) -> int:
+        """Rank positions of the rows whose ``attribute_name`` encodes to ``value``."""
+        bitmaps = self._bitmaps.get(attribute_name)
+        if bitmaps is None:
+            column = self._index.selectable_column(attribute_name)
+            bitmaps = _bitmaps_of([column[row_id] for row_id in self.by_rank])
+            bitmaps.pop(_UNBINNABLE, None)
+            self._bitmaps[attribute_name] = bitmaps
+        return bitmaps.get(value, 0)
 
-    def top_k(self, row_ids: Iterable[int], k: int) -> list[int]:
-        """The ``k`` best of ``row_ids``; identical to the naive ``top_k``."""
-        if k < 0:
-            raise ValueError("k must be non-negative")
-        return heapq.nsmallest(k, row_ids, key=self.position.__getitem__)
+    def mask(self, query: "ConjunctiveQuery") -> int:
+        """Rank positions of the rows matching ``query`` (the AND of its bitmaps)."""
+        mask = self._everything
+        for predicate in query.predicates:
+            mask &= self.bitmap(predicate.attribute, predicate.value)
+        return mask
+
+    def residue(self, n_shards: int, shard_index: int) -> int:
+        """Rank positions of the rows with ``row_id % n_shards == shard_index``."""
+        residues = self._residues.get(n_shards)
+        if residues is None:
+            residues = _bitmaps_of([row_id % n_shards for row_id in self.by_rank])
+            self._residues[n_shards] = residues
+        return residues.get(shard_index, 0)
+
+    def first(self, mask: int, k: int) -> list[int]:
+        """Row ids of the ``k`` lowest set bits of ``mask``, best-ranked first."""
+        data = mask.to_bytes(self._n_bytes, "little")
+        find = data.translate(_NONZERO).find
+        by_rank = self.by_rank
+        rows: list[int] = []
+        byte = find(1)
+        while byte >= 0 and len(rows) < k:
+            base = byte << 3
+            rows.extend([by_rank[base + bit] for bit in _BITS_OF_BYTE[data[byte]]])
+            byte = find(1, byte + 1)
+        del rows[k:]
+        return rows
+
+    def bitmap_bytes(self) -> int:
+        """Bytes held by the bitmaps built so far (residue masks included)."""
+        built = [*self._bitmaps.values(), *self._residues.values()]
+        return sum((bitmap.bit_length() + 7) // 8 for bitmaps in built for bitmap in bitmaps.values())
 
 
 class TableIndex:
-    """Columnar selectable encoding plus inverted posting lists of one table.
+    """Columnar selectable encoding of one table, plus its rank caches.
 
     Immutable after construction, like the table itself.  Built lazily through
     :attr:`Table.index` (and eagerly for validated tables) so every engine and
@@ -154,31 +190,30 @@ class TableIndex:
         self._table = table
         self._n_rows = len(table)
         columns: dict[str, list[Value]] = {}
-        postings: dict[tuple[str, Value], array] = {}
+        unbinnable: set[int] = set()
         for attribute in table.schema:
             name = attribute.name
             if attribute.kind is AttributeKind.NUMERIC:
                 column = self._encode_numeric_column(table, name, attribute.domain)
             else:
                 column = [row[name] for row in table.rows]
+            allowed = frozenset(attribute.domain.values)
+            if not allowed.issuperset(column):
+                column = [value if value in allowed else _UNBINNABLE for value in column]
+                unbinnable.update(
+                    row_id for row_id, value in enumerate(column) if value is _UNBINNABLE
+                )
             columns[name] = column
-            by_value: dict[Value, list[int]] = {}
-            for row_id, value in enumerate(column):
-                if value is _UNBINNABLE:
-                    continue
-                by_value.setdefault(value, []).append(row_id)
-            for value, row_ids in by_value.items():
-                # Row ids were appended in ascending order, so the arrays are
-                # born sorted — the invariant the galloping merge relies on.
-                postings[(name, value)] = array("q", row_ids)
         self._columns = columns
-        self._postings = postings
+        self._unbinnable_rows = frozenset(unbinnable)
         #: ranking object -> RankCache; weakly keyed (rankings have identity
         #: hash) so caches die with their ranking instead of accreting on the
         #: table-lifetime index as engines come and go.
         self._rank_caches: "weakref.WeakKeyDictionary[RankingFunction, RankCache]" = (
             weakref.WeakKeyDictionary()
         )
+        #: Row-id order, kept alive here for the :meth:`matching_row_ids` helper.
+        self._row_id_ranking = RowIdRanking()
 
     @staticmethod
     def _encode_numeric_column(table: "Table", name: str, domain) -> list[Value]:
@@ -204,45 +239,25 @@ class TableIndex:
         """The columnar selectable encoding of one searchable attribute."""
         return self._columns[attribute_name]
 
-    def posting_list(self, attribute_name: str, value: Value) -> Sequence[int]:
-        """Ascending ``array('q')`` of row ids whose ``attribute_name`` encodes to ``value``."""
-        return self._postings.get((attribute_name, value), _EMPTY_POSTING)
+    @property
+    def unbinnable_rows(self) -> frozenset[int]:
+        """Row ids holding a raw value outside its attribute's domain.
 
-    # -- conjunctive evaluation ---------------------------------------------
+        Empty for validated tables.  Such rows match no query predicate, and
+        rendering one raises like :meth:`Table.selectable_row` does.
+        """
+        return self._unbinnable_rows
+
+    # -- conjunctive evaluation (row-id order; the oracle tests' helpers) -----
 
     def matching_row_ids(self, query: "ConjunctiveQuery") -> list[int]:
-        """All row ids matching ``query``, ascending (same order as a scan).
-
-        Posting lists are intersected smallest-first with a galloping merge:
-        the running (only-ever-shrinking) intersection is located inside each
-        successive larger list by exponential probe + bounded binary search.
-        """
-        predicates = query.predicates
-        if not predicates:
-            return list(range(self._n_rows))
-        keys = []
-        for predicate in predicates:
-            key = (predicate.attribute, predicate.value)
-            if key not in self._postings:
-                return []
-            keys.append(key)
-        keys.sort(key=lambda key: len(self._postings[key]))
-        result: Sequence[int] = self._postings[keys[0]]
-        for key in keys[1:]:
-            result = _gallop_intersect(result, self._postings[key])
-            if not result:
-                return []
-        return list(result)
+        """All row ids matching ``query``, ascending (same order as a scan)."""
+        cache = self.rank_cache(self._row_id_ranking)
+        return cache.first(cache.mask(query), self._n_rows)
 
     def count(self, query: "ConjunctiveQuery") -> int:
         """Number of rows matching ``query``, without materialising them."""
-        predicates = query.predicates
-        if not predicates:
-            return self._n_rows
-        if len(predicates) == 1:
-            predicate = predicates[0]
-            return len(self.posting_list(predicate.attribute, predicate.value))
-        return len(self.matching_row_ids(query))
+        return self.rank_cache(self._row_id_ranking).mask(query).bit_count()
 
     # -- rank caches ---------------------------------------------------------
 
@@ -262,5 +277,5 @@ class TableIndex:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"TableIndex(table={self._table.name!r}, rows={self._n_rows}, "
-            f"postings={len(self._postings)})"
+            f"rank_caches={len(self._rank_caches)})"
         )

@@ -43,7 +43,7 @@ class Table:
         if validate:
             self._validate()
             # Validated tables pay the (linear) index build up front so every
-            # engine/interface over them shares the posting lists from query one.
+            # engine/interface over them shares the binned columns from query one.
             _ = self.index
 
     def _validate(self) -> None:
@@ -78,7 +78,7 @@ class Table:
 
     @property
     def index(self) -> "TableIndex":
-        """The table's inverted index, built on first access and then shared.
+        """The table's index (binned columns, rank caches), built once and shared.
 
         Tables are immutable, so one :class:`~repro.database.index.TableIndex`
         serves every query engine and interface over this table.  Validated

@@ -6,7 +6,7 @@ from repro.database.engine import QueryEngine, QueryOutcome
 from repro.database.index import RankCache, TableIndex
 from repro.database.interface import HiddenDatabaseInterface
 from repro.database.query import ConjunctiveQuery
-from repro.database.ranking import HashRanking, StaticScoreRanking
+from repro.database.ranking import HashRanking, RowIdRanking, StaticScoreRanking
 from repro.database.table import Table
 
 
@@ -16,15 +16,26 @@ class TestTableIndex:
         assert index is tiny_table.index
         assert QueryEngine(tiny_table, k=2).table.index is index
 
-    def test_posting_lists_are_sorted_int64_arrays(self, tiny_table):
-        from array import array
+    def test_bitmaps_set_one_bit_per_matching_rank_position(self, tiny_table):
+        cache = tiny_table.index.rank_cache(RowIdRanking())
+        assert cache.bitmap("make", "Toyota") == 0b1111
+        assert cache.bitmap("color", "red") == 0b1010101
+        assert cache.bitmap("price", "0-10000") == 0b1001001
+        assert cache.bitmap("make", "Tesla") == 0
+        # Under a permuting ranking the bits sit at the rows' rank positions.
+        permuted = tiny_table.index.rank_cache(HashRanking("bits"))
+        toyota = permuted.bitmap("make", "Toyota")
+        assert {p for p in range(8) if toyota >> p & 1} == {permuted.position[r] for r in range(4)}
 
-        index = tiny_table.index
-        assert index.posting_list("make", "Toyota") == array("q", (0, 1, 2, 3))
-        assert index.posting_list("color", "red") == array("q", (0, 2, 4, 6))
-        assert index.posting_list("price", "0-10000") == array("q", (0, 3, 6))
-        assert tuple(index.posting_list("make", "Tesla")) == ()
-        assert isinstance(index.posting_list("make", "Toyota"), array)
+    def test_bitmaps_are_built_lazily_per_attribute(self, tiny_table, tiny_schema):
+        ranking = HashRanking("lazy")
+        engine = QueryEngine(tiny_table, k=2, ranking=ranking)
+        cache = tiny_table.index.rank_cache(ranking)
+        engine.execute(ConjunctiveQuery.empty(tiny_schema))
+        assert cache.bitmap_bytes() == 0
+        engine.execute(ConjunctiveQuery.from_assignment(tiny_schema, {"make": "Honda"}))
+        assert set(cache._bitmaps) == {"make"}
+        assert cache.bitmap_bytes() > 0
 
     def test_numeric_column_is_binned_once_into_labels(self, tiny_table):
         column = tiny_table.index.selectable_column("price")
@@ -52,7 +63,10 @@ class TestTableIndex:
         )
         query = ConjunctiveQuery.from_assignment(tiny_schema, {"price": "0-10000"})
         assert table.index.matching_row_ids(query) == []
-        assert tuple(table.index.posting_list("make", "Ford")) == (0,)
+        cache = table.index.rank_cache(RowIdRanking())
+        assert cache.bitmap("make", "Ford") == 0b1
+        assert cache.bitmap("price", "0-10000") == 0
+        assert table.index.unbinnable_rows == {0}
 
     def test_rank_cache_is_memoised_per_ranking_instance(self, tiny_table):
         index = tiny_table.index
@@ -77,19 +91,25 @@ class TestTableIndex:
 
 class TestRankCache:
     @pytest.mark.parametrize("ranking", [StaticScoreRanking(), HashRanking("idx")])
-    def test_order_and_top_k_match_the_naive_ranking(self, tiny_table, ranking):
+    def test_first_set_bits_match_the_naive_ranking(self, tiny_table, ranking):
         cache = RankCache(tiny_table, ranking)
         ids = [5, 0, 7, 2, 3]
-        assert cache.order(ids) == ranking.order(tiny_table, ids)
-        assert cache.top_k(ids, 2) == ranking.top_k(tiny_table, ids, 2)
-        assert cache.top_k(ids, 99) == ranking.top_k(tiny_table, ids, 99)
-        with pytest.raises(ValueError):
-            cache.top_k(ids, -1)
+        mask = sum(1 << cache.position[row_id] for row_id in ids)
+        assert cache.first(mask, 2) == ranking.top_k(tiny_table, ids, 2)
+        assert cache.first(mask, 99) == ranking.order(tiny_table, ids)
+        assert cache.first(0, 3) == []
 
     def test_by_rank_is_a_permutation_of_all_rows(self, tiny_table):
         cache = RankCache(tiny_table, HashRanking("perm"))
         assert sorted(cache.by_rank) == list(range(len(tiny_table)))
         assert [cache.position[row_id] for row_id in cache.by_rank] == list(range(len(tiny_table)))
+
+    def test_residue_masks_partition_the_rank_order(self, tiny_table):
+        cache = RankCache(tiny_table, HashRanking("residue"))
+        residues = [cache.residue(3, shard) for shard in range(3)]
+        assert residues[0] | residues[1] | residues[2] == (1 << len(tiny_table)) - 1
+        assert residues[0] & residues[1] == residues[1] & residues[2] == 0
+        assert sorted(cache.first(residues[1], 8)) == [1, 4, 7]
 
 
 class TestEngineFlag:
