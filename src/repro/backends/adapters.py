@@ -26,8 +26,9 @@ from repro.database.query import ConjunctiveQuery
 from repro.database.ranking import RankingFunction
 from repro.database.schema import Attribute, AttributeKind, Schema, Value
 from repro.database.table import Table
-from repro.exceptions import FormParseError, WebFormError
+from repro.exceptions import DomainValueError, FormParseError, WebFormError
 from repro.web.form_parser import FormDescription, ParsedResultRow, parse_form_page, parse_result_page
+from repro.web.html import format_value
 from repro.web.urlcodec import result_page_path
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -134,6 +135,12 @@ class WebPageBackend:
     Fetches the form page once to learn the fields and the advertised
     top-``k``, verifies the configured ``schema`` against them, then answers
     each ``submit`` by fetching and parsing the corresponding result page.
+
+    Cells of boolean and categorical attributes are decoded through a map
+    built once here, from each domain value's own display text to its
+    ``(raw, selectable)`` pair; any other text, and every numeric cell, is
+    decoded as it is read.  The map is never written after construction, so
+    concurrent submissions share it without a lock.
     """
 
     def __init__(
@@ -151,6 +158,9 @@ class WebPageBackend:
         if k is None:
             raise WebFormError("the form page does not advertise a top-k limit")
         self._k: int = k
+        self._decoders = tuple(
+            (attribute, _decode_map(attribute)) for attribute in self._schema
+        )
 
     # -- RawBackend contract -------------------------------------------------
 
@@ -219,7 +229,7 @@ class WebPageBackend:
                 )
             offered = set(form.field(attribute.name).selectable_options)
             for value in attribute.domain.values:
-                if _value_to_option_text(value) not in offered:
+                if format_value(value) not in offered:
                     raise WebFormError(
                         f"configured value {value!r} of attribute {attribute.name!r} is not "
                         "offered by the form"
@@ -228,15 +238,18 @@ class WebPageBackend:
     def _to_returned_tuple(self, row: ParsedResultRow) -> ReturnedTuple:
         values: dict[str, Value] = {}
         selectable: dict[str, Value] = {}
-        for attribute in self._schema:
-            text = row.values.get(attribute.name)
+        for attribute, decoded in self._decoders:
+            name = attribute.name
+            text = row.values.get(name)
             if text is None:
-                raise FormParseError(
-                    f"result row {row.tuple_id} is missing column {attribute.name!r}"
-                )
-            raw = _parse_displayed_value(attribute, text)
-            values[attribute.name] = raw
-            selectable[attribute.name] = attribute.domain.selectable_value_for(raw)
+                raise FormParseError(f"result row {row.tuple_id} is missing column {name!r}")
+            pair = decoded.get(text)
+            if pair is None:
+                raw = _parse_displayed_value(attribute, text)
+                values[name] = raw
+                selectable[name] = attribute.domain.selectable_value_for(raw)
+            else:
+                values[name], selectable[name] = pair
         for column in self.display_columns:
             if column in row.values:
                 values[column] = row.values[column]
@@ -246,13 +259,25 @@ class WebPageBackend:
         return f"WebPageBackend(schema={self._schema.name!r}, k={self._k})"
 
 
-def _value_to_option_text(value: Value) -> str:
-    """Render a domain value the same way the form page renders its options."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float) and value == int(value):
-        return str(int(value))
-    return str(value)
+def _decode_map(attribute: Attribute) -> dict[str, tuple[Value, Value]]:
+    """Display text → ``(raw, selectable)`` for each value of a finite domain.
+
+    Each entry is what :func:`_parse_displayed_value` and
+    :meth:`~repro.database.schema.Domain.selectable_value_for` make of the
+    value's own display text, so a hit decodes exactly as the slow path
+    would.  Numeric cells show raw numbers, not bucket labels: empty map.
+    """
+    if attribute.kind is AttributeKind.NUMERIC:
+        return {}
+    decoded: dict[str, tuple[Value, Value]] = {}
+    for value in attribute.domain.values:
+        text = format_value(value)
+        try:
+            raw = _parse_displayed_value(attribute, text)
+            decoded[text] = (raw, attribute.domain.selectable_value_for(raw))
+        except (FormParseError, DomainValueError):
+            continue  # not decodable: the slow path raises it per cell
+    return decoded
 
 
 def _parse_displayed_value(attribute: Attribute, text: str) -> Value:

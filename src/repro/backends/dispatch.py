@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Sequence
+from typing import Any, Callable, Sequence, TypeVar
 
 from repro.backends.base import BackendLayer, RawBackend
 from repro.backends.resilience import scoped_to_current_deadline
@@ -49,6 +49,8 @@ from repro.backends.shard import MergeKey, ShardRouter
 from repro.database.interface import InterfaceResponse
 from repro.database.query import ConjunctiveQuery
 from repro.exceptions import InterfaceError
+
+_T = TypeVar("_T")
 
 #: Upper bound on the pool size when the caller does not pick one; fanning
 #: wider than this buys nothing for the shard counts this repo works with.
@@ -96,8 +98,8 @@ class ConcurrentShardRouter(ShardRouter):
     (default: one thread per shard, capped at :data:`DEFAULT_MAX_WORKERS`).
 
     On the :meth:`over_table` layout the shared match mask is still computed
-    once on the calling thread; only the per-shard cut and rendering run on
-    the pool.
+    once on the calling thread, and so are the merge and the one rendering
+    of the merged rows; only the per-shard cuts run on the pool.
     Heterogeneous shards (e.g. remote or latency-wrapped backends) take the
     independent scatter path, where each ``shard.submit`` — the round-trip —
     runs on its own worker: the case concurrency was built for.
@@ -130,22 +132,8 @@ class ConcurrentShardRouter(ShardRouter):
         """The pool bound sub-queries are dispatched under."""
         return self._pool.max_workers
 
-    def _gather(self, query: ConjunctiveQuery) -> list[InterfaceResponse]:
-        pool = self._pool.get()
-        if self._shared_ranks is not None:
-            mask = self._shared_ranks.mask(query)
-            return list(
-                pool.map(
-                    scoped_to_current_deadline(lambda shard: shard.respond(query, mask)),
-                    self._shards,
-                )
-            )
-        return list(
-            pool.map(
-                scoped_to_current_deadline(lambda shard: shard.submit(query)),
-                self._shards,
-            )
-        )
+    def _gather(self, work: Callable[[Any], _T]) -> list[_T]:
+        return list(self._pool.get().map(scoped_to_current_deadline(work), self._shards))
 
     def close(self) -> None:
         """Release the worker threads (the router stays usable; a new pool

@@ -15,7 +15,11 @@ all :class:`TableShardBackend` partitions of a table reuse the table's single
 :class:`~repro.database.index.TableIndex` and its memoised
 :class:`~repro.database.index.RankCache`.  A shard's rows are one more
 rank-ordered bitmap there (the *residue* mask of ``row_id % n_shards``), so a
-shard answers a query by ANDing the query's mask with its residue.
+shard answers a query by ANDing the query's mask with its residue.  On that
+layout a shard hands the router only its exact count and its first ``k`` row
+ids (:meth:`TableShardBackend.cut`); the router merges the ids by rank
+position, cuts to ``k`` and renders the ``k`` survivors once, so no shard
+builds tuples the merge would throw away.
 
 Both classes are raw backends: exact counts, no accounting.  Wrap the router
 in :class:`~repro.backends.stack.BackendStack` layers to get budgets, count
@@ -24,7 +28,7 @@ modes and history over the whole sharded catalogue at once.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence, TypeVar, cast
 
 from repro.backends.adapters import build_returned_tuples
 from repro.database.index import RankCache
@@ -34,6 +38,8 @@ from repro.database.ranking import RankingFunction, RowIdRanking
 from repro.database.schema import Schema
 from repro.database.table import Table
 from repro.exceptions import InterfaceError
+
+_T = TypeVar("_T")
 
 #: Orders merged tuples; smaller sorts first.  Must agree with the shards'
 #: own internal ranking for the scatter/gather to be lossless.
@@ -96,21 +102,29 @@ class TableShardBackend:
         return self.respond(query, self._rank.mask(query))
 
     def respond(self, query: ConjunctiveQuery, mask: int) -> InterfaceResponse:
-        """Cut and render this shard's rows of ``mask``, the query's match mask.
+        """Cut and render this shard's rows of ``mask``, the query's match mask."""
+        total, row_ids = self.cut(mask)
+        return self.response(query, total, row_ids)
 
-        ``mask`` is ``query``'s rank-ordered match bitmap over the *whole*
+    def cut(self, mask: int) -> tuple[int, list[int]]:
+        """This shard's exact match count and best-ranked ``k`` row ids.
+
+        ``mask`` is a query's rank-ordered match bitmap over the *whole*
         table; the shard keeps its own rows by ANDing its residue mask.
         :class:`ShardRouter` uses this to evaluate the conjunctive query once
         on the shared rank cache and hand every shard the same mask, instead
         of paying one full evaluation per shard.
         """
         mine = mask & self._rank.residue(self.n_shards, self.shard_index)
-        total = mine.bit_count()
+        return mine.bit_count(), self._rank.first(mine, self._k)
+
+    def response(
+        self, query: ConjunctiveQuery, total: int, row_ids: Sequence[int]
+    ) -> InterfaceResponse:
+        """The response listing ``row_ids`` for ``query`` matching ``total`` rows."""
         return InterfaceResponse(
             query=query,
-            tuples=build_returned_tuples(
-                self._table, self._rank.first(mine, self._k), self.display_columns
-            ),
+            tuples=build_returned_tuples(self._table, row_ids, self.display_columns),
             overflow=total > self._k,
             reported_count=total,
             k=self._k,
@@ -167,19 +181,24 @@ class ShardRouter:
 
     def _detect_table_partition(self) -> RankCache | None:
         """The shared :class:`RankCache` when the shards exactly modulo-
-        partition one table under one ranking (the :meth:`over_table`
-        layout), else ``None``.
+        partition one table under one ranking and show the same display
+        columns (the :meth:`over_table` layout), else ``None``.
 
-        Only then may the router evaluate each query once and hand every
-        shard the same match mask, rather than scatter a full evaluation to
-        every shard.
+        Only then may the router evaluate each query once, hand every shard
+        the same match mask and render the merged rows itself, rather than
+        scatter a full evaluation to every shard.
         """
         n = len(self._shards)
         ranks = getattr(self._shards[0], "_rank", None)
         for position, shard in enumerate(self._shards):
             if not isinstance(shard, TableShardBackend):
                 return None
-            if shard.n_shards != n or shard.shard_index != position or shard._rank is not ranks:
+            if (
+                shard.n_shards != n
+                or shard.shard_index != position
+                or shard._rank is not ranks
+                or shard.display_columns != self.display_columns
+            ):
                 return None
         return ranks
 
@@ -243,22 +262,35 @@ class ShardRouter:
         return self._shards
 
     def submit(self, query: ConjunctiveQuery) -> InterfaceResponse:
-        """Fan ``query`` out, merge the ranked answers, apply the top-``k`` cut."""
-        return self._merge(query, self._gather(query))
+        """Fan ``query`` out, merge the ranked answers, apply the top-``k`` cut.
 
-    def _gather(self, query: ConjunctiveQuery) -> list[InterfaceResponse]:
-        """Per-shard responses, in shard order.
+        On the shared-rank layout the shards return counts and row ids only,
+        and the ``k`` merged rows are rendered once; any other shards answer
+        full sub-queries, merged by ``merge_key``.
+        """
+        ranks = self._shared_ranks
+        if ranks is None:
+            return self._merge(query, self._gather(lambda shard: shard.submit(query)))
+        mask = ranks.mask(query)
+        cuts = self._gather(lambda shard: shard.cut(mask))
+        position = ranks.position
+        merged = sorted(
+            (row_id for _, row_ids in cuts for row_id in row_ids), key=position.__getitem__
+        )
+        del merged[self._k :]
+        total = sum(count for count, _ in cuts)
+        return cast(TableShardBackend, self._shards[0]).response(query, total, merged)
+
+    def _gather(self, work: Callable[[Any], _T]) -> list[_T]:
+        """``work`` applied to every shard, results in shard order.
 
         This is the scatter half of the router, factored out so
         :class:`~repro.backends.dispatch.ConcurrentShardRouter` can override
-        *how* the sub-queries are issued (thread pool vs loop) without
-        touching what they compute — the merge consumes responses in shard
+        *how* the per-shard work is issued (thread pool vs loop) without
+        touching what it computes — the merge consumes results in shard
         order either way, which is what makes the two byte-identical.
         """
-        if self._shared_ranks is not None:
-            mask = self._shared_ranks.mask(query)
-            return [shard.respond(query, mask) for shard in self._shards]
-        return [shard.submit(query) for shard in self._shards]
+        return [work(shard) for shard in self._shards]
 
     def _merge(
         self, query: ConjunctiveQuery, responses: list[InterfaceResponse]

@@ -1,18 +1,41 @@
 """Parsing the hidden web site's HTML pages back into structured data.
 
-This is the scraper half of the web path.  It relies only on the standard
-library :class:`html.parser.HTMLParser` (the environment has no network and
-no BeautifulSoup), but the parsing problems are the same: discover the form
-and its fields, read drop-down options, find the result table, detect the
-overflow notice and the approximate count.
+This is the scraper half of the web path, standard library only (the
+environment has no network and no BeautifulSoup), facing the same parsing
+problems: discover the form and its fields, read drop-down options, find
+the result table, detect the overflow notice and the approximate count.
+
+* **Form pages** are read once per client, by an
+  :class:`html.parser.HTMLParser` subclass.
+* **Result pages** are read once per submitted query, so they get a
+  dedicated single-pass scanner (:func:`parse_result_page`): one compiled
+  tag regex walks the page with ``finditer``, and the text of each cell,
+  header and count notice is sliced out between its tags, with nested tags
+  and comments dropped and entity references decoded only when a ``&``
+  appears.  The scanner keys off the same class anchors the renderer writes
+  (:mod:`repro.web.html`), lower-cases tag and attribute names, accepts
+  double-, single- and un-quoted attributes (a ``<`` or ``>`` inside quotes
+  included), and reads a cell, header or row only once its own end tag
+  closes it, as :mod:`html.parser` callbacks did.  Its regexes cannot
+  backtrack, so the time it takes grows linearly with the page, however
+  malformed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
+from html import unescape
 from html.parser import HTMLParser
 
 from repro.exceptions import FormParseError
+from repro.web.html import (
+    COUNT_CLASS,
+    COUNT_VALUE_CLASS,
+    EMPTY_CLASS,
+    OVERFLOW_NOTICE_CLASS,
+    RESULT_TABLE_CLASS,
+)
 
 
 @dataclass(frozen=True)
@@ -141,102 +164,55 @@ class _FormPageParser(HTMLParser):
             self._in_form = False
 
 
-class _ResultPageParser(HTMLParser):
-    """Stateful HTML parser extracting the result table and notices."""
+#: A comment (an unterminated one runs to the end of the page) or a start/end
+#: tag with its raw attribute text.  The quantifiers are possessive, so no
+#: match backtracks.  A failed match ends at the first ``<`` or ``>`` outside
+#: quotes, and a quote character toggles a scan between three states (outside,
+#: in ``"``, in ``'``) as a permutation, so two scans never share a state: at
+#: most three failed scans are alive at any point of the page, and a pass over
+#: it is linear in its length.
+_MARKUP = re.compile(
+    r"<!--.*?(?:-->|\Z)"
+    r"|<(/?)([A-Za-z][^\s/<>\"']*+)((?:[^<>\"']++|\"[^\"]*+\"|'[^']*+')*+)>",
+    re.DOTALL,
+)
+#: ``name``, ``name=value``, ``name="value"`` or ``name='value'``.
+_ATTRIBUTE = re.compile(
+    r"""([^\s"'<>/=]+)(?:\s*=\s*(?:"([^"]*)"|'([^']*)'|([^\s"'<>=`]+)))?"""
+)
+#: The first integer of a count notice; thousands may be grouped by commas
+#: or (narrow) no-break spaces.
+_INTEGER = re.compile("[0-9]{1,3}(?:[,\u00a0\u202f][0-9]{3})+(?![0-9])|[0-9]+")
+_SEPARATORS = re.compile("[,\u00a0\u202f]")
 
-    def __init__(self) -> None:
-        super().__init__(convert_charrefs=True)
-        self.overflow = False
-        self.empty = False
-        self.reported_count: int | None = None
-        self.top_k: int | None = None
-        self.columns: list[str] = []
-        self.rows: list[ParsedResultRow] = []
-        self._in_count = False
-        self._count_text: list[str] = []
-        self._in_results_table = False
-        self._in_head_row = False
-        self._in_body = False
-        self._current_row_id: int | None = None
-        self._current_cells: list[str] = []
-        self._current_cell_text: list[str] = []
-        self._in_cell = False
-        self._in_header_cell = False
-        self._current_header_text: list[str] = []
 
-    def handle_starttag(self, tag: str, attrs: list[tuple[str, str | None]]) -> None:
-        attributes = {key: (value or "") for key, value in attrs}
-        classes = attributes.get("class", "").split()
-        if tag == "meta" and attributes.get("name") == "hd-top-k":
-            try:
-                self.top_k = int(attributes.get("content", ""))
-            except ValueError:
-                self.top_k = None
-        elif tag == "p":
-            if "hd-overflow" in classes:
-                self.overflow = True
-            if "hd-empty" in classes:
-                self.empty = True
-            if "hd-count" in classes:
-                self._in_count = True
-                self._count_text = []
-        elif tag == "table" and "hd-results" in classes:
-            self._in_results_table = True
-        elif self._in_results_table and tag == "thead":
-            self._in_head_row = True
-        elif self._in_results_table and tag == "tbody":
-            self._in_body = True
-        elif self._in_results_table and tag == "th" and self._in_head_row:
-            self._in_header_cell = True
-            self._current_header_text = []
-        elif self._in_results_table and self._in_body and tag == "tr":
-            row_id_text = attributes.get("data-tuple-id", "")
-            try:
-                self._current_row_id = int(row_id_text)
-            except ValueError:
-                raise FormParseError(f"result row has a non-integer tuple id: {row_id_text!r}")
-            self._current_cells = []
-        elif self._in_results_table and self._in_body and tag == "td":
-            self._in_cell = True
-            self._current_cell_text = []
+def _attributes(text: str) -> dict[str, str]:
+    """Attribute text of a tag as a dict: names lower-cased, values unescaped."""
+    attributes: dict[str, str] = {}
+    for match in _ATTRIBUTE.finditer(text):
+        name, double, single, bare = match.groups()
+        value = double if double is not None else single if single is not None else bare or ""
+        attributes[name.lower()] = unescape(value) if "&" in value else value
+    return attributes
 
-    def handle_data(self, data: str) -> None:
-        if self._in_count:
-            self._count_text.append(data)
-        if self._in_cell:
-            self._current_cell_text.append(data)
-        if self._in_header_cell:
-            self._current_header_text.append(data)
 
-    def handle_endtag(self, tag: str) -> None:
-        if tag == "p" and self._in_count:
-            self._in_count = False
-            self.reported_count = _extract_count("".join(self._count_text))
-        elif tag == "th" and self._in_header_cell:
-            self.columns.append("".join(self._current_header_text).strip())
-            self._in_header_cell = False
-        elif tag == "thead":
-            self._in_head_row = False
-        elif tag == "td" and self._in_cell:
-            self._current_cells.append("".join(self._current_cell_text).strip())
-            self._in_cell = False
-        elif tag == "tr" and self._in_body and self._current_row_id is not None:
-            values = dict(zip(self.columns[1:], self._current_cells[1:]))
-            self.rows.append(ParsedResultRow(tuple_id=self._current_row_id, values=values))
-            self._current_row_id = None
-            self._current_cells = []
-        elif tag == "tbody":
-            self._in_body = False
-        elif tag == "table":
-            self._in_results_table = False
+def _text(page: str, start: int, end: int) -> str:
+    """The displayed text of ``page[start:end]``: tags and comments dropped,
+    entity references decoded, surrounding whitespace stripped."""
+    text = page[start:end]
+    if "<" in text:
+        text = _MARKUP.sub("", text)
+    if "&" in text:
+        text = unescape(text)
+    return text.strip()
 
 
 def _extract_count(text: str) -> int | None:
-    """Pull the integer out of a count notice like ``About 1234 results``."""
-    digits = "".join(ch for ch in text if ch.isdigit())
-    if not digits:
+    """The first integer of a count notice (``About 1,234 results`` → 1234)."""
+    match = _INTEGER.search(text)
+    if match is None:
         return None
-    return int(digits)
+    return int(_SEPARATORS.sub("", match.group()))
 
 
 def parse_form_page(html_text: str) -> FormDescription:
@@ -262,20 +238,116 @@ def parse_form_page(html_text: str) -> FormDescription:
 
 
 def parse_result_page(html_text: str) -> ParsedResultPage:
-    """Parse a result page into rows, overflow flag and reported count."""
-    parser = _ResultPageParser()
-    parser.feed(html_text)
-    parser.close()
-    if not parser.empty and not parser.rows and not parser.overflow and parser.reported_count is None:
+    """Parse a result page into rows, overflow flag and reported count.
+
+    One pass over the page's tags; the text of a cell, header or count
+    notice is sliced out of the page between its start and end tags.  A row
+    is kept when its ``</tr>`` is read, and a ``<tr>`` replaces a row left
+    open.  The reported count is the ``hd-count-value`` span of the notice
+    when there is one, else the notice's first integer.
+
+    Raises :class:`~repro.exceptions.FormParseError` on a row whose
+    ``data-tuple-id`` is not an integer, and on a page with no result
+    table, no empty marker, no overflow notice and no count.
+    """
+    page = html_text
+    overflow = empty = False
+    top_k: int | None = None
+    columns: list[str] = []
+    rows: list[ParsedResultRow] = []
+    in_table = in_head = in_body = False
+    row_id: int | None = None
+    cells: list[str] = []
+    # Where the text of the open cell/header/notice/value span starts; -1 when none is open.
+    cell = header = notice = value = -1
+    notice_text: str | None = None
+    value_text: str | None = None
+    for token in _MARKUP.finditer(page):
+        closing, name, attributes = token.groups()
+        if name is None:  # a comment
+            continue
+        tag = name.lower()
+        if closing:
+            if tag == "td":
+                if cell >= 0:
+                    cells.append(_text(page, cell, token.start()))
+                    cell = -1
+            elif tag == "tr":
+                if row_id is not None and in_body:
+                    rows.append(ParsedResultRow(row_id, dict(zip(columns[1:], cells[1:]))))
+                    row_id = None
+            elif tag == "th":
+                if header >= 0:
+                    columns.append(_text(page, header, token.start()))
+                    header = -1
+            elif tag == "thead":
+                in_head = False
+            elif tag == "tbody":
+                in_body = False
+            elif tag == "table":
+                in_table = in_head = in_body = False
+            elif tag == "span":
+                if value >= 0:
+                    value_text = _text(page, value, token.start())
+                    value = -1
+            elif tag == "p":
+                if notice >= 0:
+                    notice_text = _text(page, notice, token.start())
+                    notice = value = -1
+            continue
+        if tag == "td":
+            if in_body:
+                cell = token.end()
+        elif tag == "tr":
+            if in_body:
+                row_id_text = _attributes(attributes).get("data-tuple-id", "")
+                try:
+                    row_id = int(row_id_text)
+                except ValueError:
+                    raise FormParseError(
+                        f"result row has a non-integer tuple id: {row_id_text!r}"
+                    ) from None
+                cells = []
+        elif tag == "th":
+            if in_head:
+                header = token.end()
+        elif tag == "p":
+            classes = _attributes(attributes).get("class", "").split()
+            overflow = overflow or OVERFLOW_NOTICE_CLASS in classes
+            empty = empty or EMPTY_CLASS in classes
+            if COUNT_CLASS in classes:
+                notice, value_text = token.end(), None
+        elif tag == "span":
+            if notice >= 0 and COUNT_VALUE_CLASS in _attributes(attributes).get("class", "").split():
+                value = token.end()
+        elif tag == "meta":
+            meta = _attributes(attributes)
+            if meta.get("name") == "hd-top-k":
+                try:
+                    top_k = int(meta.get("content", ""))
+                except ValueError:
+                    top_k = None
+        elif tag == "table":
+            if RESULT_TABLE_CLASS in _attributes(attributes).get("class", "").split():
+                in_table = True
+        elif tag == "thead":
+            in_head = in_table
+        elif tag == "tbody":
+            in_body = in_table
+    reported_count = None
+    if value_text is not None:
+        reported_count = _extract_count(value_text)
+    elif notice_text is not None:
+        reported_count = _extract_count(notice_text)
+    if not empty and not rows and not overflow and reported_count is None and not columns:
         # A page with neither a results table nor an explicit empty marker is
         # not a result page at all; refuse to guess.
-        if not parser.columns:
-            raise FormParseError("page does not look like a result page")
+        raise FormParseError("page does not look like a result page")
     return ParsedResultPage(
-        rows=tuple(parser.rows),
-        overflow=parser.overflow,
-        reported_count=parser.reported_count,
-        empty=parser.empty or not parser.rows,
-        columns=tuple(parser.columns),
-        top_k=parser.top_k,
+        rows=tuple(rows),
+        overflow=overflow,
+        reported_count=reported_count,
+        empty=empty or not rows,
+        columns=tuple(columns),
+        top_k=top_k,
     )

@@ -9,10 +9,10 @@ web form site:
 * the **result page** — a table of the displayed tuples, an overflow notice
   when not all matches are shown, and optionally an (approximate) match count.
 
-The markup is deliberately plain but *real* HTML: the client parses it with
-:mod:`html.parser`, so the round-trip exercises the same parsing problems a
-``requests`` + ``BeautifulSoup`` scraper faces (escaping, attribute quoting,
-optional elements).
+The markup is deliberately plain but *real* HTML: the client parses it back
+(:mod:`repro.web.form_parser`), so the round-trip exercises the same parsing
+problems a ``requests`` + ``BeautifulSoup`` scraper faces (escaping,
+attribute quoting, optional elements).
 """
 
 from __future__ import annotations
@@ -29,11 +29,18 @@ from repro.database.schema import Schema, Value
 RESULT_TABLE_CLASS = "hd-results"
 OVERFLOW_NOTICE_CLASS = "hd-overflow"
 COUNT_CLASS = "hd-count"
+COUNT_VALUE_CLASS = "hd-count-value"
 EMPTY_CLASS = "hd-empty"
 ANY_VALUE = ""  # the <option value=""> meaning "any"
 
 
-def _format_value(value: Value) -> str:
+def format_value(value: Value) -> str:
+    """Display text of a value: on result-page cells and form-page options alike.
+
+    Booleans read ``true``/``false`` and integral floats drop their ``.0``,
+    so a scraper can map a displayed cell straight back onto the option it
+    would select.
+    """
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float) and value == int(value):
@@ -69,7 +76,7 @@ def render_form_page(schema: Schema, action: str = "/results", k: int | None = N
         )
         lines.append(f'<option value="{ANY_VALUE}">any</option>')
         for value in attribute.domain.values:
-            text = _format_value(value)
+            text = format_value(value)
             lines.append(f'<option value="{escape(text, quote=True)}">{escape(text)}</option>')
         lines.append("</select>")
     lines.append('<input type="submit" name="submit" value="Search">')
@@ -111,7 +118,7 @@ def render_result_page(
     ]
     if reported_count is not None:
         lines.append(
-            f'<p class="{COUNT_CLASS}">About <span class="hd-count-value">{int(reported_count)}</span> results</p>'
+            f'<p class="{COUNT_CLASS}">About <span class="{COUNT_VALUE_CLASS}">{int(reported_count)}</span> results</p>'
         )
     if overflow:
         lines.append(
@@ -133,7 +140,7 @@ def render_result_page(
             lines.append(f"<td>{int(returned.tuple_id)}</td>")
             for column in columns:
                 value = returned.values.get(column, "")
-                lines.append(f"<td>{escape(_format_value(value))}</td>")
+                lines.append(f"<td>{escape(format_value(value))}</td>")
             lines.append("</tr>")
         lines.append("</tbody>")
         lines.append("</table>")

@@ -1,0 +1,115 @@
+"""Precomputed cell decoding on the scraping path agrees with decoding per cell."""
+
+import pytest
+
+from repro.backends.adapters import WebPageBackend, _decode_map, _parse_displayed_value
+from repro.database.interface import HiddenDatabaseInterface
+from repro.database.query import ConjunctiveQuery
+from repro.database.schema import Attribute, Domain, Schema
+from repro.database.table import Table
+from repro.exceptions import DomainValueError, FormParseError
+from repro.web.form_parser import ParsedResultRow
+from repro.web.html import format_value
+from repro.web.server import HiddenWebSite
+
+SCHEMA = Schema(
+    [
+        Attribute("year", Domain.categorical((2019, 2020, "2021"))),
+        Attribute("used", Domain.boolean()),
+        Attribute("make", Domain.categorical(("Ford", " Kia", "1.0"))),
+        Attribute("price", Domain.numeric_buckets((0.0, 10.0, 20.0))),
+    ],
+    name="decode",
+)
+ROWS = [
+    {"year": 2019, "used": True, "make": "Ford", "price": 5.0},
+    {"year": "2021", "used": False, "make": "1.0", "price": 15.0},
+    {"year": 2020, "used": True, "make": "Ford", "price": 12.5},
+]
+
+
+@pytest.fixture()
+def backend():
+    table = Table(SCHEMA, ROWS, name="decode")
+    return WebPageBackend(HiddenWebSite(HiddenDatabaseInterface(table, k=5)), SCHEMA)
+
+
+def _slow(attribute, text):
+    raw = _parse_displayed_value(attribute, text)
+    return raw, attribute.domain.selectable_value_for(raw)
+
+
+class TestDecodeMap:
+    @pytest.mark.parametrize("name", ["year", "used", "make"])
+    def test_every_entry_is_what_the_per_cell_path_returns(self, name):
+        attribute = SCHEMA.attribute(name)
+        decoded = _decode_map(attribute)
+        assert decoded
+        for text, pair in decoded.items():
+            assert pair == _slow(attribute, text)
+            assert type(pair[0]) is type(_slow(attribute, text)[0])
+
+    def test_keys_are_the_domain_renderings(self):
+        assert set(_decode_map(SCHEMA.attribute("used"))) == {"true", "false"}
+        assert set(_decode_map(SCHEMA.attribute("year"))) == {"2019", "2020", "2021"}
+
+    def test_numeric_attributes_have_no_map(self):
+        assert _decode_map(SCHEMA.attribute("price")) == {}
+
+    def test_every_decodable_rendering_is_in_the_map(self):
+        attribute = SCHEMA.attribute("make")  # includes " Kia" and "1.0"
+        decoded = _decode_map(attribute)
+        for value in attribute.domain.values:
+            assert decoded[format_value(value)] == _slow(attribute, format_value(value))
+
+    def test_undecodable_renderings_are_left_to_the_per_cell_path(self):
+        # A float category renders "2.5", which the per-cell path cannot map
+        # back; the map leaves it out, so the cell still raises as before.
+        attribute = Attribute("size", Domain.categorical((2.5, 3)))
+        assert _decode_map(attribute) == {"3": (3, 3)}
+        with pytest.raises(FormParseError):
+            _slow(attribute, "2.5")
+
+
+class TestScrapedResponses:
+    def test_responses_match_the_direct_interface(self, backend):
+        table = Table(SCHEMA, ROWS, name="decode")
+        direct = HiddenDatabaseInterface(table, k=5)
+        for assignment in ({}, {"used": True}, {"year": 2020}, {"price": "10-20"}):
+            query = ConjunctiveQuery.from_assignment(SCHEMA, assignment)
+            scraped, expected = backend.submit(query), direct.submit(query)
+            assert scraped.tuples == expected.tuples
+            for got, want in zip(scraped.tuples, expected.tuples):
+                assert [type(v) for v in got.values.values()] == [
+                    type(v) for v in want.values.values()
+                ]
+
+    def test_texts_outside_the_map_still_decode(self, backend):
+        row = ParsedResultRow(7, {"year": "2019", "used": "yes", "make": "Ford", "price": "3"})
+        returned = backend._to_returned_tuple(row)
+        assert returned.values == {"year": 2019, "used": True, "make": "Ford", "price": 3.0}
+        assert returned.selectable_values["price"] == "0-10"
+
+    @pytest.mark.parametrize(
+        "column, text, error",
+        [
+            ("used", "maybe", FormParseError),
+            ("year", "1999", FormParseError),
+            ("price", "cheap", FormParseError),
+            ("price", "99", DomainValueError),
+        ],
+    )
+    def test_bad_cells_raise_as_before(self, backend, column, text, error):
+        values = {"year": "2019", "used": "true", "make": "Ford", "price": "3"}
+        values[column] = text
+        attribute = SCHEMA.attribute(column)
+        with pytest.raises(error) as expected:
+            _slow(attribute, text)
+        with pytest.raises(error) as raised:
+            backend._to_returned_tuple(ParsedResultRow(7, values))
+        assert str(raised.value) == str(expected.value)
+
+    def test_missing_column_is_reported(self, backend):
+        row = ParsedResultRow(7, {"year": "2019", "used": "true", "make": "Ford"})
+        with pytest.raises(FormParseError, match="missing column 'price'"):
+            backend._to_returned_tuple(row)
