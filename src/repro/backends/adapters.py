@@ -2,7 +2,8 @@
 
 * :class:`QueryEngineBackend` — the direct in-process path: evaluate the
   query on a :class:`~repro.database.engine.QueryEngine` and render the
-  result rows as :class:`~repro.database.interface.ReturnedTuple`\\ s.
+  result rows as :class:`~repro.database.interface.ReturnedTuple`\\ s, each
+  built on first read (:class:`LazyTuples`).
 * :class:`WebPageBackend` — the scraping path: encode the query as a form
   submission against a :class:`~repro.web.server.HiddenWebSite`, fetch the
   result page and parse the listed tuples back out of the HTML.
@@ -18,14 +19,14 @@ the scraping path count shaping already happened server-side.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence, overload
 
 from repro.database.engine import QueryEngine, QueryOutcome, QueryResult
 from repro.database.interface import InterfaceResponse, ReturnedTuple
 from repro.database.query import ConjunctiveQuery
 from repro.database.ranking import RankingFunction
 from repro.database.schema import Attribute, AttributeKind, Schema, Value
-from repro.database.table import Table
+from repro.database.table import Row, Table
 from repro.exceptions import DomainValueError, FormParseError, WebFormError
 from repro.web.form_parser import FormDescription, ParsedResultRow, parse_form_page, parse_result_page
 from repro.web.html import format_value
@@ -37,31 +38,106 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 
 def build_returned_tuples(
     table: Table, row_ids: Sequence[int], display_columns: Sequence[str] = ()
-) -> tuple[ReturnedTuple, ...]:
-    """Render table rows the way a result page displays them.
+) -> "LazyTuples":
+    """Render table rows the way a result page displays them, on first read.
 
-    Selectable values come from the table index's binned columns; the schema
-    names and columns are looked up once per call, not once per row.  A row
-    holding a value outside its attribute's domain (possible only on
-    ``validate=False`` tables) raises exactly as :meth:`Table.selectable_row`.
+    The returned :class:`LazyTuples` builds each tuple the first time it is
+    read, so an overflowing answer whose tuples are only counted builds none.
+    Domain errors stay eager: a row holding a value outside its attribute's
+    domain (possible only on ``validate=False`` tables) raises here, exactly
+    as :meth:`Table.selectable_row` and for the first such row listed.
     """
-    names = table.schema.attribute_names
-    index = table.index
-    columns = [index.selectable_column(name) for name in names]
-    unbinnable = index.unbinnable_rows
-    rows = table.rows
-    returned = []
-    for row_id in row_ids:
+    unbinnable = table.index.unbinnable_rows
+    if unbinnable and not unbinnable.isdisjoint(row_ids):
+        rows = table.rows
+        for row_id in row_ids:
+            if row_id in unbinnable:
+                table.selectable_row(rows[row_id])  # raises DomainValueError
+    return LazyTuples(table, row_ids, display_columns)
+
+
+#: The table's rows and its ``(name, selectable column)`` pairs, the lookups a
+#: :class:`LazyTuples` resolves once, at its first read.
+_Lookups = tuple[tuple[Row, ...], tuple[tuple[str, Sequence[Value]], ...]]
+
+
+class LazyTuples(Sequence[ReturnedTuple]):
+    """The returned tuples of one response, each built on first read.
+
+    Holds the table, the listed row ids (best-ranked first) and the display
+    columns.  ``len`` and truth use the row ids alone; indexing, slicing and
+    iteration all go through one per-item builder, which resolves the schema
+    names and index columns once per response, at its first read.  Slices
+    return plain tuples.  The sequence compares equal, in both directions,
+    to the tuple it materialises to and to another lazy sequence listing
+    equal tuples; like that tuple (whose items hold dicts) it is unhashable.
+
+    Thread safety: each built tuple is published into a per-response slot
+    list with one item assignment, and the lookups with one attribute
+    assignment, without a lock.  Two threads reading the same cold item may
+    both build it; the results are equal and the last assignment wins.
+    """
+
+    __slots__ = ("_table", "_row_ids", "_display_columns", "_slots", "_lookups")
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(
+        self, table: Table, row_ids: Sequence[int], display_columns: Sequence[str]
+    ) -> None:
+        self._table = table
+        self._row_ids = tuple(row_ids)
+        self._display_columns = tuple(display_columns)
+        self._slots: list[ReturnedTuple | None] = [None] * len(self._row_ids)
+        self._lookups: _Lookups | None = None
+
+    def __len__(self) -> int:
+        return len(self._row_ids)
+
+    @overload
+    def __getitem__(self, index: int) -> ReturnedTuple: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> tuple[ReturnedTuple, ...]: ...
+
+    def __getitem__(self, index: int | slice) -> ReturnedTuple | tuple[ReturnedTuple, ...]:
+        if isinstance(index, slice):
+            return tuple(self[position] for position in range(*index.indices(len(self))))
+        built = self._slots[index]  # raises IndexError as the tuple would
+        if built is None:
+            built = self._slots[index] = self._build(self._row_ids[index])
+        return built
+
+    def __iter__(self) -> Iterator[ReturnedTuple]:
+        for position in range(len(self)):
+            yield self[position]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (tuple, LazyTuples)):
+            return self[:] == other[:]
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(self[:])
+
+    def _build(self, row_id: int) -> ReturnedTuple:
+        lookups = self._lookups
+        if lookups is None:
+            table = self._table
+            index = table.index
+            names = table.schema.attribute_names
+            lookups = self._lookups = (
+                table.rows,
+                tuple((name, index.selectable_column(name)) for name in names),
+            )
+        rows, columns = lookups
         row = rows[row_id]
-        if row_id in unbinnable:
-            table.selectable_row(row)  # raises DomainValueError
-        values: dict[str, Value] = {name: row[name] for name in names}
-        for column in display_columns:
+        values: dict[str, Value] = {name: row[name] for name, _ in columns}
+        for column in self._display_columns:
             if column in row:
                 values[column] = row[column]
-        selectable = {name: column[row_id] for name, column in zip(names, columns)}
-        returned.append(ReturnedTuple(tuple_id=row_id, values=values, selectable_values=selectable))
-    return tuple(returned)
+        selectable = {name: column[row_id] for name, column in columns}
+        return ReturnedTuple(tuple_id=row_id, values=values, selectable_values=selectable)
 
 
 class QueryEngineBackend:

@@ -62,13 +62,30 @@ class ReturnedTuple:
 
 @dataclass(frozen=True)
 class InterfaceResponse:
-    """Everything a client learns from submitting one query."""
+    """Everything a client learns from submitting one query.
+
+    ``tuples`` is a read-only sequence of the listed tuples, best-ranked
+    first.  Wire, page and history answers hold a plain tuple; in-process
+    engine and shard answers hold a
+    :class:`~repro.backends.adapters.LazyTuples`, which builds each tuple on
+    first read and compares equal to the tuple it materialises to.
+    """
 
     query: ConjunctiveQuery
-    tuples: tuple[ReturnedTuple, ...]
+    tuples: Sequence[ReturnedTuple]
     overflow: bool
     reported_count: int | None
     k: int
+
+    def with_reported_count(self, reported_count: int | None) -> "InterfaceResponse":
+        """This response reporting ``reported_count`` instead of its own count.
+
+        Count shaping does this once per query, so it copies the instance
+        dict rather than re-running the frozen ``__init__`` (half the cost).
+        """
+        shaped = object.__new__(InterfaceResponse)
+        shaped.__dict__.update(self.__dict__, reported_count=reported_count)
+        return shaped
 
     @property
     def empty(self) -> bool:
@@ -93,9 +110,10 @@ class InterfaceStatistics:
 
     def record(self, response: InterfaceResponse) -> None:
         """Update the counters with one response."""
+        returned = len(response.tuples)
         self.queries_issued += 1
-        self.tuples_returned += len(response.tuples)
-        if response.empty:
+        self.tuples_returned += returned
+        if not returned:
             self.empty_results += 1
         elif response.overflow:
             self.overflow_results += 1

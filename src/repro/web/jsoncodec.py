@@ -117,29 +117,43 @@ def response_to_dict(response: InterfaceResponse) -> dict:
 
 
 def response_from_dict(schema: Schema, payload: Mapping) -> InterfaceResponse:
-    """Rebuild an :class:`InterfaceResponse` from :func:`response_to_dict` output."""
+    """Rebuild an :class:`InterfaceResponse` from :func:`response_to_dict` output.
+
+    A half-shaped payload (missing or mis-typed fields) raises a typed
+    :class:`FormParseError`, never an untyped ``KeyError``/``TypeError``
+    mid-sampler: single submits and batch items decode through here alike.
+    """
+    if not isinstance(payload, Mapping):
+        raise FormParseError(
+            f"response payload is malformed: a {type(payload).__name__}, expected an object"
+        )
     version = payload.get("version")
     if version != WIRE_VERSION:
         raise FormParseError(
             f"remote backend speaks wire version {version!r}, this client speaks {WIRE_VERSION}"
         )
-    query = ConjunctiveQuery.from_assignment(schema, payload["query"])
-    tuples = tuple(
-        ReturnedTuple(
-            tuple_id=int(entry["tuple_id"]),
-            values=dict(entry["values"]),
-            selectable_values=dict(entry["selectable_values"]),
+    try:
+        query = ConjunctiveQuery.from_assignment(schema, payload["query"])
+        tuples = tuple(
+            ReturnedTuple(
+                tuple_id=int(entry["tuple_id"]),
+                values=dict(entry["values"]),
+                selectable_values=dict(entry["selectable_values"]),
+            )
+            for entry in payload["tuples"]
         )
-        for entry in payload["tuples"]
-    )
-    reported = payload["reported_count"]
-    return InterfaceResponse(
-        query=query,
-        tuples=tuples,
-        overflow=bool(payload["overflow"]),
-        reported_count=int(reported) if reported is not None else None,
-        k=int(payload["k"]),
-    )
+        reported = payload["reported_count"]
+        return InterfaceResponse(
+            query=query,
+            tuples=tuples,
+            overflow=bool(payload["overflow"]),
+            reported_count=int(reported) if reported is not None else None,
+            k=int(payload["k"]),
+        )
+    except (KeyError, TypeError, AttributeError, ValueError) as error:
+        raise FormParseError(
+            f"response payload is malformed: {type(error).__name__}: {error}"
+        ) from error
 
 
 # -- faults -----------------------------------------------------------------------
@@ -332,14 +346,7 @@ def batch_response_from_dict(
             )
         status = item.get("status")
         if status == "ok":
-            try:
-                outcomes.append(response_from_dict(schema, item["response"]))
-            except (KeyError, TypeError, AttributeError) as error:
-                # A half-shaped 'ok' item (missing/mis-typed fields) is a
-                # malformed payload, not an untyped crash mid-sampler.
-                raise FormParseError(
-                    f"batch response item is malformed: {type(error).__name__}: {error}"
-                ) from error
+            outcomes.append(response_from_dict(schema, item.get("response")))
         elif status == "error":
             payload = item.get("payload", {})
             if not isinstance(payload, Mapping):
