@@ -21,14 +21,15 @@ The package separates *what answers conjunctive queries* (raw backends) from
   builders :func:`~repro.backends.stack.engine_stack`,
   :func:`~repro.backends.stack.web_stack`,
   :func:`~repro.backends.stack.sharded_stack` and
-  :func:`~repro.backends.stack.remote_stack`.
+  :func:`~repro.backends.stack.remote_stack` (one URL, or a list of them
+  behind a :class:`~repro.backends.resilience.FailoverRouter`), all
+  composed in the one :data:`~repro.backends.stack.LAYER_ORDER`.
 
 ``HiddenDatabaseInterface`` and ``WebFormClient`` are now thin facades over
 these stacks; see ``docs/architecture.md`` for the full picture.
 """
 
 from repro.backends.adapters import QueryEngineBackend, WebPageBackend, build_returned_tuples
-from repro.backends.async_remote import AsyncRemoteBackend
 from repro.backends.base import BackendLayer, RawBackend, iter_chain
 from repro.backends.dispatch import ConcurrentShardRouter, DispatchLayer
 from repro.backends.history import CachedResponseSource, HistoryLayer, HistoryStatistics
@@ -55,9 +56,7 @@ from repro.backends.resilience import (
 from repro.backends.shard import ShardRouter, TableShardBackend
 from repro.backends.stack import (
     BackendStack,
-    async_remote_stack,
     engine_stack,
-    failover_stack,
     introspect,
     remote_stack,
     sharded_stack,
@@ -65,7 +64,6 @@ from repro.backends.stack import (
 )
 
 __all__ = [
-    "AsyncRemoteBackend",
     "BackendLayer",
     "BackendStack",
     "BreakerState",
@@ -92,12 +90,10 @@ __all__ = [
     "UnreliableLayer",
     "UnreliableStatistics",
     "WebPageBackend",
-    "async_remote_stack",
     "build_returned_tuples",
     "current_deadline",
     "deadline_scope",
     "engine_stack",
-    "failover_stack",
     "introspect",
     "iter_chain",
     "remote_stack",

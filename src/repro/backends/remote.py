@@ -87,6 +87,7 @@ from repro.web.jsoncodec import (
     batch_response_from_dict,
     error_from_payload,
     response_from_dict,
+    retry_after_seconds,
     schema_from_dict,
 )
 from repro.web.urlcodec import encode_query
@@ -496,24 +497,7 @@ class RemoteBackend:
                 raw_body = decompress(raw_body, response_encoding, MAX_RESPONSE_BYTES)
                 if (response_encoding or "").strip().lower() == GZIP_ENCODING:
                     self._compression.count_response()
-            return response.status, raw_body, self._retry_after_header(response)
-
-    @staticmethod
-    def _retry_after_header(response: http.client.HTTPResponse) -> float | None:
-        """The ``Retry-After`` header as seconds, or ``None``.
-
-        Only the delay-seconds form is parsed (integers per the RFC, decimals
-        because our own server sends them); the HTTP-date form — which no
-        server in this repo emits — is ignored rather than guessed at.
-        """
-        raw = response.getheader("Retry-After")
-        if raw is None:
-            return None
-        try:
-            seconds = float(raw.strip())
-        except ValueError:
-            return None
-        return seconds if seconds >= 0 else None
+            return response.status, raw_body, retry_after_seconds(response.getheader("Retry-After"))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RemoteBackend(base_url={self.base_url!r}, k={self._k})"

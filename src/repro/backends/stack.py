@@ -26,20 +26,29 @@ bytes, overlapped round-trips), and :func:`remote_stack` puts the usual
 layers — plus a retrying
 :class:`~repro.backends.layers.UnreliableLayer` — over a
 :class:`~repro.backends.remote.RemoteBackend` talking to a
-:mod:`repro.web.httpd` endpoint across a real socket.
-:func:`async_remote_stack` is the same composition over the event-loop
-transport (:class:`~repro.backends.async_remote.AsyncRemoteBackend` through
-its sync facade), so swapping a deployment between threaded and async
-serving never changes what the layers above it see.
+:mod:`repro.web.httpd` endpoint across a real socket, or, given a list of
+URLs, over a :class:`~repro.backends.resilience.FailoverRouter` of them.
+
+Every builder takes its layer order from one table, :data:`LAYER_ORDER`
+(innermost first)::
+
+    CountMode < CircuitBreaker < Unreliable < Budget < Statistics < History < Dispatch
+
+and :class:`BackendStack` refuses, at construction, any stack whose ranked
+layers break it.  Retries below budget and statistics mean a submission that
+needed three attempts is charged and counted once; the breaker below the
+retry layer sees every attempt and, once open, its fast-fail passes through
+unretried.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from repro.backends.adapters import QueryEngineBackend, WebPageBackend
 from repro.backends.base import RawBackend, iter_chain
+from repro.backends.dispatch import ConcurrentShardRouter, DispatchLayer
 from repro.backends.history import HistoryLayer
 from repro.backends.layers import BudgetLayer, CountModeLayer, StatisticsLayer, UnreliableLayer
 from repro.backends.resilience import (
@@ -48,6 +57,7 @@ from repro.backends.resilience import (
     FailoverRouter,
     resilience_report,
 )
+from repro.backends.shard import ShardRouter
 from repro.database.interface import CountMode, InterfaceResponse, InterfaceStatistics
 from repro.database.limits import QueryBudget
 from repro.database.query import ConjunctiveQuery
@@ -60,15 +70,41 @@ from repro.exceptions import ConfigurationError
 #: Layer classes whose remaining parameters all default qualify directly.
 LayerFactory = Callable[[RawBackend], RawBackend]
 
+#: The one layer order, innermost (closest to the raw backend) first.  A
+#: stack may omit any of these, and layers of other types are unranked, but
+#: the ranked layers a :class:`BackendStack` builds must follow this order.
+LAYER_ORDER: tuple[type, ...] = (
+    CountModeLayer,
+    CircuitBreakerLayer,
+    UnreliableLayer,
+    BudgetLayer,
+    StatisticsLayer,
+    HistoryLayer,
+    DispatchLayer,
+)
+
+
+def _rank(layer: object) -> int | None:
+    """The position of ``layer``'s kind in :data:`LAYER_ORDER`, if ranked."""
+    for rank, kind in enumerate(LAYER_ORDER):
+        if isinstance(layer, kind):
+            return rank
+    return None
+
 
 class BackendStack:
     """A raw backend wrapped in middleware layers, innermost first.
 
     ``layers`` are factories applied bottom-up: ``BackendStack(raw, [a, b])``
     builds ``b(a(raw))``, so the *last* factory sees every submission first.
-    The stack itself satisfies the backend protocol, delegating to the
-    outermost layer, and exposes each layer by type through :meth:`layer`
-    plus convenience properties for the common ones.
+    Layers whose kind appears in :data:`LAYER_ORDER` must come in that order,
+    and at most one :class:`StatisticsLayer` may sit anywhere in the chain;
+    either violation is a :class:`ConfigurationError`.  Only the layers built
+    here are ranked, so wrapping a finished stack's ``top`` in one more layer
+    (e.g. a fault injector over a clean stack) stays legal.  The stack
+    itself satisfies the backend protocol, delegating to the outermost
+    layer, and exposes each layer by type through :meth:`layer` plus
+    convenience properties for the common ones.
     """
 
     def __init__(self, raw: RawBackend, layers: Sequence[LayerFactory] = ()) -> None:
@@ -80,6 +116,14 @@ class BackendStack:
             built.append(backend)
         self._layers = tuple(built)
         self.top: RawBackend = backend
+        ranked = [(rank, layer) for layer in built if (rank := _rank(layer)) is not None]
+        for (low, below), (high, above) in zip(ranked, ranked[1:]):
+            if high < low:
+                raise ConfigurationError(
+                    f"{type(above).__name__} cannot sit above {type(below).__name__}: "
+                    "stack layers go innermost-first as "
+                    + " < ".join(kind.__name__ for kind in LAYER_ORDER)
+                )
         counters = [node for node in iter_chain(self.top) if isinstance(node, StatisticsLayer)]
         if len(counters) > 1:
             raise ConfigurationError(
@@ -340,9 +384,6 @@ def sharded_stack(
     byte-identical (the property tests prove it), only the round-trips
     overlap.  ``parallel=1`` (or ``None``) keeps the serial router.
     """
-    from repro.backends.dispatch import ConcurrentShardRouter
-    from repro.backends.shard import ShardRouter
-
     if parallel is not None and parallel < 1:
         raise ConfigurationError("parallel must be at least 1 when given")
     if parallel is not None and parallel > 1:
@@ -367,7 +408,7 @@ def sharded_stack(
 
 
 def remote_stack(
-    url: str,
+    url: str | Sequence[str],
     budget: QueryBudget | None = None,
     history: bool = False,
     max_history_entries: int | None = None,
@@ -422,6 +463,15 @@ def remote_stack(
     hammering a dead server.  ``True`` uses the default
     :class:`~repro.backends.resilience.CircuitBreakerPolicy`; pass a policy
     to tune the window; ``None`` (default) omits the layer.
+
+    ``url`` may also be a list of URLs, primary first: the raw backend is
+    then a :class:`~repro.backends.resilience.FailoverRouter` over one
+    ``RemoteBackend`` per URL, each target behind its own circuit breaker.  A
+    dead primary trips its breaker, traffic fails over to the replicas, and
+    half-open probes — driven by real submissions or by the router's
+    ``check_health()`` against ``GET /api/health`` — steer it back once the
+    primary recovers.  Here a ``breaker`` policy tunes the router's
+    per-target breakers instead of adding a layer.
     """
     from repro.backends.remote import RemoteBackend
 
@@ -432,79 +482,21 @@ def remote_stack(
     }
     if pool_size is not None:
         remote_kwargs["pool_size"] = pool_size
-    raw = RemoteBackend(url, **remote_kwargs)
-    inner_layers: list[LayerFactory] = []
-    if breaker:
-        policy = breaker if isinstance(breaker, CircuitBreakerPolicy) else None
-        inner_layers.append(lambda inner: CircuitBreakerLayer(inner, policy=policy))
-    retry: LayerFactory = lambda inner: UnreliableLayer(
-        inner, max_retries=max_retries, retry_backoff=retry_backoff, max_backoff=max_backoff
-    )
-    inner_layers.append(retry)
-    return _compose(
-        raw,
-        count_mode=None,
-        budget=budget,
-        history=history,
-        max_history_entries=max_history_entries,
-        statistics=statistics,
-        parallel=parallel,
-        batch=batch,
-        inner_layers=tuple(inner_layers),
-    )
-
-
-def async_remote_stack(
-    url: str,
-    budget: QueryBudget | None = None,
-    history: bool = False,
-    max_history_entries: int | None = None,
-    statistics: bool = True,
-    max_retries: int = 3,
-    retry_backoff: float = 0.05,
-    max_backoff: float | None = 1.0,
-    timeout: float = 10.0,
-    parallel: int | None = None,
-    batch: int | None = None,
-    pool_size: int | None = None,
-    breaker: CircuitBreakerPolicy | bool | None = None,
-) -> BackendStack:
-    """:func:`remote_stack` over the event-loop transport — same layers, same
-    order, different wire engine.
-
-    The raw backend is an
-    :class:`~repro.backends.async_remote.AsyncRemoteBackend` driven through
-    its sync facade: every layer above it — the optional
-    :class:`~repro.backends.resilience.CircuitBreakerLayer`, the retrying
-    :class:`~repro.backends.layers.UnreliableLayer`, budget, statistics,
-    history and dispatch — is *exactly* the composition ``remote_stack``
-    builds (reprolint R6 checks both builders against the same layer-order
-    table), so a deployment can switch between the threaded and async
-    serving tiers by swapping one builder call.  ``pool_size`` here bounds
-    concurrent in-flight requests **per event loop** (requests beyond it
-    queue on the client, multiplexing over the persistent connections)
-    rather than kept-alive sockets; the deadline, retry and breaker
-    semantics are byte-identical across the two transports — the async
-    equivalence tests hold them together.
-    """
-    from repro.backends.async_remote import AsyncRemoteBackend
-
-    remote_kwargs: dict = {
-        "timeout": timeout,
-        "connect_retries": max_retries,
-        "connect_backoff": retry_backoff,
+    policy = breaker if isinstance(breaker, CircuitBreakerPolicy) else None
+    layers: dict[type, LayerFactory] = {
+        UnreliableLayer: lambda inner: UnreliableLayer(
+            inner, max_retries=max_retries, retry_backoff=retry_backoff, max_backoff=max_backoff
+        )
     }
-    if pool_size is not None:
-        remote_kwargs["pool_size"] = pool_size
-    raw = AsyncRemoteBackend(url, **remote_kwargs)
-    inner_layers: list[LayerFactory] = []
-    if breaker:
-        policy = breaker if isinstance(breaker, CircuitBreakerPolicy) else None
-        inner_layers.append(lambda inner: CircuitBreakerLayer(inner, policy=policy))
-    retry: LayerFactory = lambda inner: UnreliableLayer(
-        inner, max_retries=max_retries, retry_backoff=retry_backoff, max_backoff=max_backoff
-    )
-    inner_layers.append(retry)
+    if isinstance(url, str):
+        raw: RawBackend = RemoteBackend(url, **remote_kwargs)
+        if breaker:
+            layers[CircuitBreakerLayer] = lambda inner: CircuitBreakerLayer(inner, policy=policy)
+    else:
+        if not url:
+            raise ConfigurationError("remote_stack needs at least one URL")
+        targets = [RemoteBackend(each, **remote_kwargs) for each in url]
+        raw = FailoverRouter(targets[0], targets[1:], policy=policy)
     return _compose(
         raw,
         count_mode=None,
@@ -514,67 +506,7 @@ def async_remote_stack(
         statistics=statistics,
         parallel=parallel,
         batch=batch,
-        inner_layers=tuple(inner_layers),
-    )
-
-
-def failover_stack(
-    urls: Sequence[str],
-    budget: QueryBudget | None = None,
-    history: bool = False,
-    max_history_entries: int | None = None,
-    statistics: bool = True,
-    max_retries: int = 3,
-    retry_backoff: float = 0.05,
-    max_backoff: float | None = 1.0,
-    timeout: float = 10.0,
-    parallel: int | None = None,
-    batch: int | None = None,
-    pool_size: int | None = None,
-    policy: CircuitBreakerPolicy | None = None,
-) -> BackendStack:
-    """Primary-plus-replicas behind the same layer stack as :func:`remote_stack`.
-
-    The raw backend is a :class:`~repro.backends.resilience.FailoverRouter`
-    over one :class:`~repro.backends.remote.RemoteBackend` per URL (first URL
-    is the primary).  Each target sits behind its own circuit breaker
-    (``policy`` tunes all of them): a dead primary trips its breaker, traffic
-    fails over to the replicas in microseconds, and half-open probes —
-    driven by real submissions or by the router's ``check_health()`` against
-    ``GET /api/health`` — steer it back the moment the primary recovers.
-
-    The usual retry layer sits above the router, so a transient that
-    exhausted *every* target is still retried with capped, jittered,
-    deadline-respecting backoff; budget and statistics sit above that and
-    charge/count each logical submission once no matter how many targets or
-    attempts it took.
-    """
-    from repro.backends.remote import RemoteBackend
-
-    if not urls:
-        raise ConfigurationError("failover_stack needs at least one URL")
-    remote_kwargs: dict = {
-        "timeout": timeout,
-        "connect_retries": max_retries,
-        "connect_backoff": retry_backoff,
-    }
-    if pool_size is not None:
-        remote_kwargs["pool_size"] = pool_size
-    targets = [RemoteBackend(url, **remote_kwargs) for url in urls]
-    raw = FailoverRouter(targets[0], targets[1:], policy=policy)
-    retry: LayerFactory = lambda inner: UnreliableLayer(
-        inner, max_retries=max_retries, retry_backoff=retry_backoff, max_backoff=max_backoff
-    )
-    return _compose(
-        raw,
-        count_mode=None,
-        budget=budget,
-        history=history,
-        max_history_entries=max_history_entries,
-        statistics=statistics,
-        parallel=parallel,
-        batch=batch,
-        inner_layers=(retry,),
+        layers=layers,
     )
 
 
@@ -589,31 +521,32 @@ def _compose(
     statistics: bool = True,
     parallel: int | None = None,
     batch: int | None = None,
-    inner_layers: Sequence[LayerFactory] = (),
+    layers: Mapping[type, LayerFactory] | None = None,
 ) -> BackendStack:
+    """Stack the requested layers over ``raw`` in :data:`LAYER_ORDER`.
+
+    ``layers`` adds factories keyed by their kind in the order table (the
+    remote builder's breaker and retry layers).
+    """
     if parallel is not None and parallel < 1:
         raise ConfigurationError("parallel must be at least 1 when given")
     if batch is not None and batch < 1:
         raise ConfigurationError("batch must be at least 1 when given")
-    layers: list[LayerFactory] = list(inner_layers)
+    factories: dict[type, LayerFactory] = dict(layers or {})
     if count_mode is not None:
-        layers.append(
-            lambda inner: CountModeLayer(inner, mode=count_mode, noise=count_noise, seed=seed)
+        factories[CountModeLayer] = lambda inner: CountModeLayer(
+            inner, mode=count_mode, noise=count_noise, seed=seed
         )
-    layers.append(lambda inner: BudgetLayer(inner, budget=budget))
+    factories[BudgetLayer] = lambda inner: BudgetLayer(inner, budget=budget)
     if statistics:
-        layers.append(StatisticsLayer)
+        factories[StatisticsLayer] = StatisticsLayer
     if history:
         # The lock-striped HistoryLayer is thread-safe, so it legally sits
         # *under* the dispatch layer: concurrent batch fan-out and the §3.2
         # history optimisation compose (earlier revisions refused this).
-        layers.append(lambda inner: HistoryLayer(inner, max_entries=max_history_entries))
+        factories[HistoryLayer] = lambda inner: HistoryLayer(inner, max_entries=max_history_entries)
     if (parallel is not None and parallel > 1) or batch is not None:
-        from repro.backends.dispatch import DispatchLayer
-
-        layers.append(
-            lambda inner: DispatchLayer(
-                inner, max_workers=parallel if parallel is not None else 1, batch_size=batch
-            )
+        factories[DispatchLayer] = lambda inner: DispatchLayer(
+            inner, max_workers=parallel if parallel is not None else 1, batch_size=batch
         )
-    return BackendStack(raw, layers)
+    return BackendStack(raw, [factories[kind] for kind in LAYER_ORDER if kind in factories])

@@ -165,7 +165,7 @@ class SwitchableRaw:
 
     This is the harness's standard way to script an outage *below* a
     breaker without composing layers out of canonical order: the fault
-    lives in the raw backend, the recipe above it stays R6-clean.
+    lives in the raw backend, the recipe above it stays in layer order.
     """
 
     def __init__(self, inner: object) -> None:

@@ -2,23 +2,23 @@
 
 Every chaos run samples through a stack built *here*, from the same
 :mod:`repro.backends.stack` builders production uses — scenarios never
-hand-wire ad-hoc layer orders.  This module is named ``recipes.py`` on
-purpose: reprolint's R6 stack-composition rule checks composition modules
-by that name (alongside ``stack.py``), so a recipe that mentions layers
-out of canonical order — retry below the breaker, budget above statistics
-— fails lint before it ever misscores a scenario.
+hand-wire ad-hoc layer orders.  :class:`~repro.backends.stack.BackendStack`
+checks every stack it builds against
+:data:`~repro.backends.stack.LAYER_ORDER`, so a recipe that composes layers
+out of order — retry below the breaker, budget above statistics — fails at
+construction before it ever misscores a scenario.
 
 Faults that must originate *below* a breaker are therefore never expressed
 as an out-of-order ``UnreliableLayer``: they live in the raw backend (see
 :class:`~repro.scenarios.base.SwitchableRaw`), keeping every recipe here
-in checked order.
+in order.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.backends import BackendStack, engine_stack, failover_stack
+from repro.backends import BackendStack, engine_stack, remote_stack
 from repro.backends.layers import UnreliableLayer
 from repro.backends.resilience import CircuitBreakerLayer, CircuitBreakerPolicy, Fault, FaultSchedule
 from repro.database.interface import CountMode
@@ -121,9 +121,9 @@ def failover_remote_recipe(
     the sampler above never notices, which is exactly what the
     server-kill scenario scores.
     """
-    return failover_stack(
+    return remote_stack(
         list(urls),
         max_retries=max_retries,
         retry_backoff=0.0,
-        policy=CircuitBreakerPolicy(window=4, failure_threshold=2, reset_timeout=reset_timeout),
+        breaker=CircuitBreakerPolicy(window=4, failure_threshold=2, reset_timeout=reset_timeout),
     )

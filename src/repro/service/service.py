@@ -53,9 +53,9 @@ def _resolve_backend(backend: "HiddenDatabase | str | Sequence[str]") -> HiddenD
     A single URL becomes a :func:`~repro.backends.stack.remote_stack` — remote
     adapter under retry, budget and statistics layers — so the service's
     accounting and job machinery work identically over the socket.  A *list*
-    of URLs becomes a :func:`~repro.backends.stack.failover_stack`: the first
-    URL is the primary, the rest are replicas behind health-checked circuit
-    breakers, and the service fails over between them transparently.
+    of URLs becomes the same builder's failover form: the first URL is the
+    primary, the rest are replicas behind health-checked circuit breakers,
+    and the service fails over between them transparently.
     """
     if isinstance(backend, str):
         if not backend.startswith(("http://", "https://")):
@@ -63,20 +63,18 @@ def _resolve_backend(backend: "HiddenDatabase | str | Sequence[str]") -> HiddenD
                 f"string backends must be http(s):// URLs of a repro.web.httpd "
                 f"endpoint, got {backend!r}"
             )
-        from repro.backends.stack import remote_stack
-
-        return remote_stack(backend)
-    if isinstance(backend, (list, tuple)):
-        urls = list(backend)
-        bad = [url for url in urls if not (isinstance(url, str) and url.startswith(("http://", "https://")))]
-        if bad or not urls:
+    elif isinstance(backend, (list, tuple)):
+        bad = [url for url in backend if not (isinstance(url, str) and url.startswith(("http://", "https://")))]
+        if bad or not backend:
             raise ConfigurationError(
                 f"list backends must be non-empty lists of http(s):// URLs, got {backend!r}"
             )
-        from repro.backends.stack import failover_stack
+        backend = list(backend)
+    else:
+        return backend
+    from repro.backends.stack import remote_stack
 
-        return failover_stack(urls)
-    return backend
+    return remote_stack(backend)
 
 
 class SamplingService:

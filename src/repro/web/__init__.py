@@ -17,7 +17,7 @@ serves the same backend over TCP — the HTML pages plus a JSON API
 :class:`~repro.web.aiohttpd.AsyncHiddenDatabaseHTTPServer` serves the
 identical endpoint from a single thread for high connection counts (see
 ``docs/architecture.md``), and :mod:`repro.web.compress` defines the gzip
-wire-compression policy both share with both remote clients.
+wire-compression policy both share with the remote client.
 """
 
 from repro.web.urlcodec import decode_query, encode_query

@@ -20,7 +20,7 @@ and the request counters are byte-for-byte the threaded server's.  The wire
 tests point both front ends at one catalogue and assert identical answers.
 
 What is intentionally *not* here: HTTP pipelining (requests on one connection
-are answered in order; the remote clients never pipeline), chunked transfer
+are answered in order; the remote client never pipelines), chunked transfer
 encoding (every payload knows its length), and TLS (this repo's deployments
 terminate TLS in front, as the paper's Apache did).
 
@@ -86,7 +86,7 @@ class AsyncHiddenDatabaseHTTPServer(DatabaseEndpoint):
     (symmetric with the threaded server's context-manager contract)::
 
         with AsyncHiddenDatabaseHTTPServer(stack) as server:
-            backend = AsyncRemoteBackend(server.url)
+            backend = RemoteBackend(server.url)
             ...
 
     ``backend_workers`` bounds the executor that runs synchronous backend

@@ -7,17 +7,16 @@ trade is a clear win: a few tens of microseconds of CPU buys back most of the
 bytes a large batch puts on the socket.  Below the threshold the gzip header
 and CPU cost outweigh the savings, so small payloads travel as-is.
 
-This module is the **single definition** of that policy, shared by all four
-wire endpoints — the threaded :mod:`repro.web.httpd` server, the asyncio
-:mod:`repro.web.aiohttpd` server, the pooled
-:class:`~repro.backends.remote.RemoteBackend` client and the event-loop
-:class:`~repro.backends.async_remote.AsyncRemoteBackend` client — so both
-directions of both transports negotiate identically:
+This module is the **single definition** of that policy, shared by all
+three wire endpoints — the threaded :mod:`repro.web.httpd` server, the
+asyncio :mod:`repro.web.aiohttpd` server and the pooled
+:class:`~repro.backends.remote.RemoteBackend` client — so both directions
+negotiate identically against either server:
 
 * **requests** carry ``Content-Encoding: gzip`` when the client compressed
   the body (the servers always understand it);
 * **responses** are compressed only when the request advertised
-  ``Accept-Encoding: gzip`` (both clients always do) *and* the body clears
+  ``Accept-Encoding: gzip`` (the client always does) *and* the body clears
   the threshold — an off-the-shelf client that never sends the header gets
   plain JSON.
 
@@ -128,12 +127,13 @@ class CompressionCounters:
     """Thread-safe counters of how often compression actually engaged.
 
     The acceptance contract for wire compression is behavioural — engaged
-    above the threshold, skipped below it — so both remote clients keep these
-    counters and the wire tests assert them instead of guessing from sizes.
+    above the threshold, skipped below it — so the remote client keeps these
+    counters (the servers report theirs in ``wire_statistics()``) and the
+    wire tests assert them instead of guessing from sizes.
     """
 
     #: Machine-checked by reprolint R1 (guarded-state): counters are bumped
-    #: from transport threads and event loops concurrently.
+    #: from many transport threads concurrently.
     _guarded_by = {
         "requests_compressed": "_lock",
         "responses_decompressed": "_lock",

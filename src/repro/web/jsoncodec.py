@@ -21,6 +21,7 @@ value lists) and re-validating the query assignment against the schema.
 
 from __future__ import annotations
 
+import threading
 from typing import Mapping, Sequence
 
 from repro.database.interface import InterfaceResponse, ReturnedTuple
@@ -213,15 +214,24 @@ def error_to_payload(error: Exception) -> tuple[int, dict]:
     return 500, {"error": "internal", "message": f"{type(error).__name__}: {error}"}
 
 
-def _hint_seconds(value: object) -> float | None:
-    """A ``retry_after`` hint as non-negative seconds, or ``None`` if unusable."""
+def retry_after_seconds(value: object) -> float | None:
+    """A server retry hint as seconds, or ``None`` when it is unusable.
+
+    The one parser for both hint channels: the JSON payload's
+    ``retry_after`` number and the ``Retry-After`` header's delay-seconds
+    form (integers per the RFC, decimals because our own servers send them).
+    A hint the retry layer could not sleep on — negative, not finite
+    (``inf``, ``Infinity``, ``nan``) or beyond ``threading.TIMEOUT_MAX`` —
+    counts as absent, like the HTTP-date header form no server here emits;
+    the retry layer then falls back to its own backoff.
+    """
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         return None
     try:
         seconds = float(value)
-    except ValueError:
+    except (ValueError, OverflowError):
         return None
-    return seconds if seconds >= 0 else None
+    return seconds if 0.0 <= seconds <= threading.TIMEOUT_MAX else None
 
 
 def error_from_payload(
@@ -242,7 +252,7 @@ def error_from_payload(
     """
     tag = payload.get("error")
     message = payload.get("message", f"HTTP {status}")
-    hint = _hint_seconds(payload.get("retry_after"))
+    hint = retry_after_seconds(payload.get("retry_after"))
     if hint is None:
         hint = retry_after
     if tag == "rate_limited" or status == 429:

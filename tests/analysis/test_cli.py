@@ -72,8 +72,8 @@ class TestRuleSelection:
         with pytest.raises(SystemExit):
             main([str(FIXTURES / "r1_bad.py"), "--rules", "R9"])
 
-    def test_list_rules_names_all_six(self, capsys):
+    def test_list_rules_names_all_five(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("R1", "R2", "R3", "R4", "R5", "R6"):
+        for rule_id in ("R1", "R2", "R3", "R4", "R5"):
             assert rule_id in out

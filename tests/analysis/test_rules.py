@@ -2,8 +2,8 @@
 
 Every rule has one fixture that violates it (flagged with the right rule id)
 and one that honours the same invariant (clean).  Path-sensitive rules (R3's
-typed-boundary half, R6's stack-module scoping) are driven by constructing
-the :class:`ModuleSource` with an explicit ``display_path``.
+typed-boundary half) are driven by constructing the :class:`ModuleSource`
+with an explicit ``display_path``.
 """
 
 from pathlib import Path
@@ -17,7 +17,6 @@ from repro.analysis.rules.exception_taxonomy import ExceptionTaxonomyRule
 from repro.analysis.rules.guarded_state import GuardedStateRule
 from repro.analysis.rules.layer_contract import LayerContractRule
 from repro.analysis.rules.lock_order import LockOrderRule
-from repro.analysis.rules.stack_composition import StackCompositionRule
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -34,32 +33,27 @@ def run_rule(rule: Rule, module: ModuleSource) -> list:
 
 
 PAIRS = [
-    pytest.param(GuardedStateRule, "r1", None, id="R1-guarded-state"),
-    pytest.param(LayerContractRule, "r2", None, id="R2-layer-contract"),
-    pytest.param(ExceptionTaxonomyRule, "r3", None, id="R3-exception-taxonomy"),
-    pytest.param(DeterministicRngRule, "r4", None, id="R4-deterministic-rng"),
-    pytest.param(LockOrderRule, "r5", None, id="R5-lock-order"),
-    pytest.param(StackCompositionRule, "r6", "repro/backends/stack.py", id="R6-stack-composition"),
-    pytest.param(
-        StackCompositionRule, "r6_recipes", "repro/scenarios/recipes.py",
-        id="R6-scenario-recipes",
-    ),
+    pytest.param(GuardedStateRule, "r1", id="R1-guarded-state"),
+    pytest.param(LayerContractRule, "r2", id="R2-layer-contract"),
+    pytest.param(ExceptionTaxonomyRule, "r3", id="R3-exception-taxonomy"),
+    pytest.param(DeterministicRngRule, "r4", id="R4-deterministic-rng"),
+    pytest.param(LockOrderRule, "r5", id="R5-lock-order"),
 ]
 
 
 class TestFixturePairs:
-    @pytest.mark.parametrize("rule_class, stem, display", PAIRS)
-    def test_bad_fixture_is_flagged_with_its_rule_id(self, rule_class, stem, display):
+    @pytest.mark.parametrize("rule_class, stem", PAIRS)
+    def test_bad_fixture_is_flagged_with_its_rule_id(self, rule_class, stem):
         rule = rule_class()
-        module = fixture_module(f"{stem}_bad", display)
+        module = fixture_module(f"{stem}_bad")
         findings = run_rule(rule, module)
         assert findings, f"{stem}_bad should violate {rule.rule_id}"
         assert {f.rule for f in findings} == {rule.rule_id}
 
-    @pytest.mark.parametrize("rule_class, stem, display", PAIRS)
-    def test_good_fixture_is_clean(self, rule_class, stem, display):
+    @pytest.mark.parametrize("rule_class, stem", PAIRS)
+    def test_good_fixture_is_clean(self, rule_class, stem):
         rule = rule_class()
-        module = fixture_module(f"{stem}_good", display)
+        module = fixture_module(f"{stem}_good")
         assert run_rule(rule, module) == []
 
 
@@ -99,33 +93,6 @@ class TestRuleSpecifics:
         assert "Ledger._lock" in finding.message
         assert "Ledger._stats_lock" in finding.message
 
-    def test_r6_only_applies_to_stack_modules(self):
-        # The same out-of-order builder is ignored under its real (non-stack)
-        # fixture path: layer definitions may mention names in any order.
-        assert run_rule(StackCompositionRule(), fixture_module("r6_bad")) == []
-
-    def test_r6_checks_scenario_recipe_modules(self):
-        # The scenario harness composes chaos stacks in ``recipes.py``;
-        # those recipes are held to the same layer-order contract as the
-        # canonical builders, under any package path...
-        findings = run_rule(
-            StackCompositionRule(),
-            fixture_module("r6_recipes_bad", display_path="repro/scenarios/recipes.py"),
-        )
-        assert any("breaker_above_retry_recipe" in f.message for f in findings)
-        assert any("stats_under_storm_recipe" in f.message for f in findings)
-        # ...while the same source under a non-composition path is ignored.
-        assert run_rule(StackCompositionRule(), fixture_module("r6_recipes_bad")) == []
-
-    def test_r6_holds_async_builders_to_the_same_order(self):
-        # ``async_remote_stack`` made builders async-adjacent; the ordering
-        # contract must not depend on whether the builder is a coroutine.
-        findings = run_rule(
-            StackCompositionRule(),
-            fixture_module("r6_bad", display_path="repro/backends/stack.py"),
-        )
-        assert any("build_async_stack" in f.message for f in findings)
-
 
 class TestEngineBehaviour:
     def test_inline_suppression_silences_a_finding(self, tmp_path):
@@ -153,7 +120,7 @@ class TestEngineBehaviour:
         ids = [rule.rule_id for rule in rules]
         assert ids == sorted(ids)
         assert len(set(ids)) == len(ids)
-        assert ids == ["R1", "R2", "R3", "R4", "R5", "R6"]
+        assert ids == ["R1", "R2", "R3", "R4", "R5"]
         for rule in rules:
             assert rule.name
             assert rule.rationale

@@ -5,6 +5,7 @@ import pytest
 from repro.backends import (
     BackendStack,
     BudgetLayer,
+    CircuitBreakerLayer,
     CountModeLayer,
     HistoryLayer,
     QueryEngineBackend,
@@ -110,6 +111,38 @@ class TestSingleCounterInvariant:
         stack = BackendStack(client, [BudgetLayer])  # extra layers stay legal
         stack.submit(any_query)
         assert client.statistics.queries_issued == 1
+
+
+class TestLayerOrder:
+    """Ranked layers a stack builds follow ``LAYER_ORDER``, innermost first."""
+
+    @pytest.mark.parametrize(
+        "below, above",
+        [
+            (StatisticsLayer, UnreliableLayer),
+            (UnreliableLayer, CircuitBreakerLayer),
+            (HistoryLayer, BudgetLayer),
+        ],
+        ids=["retry-above-statistics", "breaker-above-retry", "budget-above-history"],
+    )
+    def test_mis_ordered_layers_are_refused(self, raw, below, above):
+        with pytest.raises(
+            ConfigurationError, match=f"{above.__name__} cannot sit above {below.__name__}"
+        ):
+            BackendStack(raw, [below, above])
+
+    def test_unranked_layers_are_not_checked(self, raw, any_query):
+        class Passthrough:
+            def __init__(self, inner):
+                self.inner = inner
+                self.schema = inner.schema
+                self.k = inner.k
+
+            def submit(self, query):
+                return self.inner.submit(query)
+
+        stack = BackendStack(raw, [Passthrough, BudgetLayer, Passthrough, StatisticsLayer])
+        assert stack.submit(any_query).valid
 
 
 class TestCountModeLayer:

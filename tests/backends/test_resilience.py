@@ -475,12 +475,12 @@ class TestChainHelpers:
         stack = engine_stack(
             tiny_table, k=2, ranking=StaticScoreRanking(), statistics=False
         )
-        # Innermost first: the scripted fault source proxies the backend and
-        # the breaker above it observes its weather.
+        # The scripted fault source is the stack's raw backend, so the
+        # breaker above it observes its weather in layer order.
+        faulty = UnreliableLayer(stack.top, max_retries=0, schedule=["transient"])
         guarded = BackendStack(
-            stack.top,
+            faulty,
             [
-                lambda inner: UnreliableLayer(inner, max_retries=0, schedule=["transient"]),
                 lambda inner: CircuitBreakerLayer(
                     inner,
                     policy=CircuitBreakerPolicy(

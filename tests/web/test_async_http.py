@@ -3,40 +3,45 @@
 :class:`~repro.web.aiohttpd.AsyncHiddenDatabaseHTTPServer` must be
 indistinguishable from the threaded server on the wire.  The contract:
 
-* both remote clients (threaded ``RemoteBackend``, event-loop
-  ``AsyncRemoteBackend``) get byte-identical answers from both front ends —
-  the full 2×2 of serving tier × client transport;
+* ``RemoteBackend`` gets byte-identical answers from both front ends, for
+  single submissions, per-item batch outcomes and whole sampling runs;
 * the typed fault taxonomy (429/503/403/400), the ``X-Repro-Deadline-Ms``
   shedding contract and the health endpoint's degraded form all survive the
-  transport swap;
+  serving-tier swap;
 * hundreds of concurrent in-flight submissions multiplex over a small
-  connection pool without changing a single answer;
+  client connection pool without changing a single answer;
 * a stalled client is reclaimed by ``request_timeout`` on **both** servers
   without disturbing well-behaved connections.
 """
 
-import asyncio
 import json
 import random
 import socket
 import urllib.error
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.backends import (
-    AsyncRemoteBackend,
     BackendStack,
     CircuitBreakerLayer,
     CircuitBreakerPolicy,
     RemoteBackend,
     UnreliableLayer,
     engine_stack,
+    remote_stack,
 )
 from repro.backends.resilience import DEADLINE_HEADER
+from repro.core.config import HDSamplerConfig
 from repro.database.interface import CountMode
 from repro.database.query import ConjunctiveQuery
 from repro.database.ranking import StaticScoreRanking
+from repro.datasets.vehicles import (
+    VehiclesConfig,
+    default_vehicles_ranking,
+    generate_vehicles_table,
+)
 from repro.exceptions import (
     ConfigurationError,
     QueryBudgetExceededError,
@@ -44,6 +49,7 @@ from repro.exceptions import (
     TransientBackendError,
 )
 from repro.database.limits import QueryBudget
+from repro.service import SamplingService
 from repro.web.aiohttpd import AsyncHiddenDatabaseHTTPServer
 from repro.web.httpd import HiddenDatabaseHTTPServer
 
@@ -81,24 +87,58 @@ def _sample_queries(schema, count=15, seed=0):
 
 class TestAsyncServerRoundTrip:
     def test_schema_and_k_learned_from_the_async_endpoint(self, async_server, served):
-        with AsyncRemoteBackend(async_server.url) as remote:
+        with RemoteBackend(async_server.url) as remote:
             assert remote.schema == served.schema
             assert remote.k == served.k
 
-    def test_both_clients_identical_on_both_front_ends(self, served, tiny_schema):
+    def test_client_identical_on_both_front_ends(self, served, tiny_schema):
         queries = _sample_queries(tiny_schema)
         expected = [served.submit(q) for q in queries]
         with HiddenDatabaseHTTPServer(served) as threaded, AsyncHiddenDatabaseHTTPServer(
             served
         ) as asynced:
             for url in (threaded.url, asynced.url):
-                sync_client = RemoteBackend(url)
-                try:
-                    assert [sync_client.submit(q) for q in queries] == expected
-                finally:
-                    sync_client.close()
-                with AsyncRemoteBackend(url) as async_client:
-                    assert [async_client.submit(q) for q in queries] == expected
+                with RemoteBackend(url) as client:
+                    assert [client.submit(q) for q in queries] == expected
+
+    def test_submit_many_is_one_wire_round_trip(self, async_server, served, tiny_schema):
+        queries = _sample_queries(tiny_schema, count=8, seed=3)
+        with RemoteBackend(async_server.url) as remote:
+            before = async_server.requests_served
+            assert remote.submit_many(queries) == [served.submit(q) for q in queries]
+            assert async_server.requests_served == before + 1
+
+    def test_submit_outcomes_carries_per_item_errors(self, tiny_table, tiny_schema):
+        limited = engine_stack(
+            tiny_table, k=2, ranking=StaticScoreRanking(),
+            budget=QueryBudget(limit=3), statistics=False,
+        )
+        queries = _sample_queries(tiny_schema, count=5, seed=7)
+        with AsyncHiddenDatabaseHTTPServer(limited, batch_workers=1) as endpoint:
+            with RemoteBackend(endpoint.url) as remote:
+                outcomes = remote.submit_outcomes(queries)
+        answered = [o for o in outcomes if not isinstance(o, Exception)]
+        refused = [o for o in outcomes if isinstance(o, Exception)]
+        assert len(answered) == 3
+        assert refused and all(isinstance(o, QueryBudgetExceededError) for o in refused)
+
+    def test_full_sampling_run_identical_across_front_ends(self):
+        # Same seeds, same samples, whether the run went plainly over the
+        # threaded server or batched, concurrent and compressed over the
+        # event-loop server.
+        table = generate_vehicles_table(VehiclesConfig(n_rows=600, seed=9))
+        ranking = default_vehicles_ranking()
+        config = HDSamplerConfig(n_samples=6, seed=4)
+        served = engine_stack(table, 30, ranking=ranking, statistics=False)
+        with HiddenDatabaseHTTPServer(served) as endpoint:
+            threaded_result = SamplingService(endpoint.url).submit(config).run()
+        with AsyncHiddenDatabaseHTTPServer(served, compress_threshold=1) as endpoint:
+            stack = remote_stack(endpoint.url, parallel=4, batch=8)
+            async_result = SamplingService(stack).submit(config).run()
+        assert [s.tuple_id for s in async_result.samples] == [
+            s.tuple_id for s in threaded_result.samples
+        ]
+        assert async_result.queries_issued == threaded_result.queries_issued
 
     def test_html_dialect_served_over_the_same_socket(self, async_server):
         page = urllib.request.urlopen(async_server.url + "/search", timeout=5).read().decode()
@@ -170,7 +210,7 @@ class TestAsyncServerRoundTrip:
                 raise RuntimeError("wired up wrong")
 
         with AsyncHiddenDatabaseHTTPServer(Exploding()) as endpoint:
-            with AsyncRemoteBackend(endpoint.url) as remote:
+            with RemoteBackend(endpoint.url) as remote:
                 with pytest.raises(TransientBackendError, match="wired up wrong"):
                     remote.submit(ConjunctiveQuery.empty(tiny_schema))
             assert endpoint.fault_responses == 1
@@ -192,16 +232,14 @@ class TestAsyncServerConcurrency:
         queries = _sample_queries(tiny_schema, count=25, seed=2) * 8  # 208 submissions
         expected = [served.submit(q) for q in queries]
 
-        async def drive():
-            with AsyncRemoteBackend(async_server.url, pool_size=8) as backend:
-                responses = await asyncio.gather(*(backend.asubmit(q) for q in queries))
-                return responses, backend.pool_statistics
-
-        responses, pool = asyncio.run(drive())
+        with RemoteBackend(async_server.url, pool_size=8) as backend:
+            with ThreadPoolExecutor(max_workers=8) as workers:
+                responses = list(workers.map(backend.submit, queries))
+            pool = backend.pool_statistics
         assert responses == expected
-        # One schema-fetch connection on the facade loop, at most pool_size
-        # on the driving loop: the 208 submissions multiplexed, not stampeded.
-        assert pool["opened"] <= 8 + 1
+        # At most one connection per worker thread: the 208 submissions
+        # multiplexed over kept-alive sockets, not stampeded.
+        assert pool["opened"] <= 8
         assert pool["reused"] >= len(queries) - 8
 
 
@@ -218,7 +256,7 @@ class TestAsyncServerFaultTaxonomy:
     def test_429_maps_to_ratelimitederror_with_hint(self, tiny_table, tiny_schema):
         query = ConjunctiveQuery.empty(tiny_schema)
         with self._chaotic_server(tiny_table, rate_limit_every=2) as endpoint:
-            with AsyncRemoteBackend(endpoint.url) as remote:
+            with RemoteBackend(endpoint.url) as remote:
                 remote.submit(query)
                 with pytest.raises(RateLimitedError) as info:
                     remote.submit(query)
@@ -232,7 +270,7 @@ class TestAsyncServerFaultTaxonomy:
         )
         query = ConjunctiveQuery.empty(tiny_schema)
         with AsyncHiddenDatabaseHTTPServer(served) as endpoint:
-            with AsyncRemoteBackend(endpoint.url) as remote:
+            with RemoteBackend(endpoint.url) as remote:
                 remote.submit(query)
                 with pytest.raises(QueryBudgetExceededError):
                     remote.submit(query)
@@ -263,18 +301,23 @@ class TestAsyncServerFaultTaxonomy:
         assert response.status == 200
         assert payload["status"] == "ok"
         assert {"requests_served", "fault_responses", "deadline_shed"} <= set(payload)
-        with AsyncRemoteBackend(async_server.url) as remote:
+        with RemoteBackend(async_server.url) as remote:
             assert remote.health()["status"] == "ok"
 
     def test_open_circuit_in_the_served_chain_degrades_health(
         self, tiny_table, tiny_schema
     ):
-        guarded = BackendStack(
+        # The scripted fault source is the raw backend beneath the breaker.
+        faulty = UnreliableLayer(
             engine_stack(
                 tiny_table, k=2, ranking=StaticScoreRanking(), statistics=False
             ).top,
+            max_retries=0,
+            schedule=["transient"],
+        )
+        guarded = BackendStack(
+            faulty,
             [
-                lambda inner: UnreliableLayer(inner, max_retries=0, schedule=["transient"]),
                 lambda inner: CircuitBreakerLayer(
                     inner,
                     policy=CircuitBreakerPolicy(
@@ -285,7 +328,7 @@ class TestAsyncServerFaultTaxonomy:
         )
         query = ConjunctiveQuery.empty(tiny_schema)
         with AsyncHiddenDatabaseHTTPServer(guarded) as endpoint:
-            with AsyncRemoteBackend(endpoint.url) as remote:
+            with RemoteBackend(endpoint.url) as remote:
                 with pytest.raises(TransientBackendError):
                     remote.submit(query)  # trips the served chain's breaker
                 with pytest.raises(urllib.error.HTTPError) as info:

@@ -9,8 +9,8 @@ The acceptance contract of the resilience tier, end to end:
   sheds already-expired work with 503 *before* touching its backend;
 * ``GET /api/health`` answers 200 while the served chain would admit work
   and 503 (with ``Retry-After``) once a circuit in it is open;
-* a ``failover_stack`` over two live endpoints keeps answering when the
-  primary process dies mid-run.
+* a ``remote_stack`` over two live endpoints' URLs keeps answering when
+  the primary process dies mid-run.
 """
 
 import json
@@ -30,7 +30,6 @@ from repro.backends import (
     UnreliableLayer,
     deadline_scope,
     engine_stack,
-    failover_stack,
     iter_chain,
     remote_stack,
 )
@@ -156,12 +155,17 @@ class TestHealthEndpoint:
     def test_open_circuit_in_the_served_chain_degrades_health(
         self, tiny_table, tiny_schema
     ):
-        guarded = BackendStack(
+        # The scripted fault source is the raw backend beneath the breaker.
+        faulty = UnreliableLayer(
             engine_stack(
                 tiny_table, k=2, ranking=StaticScoreRanking(), statistics=False
             ).top,
+            max_retries=0,
+            schedule=["transient"],
+        )
+        guarded = BackendStack(
+            faulty,
             [
-                lambda inner: UnreliableLayer(inner, max_retries=0, schedule=["transient"]),
                 lambda inner: CircuitBreakerLayer(
                     inner,
                     policy=CircuitBreakerPolicy(
@@ -187,7 +191,7 @@ class TestHealthEndpoint:
 
 
 class TestFailoverOverHTTP:
-    def test_failover_stack_survives_a_dead_primary(self, tiny_table, tiny_schema):
+    def test_remote_stack_over_two_urls_survives_a_dead_primary(self, tiny_table, tiny_schema):
         backend = engine_stack(
             tiny_table, k=2, ranking=StaticScoreRanking(),
             count_mode=CountMode.EXACT, statistics=False,
@@ -196,10 +200,10 @@ class TestFailoverOverHTTP:
         primary = HiddenDatabaseHTTPServer(backend)
         with HiddenDatabaseHTTPServer(backend) as replica:
             with primary:
-                stack = failover_stack(
+                stack = remote_stack(
                     [primary.url, replica.url],
                     retry_backoff=0.0,
-                    policy=CircuitBreakerPolicy(
+                    breaker=CircuitBreakerPolicy(
                         window=4, failure_threshold=1, reset_timeout=60.0
                     ),
                 )

@@ -1,10 +1,12 @@
-"""Half-shaped single-submit answers surface as typed ``FormParseError``s.
+"""Malformed answers never escape the remote client as untyped errors.
 
 A 200 body that parses as JSON but lacks fields (or holds the wrong types)
-must not escape the remote clients as a bare ``KeyError``/``TypeError``: the
-sampler's fault handling only knows the library's own vocabulary.  A stub
-endpoint serves a correct schema, then whatever body the test sets for
-``/api/submit``.
+must not escape the remote client as a bare ``KeyError``/``TypeError``: the
+sampler's fault handling only knows the library's own vocabulary.  Likewise
+a retry hint no one could sleep on (``Retry-After: inf``, ``1e12`` seconds)
+is ignored rather than handed to ``time.sleep``, which would raise
+``OverflowError``.  A stub endpoint serves a correct schema, then any queued
+fault answers, then whatever body the test sets for ``/api/submit``.
 """
 
 import copy
@@ -14,28 +16,47 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from repro.backends import AsyncRemoteBackend, QueryEngineBackend, RemoteBackend
+from repro.backends import QueryEngineBackend, RemoteBackend, remote_stack
 from repro.database.query import ConjunctiveQuery
-from repro.exceptions import FormParseError
-from repro.web.jsoncodec import WIRE_VERSION, response_from_dict, response_to_dict, schema_to_dict
+from repro.exceptions import FormParseError, RateLimitedError, TransientBackendError
+from repro.web.jsoncodec import (
+    WIRE_VERSION,
+    error_from_payload,
+    response_from_dict,
+    response_to_dict,
+    schema_to_dict,
+)
 
 
 class _StubEndpoint:
-    """A loopback JSON endpoint answering ``/api/submit`` with a settable body."""
+    """A loopback JSON endpoint answering ``/api/submit`` with a settable body.
+
+    ``faults`` queues ``(status, headers, payload)`` answers that
+    ``/api/submit`` serves first, one per request.
+    """
 
     def __init__(self, schema_payload):
         stub = self
         self.submit_body = {}
+        self.faults = []
 
         class Handler(BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1"
 
             def do_GET(self):  # noqa: N802 - http.server naming
-                payload = schema_payload if self.path.startswith("/api/schema") else stub.submit_body
+                status, headers = 200, {}
+                if self.path.startswith("/api/schema"):
+                    payload = schema_payload
+                elif stub.faults:
+                    status, headers, payload = stub.faults.pop(0)
+                else:
+                    payload = stub.submit_body
                 body = json.dumps(payload).encode("utf-8")
-                self.send_response(200)
+                self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(body)))
+                for name, value in headers.items():
+                    self.send_header(name, value)
                 self.end_headers()
                 self.wfile.write(body)
 
@@ -99,15 +120,50 @@ class TestResponseFromDict:
         assert response_from_dict(backend.schema, copy.deepcopy(response_to_dict(response))) == response
 
 
-@pytest.mark.parametrize("client_class", [RemoteBackend, AsyncRemoteBackend])
-def test_both_clients_raise_formparseerror_on_half_shaped_answers(
-    endpoint, backend, client_class
-):
+def test_client_raises_formparseerror_on_half_shaped_answers(endpoint, backend):
     query = ConjunctiveQuery.empty(backend.schema)
-    with client_class(endpoint.url, timeout=5) as client:
+    with RemoteBackend(endpoint.url, timeout=5) as client:
         endpoint.submit_body = _good_body(backend)
         assert client.submit(query) == backend.submit(query)
         for _, body in _half_shaped_bodies(backend):
             endpoint.submit_body = body
             with pytest.raises(FormParseError, match="malformed"):
                 client.submit(query)
+
+
+class TestUnusableRetryHints:
+    @pytest.mark.parametrize(
+        "hint",
+        [float("inf"), 1e12, float("nan"), 10**400, "Infinity", -1],
+        ids=["inf", "1e12", "nan", "huge-int", "Infinity-text", "negative"],
+    )
+    def test_payload_hint_that_cannot_be_slept_on_is_absent(self, hint):
+        error = error_from_payload(503, {"error": "transient", "retry_after": hint})
+        assert isinstance(error, TransientBackendError)
+        assert error.retry_after is None
+        throttled = error_from_payload(429, {"retry_after": hint})
+        assert isinstance(throttled, RateLimitedError)
+        assert throttled.retry_after is None
+
+    def test_unusable_payload_hint_falls_back_to_the_header(self):
+        error = error_from_payload(503, {"retry_after": float("inf")}, retry_after=0.5)
+        assert error.retry_after == 0.5
+
+    @pytest.mark.parametrize(
+        "headers, payload",
+        [
+            ({"Retry-After": "inf"}, {"error": "transient", "message": "busy"}),
+            ({"Retry-After": "1e12"}, {"error": "transient", "message": "busy"}),
+            ({}, {"error": "transient", "message": "busy", "retry_after": float("inf")}),
+        ],
+        ids=["header-inf", "header-1e12", "payload-Infinity"],
+    )
+    def test_retry_layer_survives_an_unsleepable_hint(self, endpoint, backend, headers, payload):
+        query = ConjunctiveQuery.empty(backend.schema)
+        endpoint.submit_body = _good_body(backend)
+        endpoint.faults.append((503, headers, payload))
+        stack = remote_stack(endpoint.url, retry_backoff=0.0)
+        try:
+            assert stack.submit(query) == backend.submit(query)
+        finally:
+            stack.raw.close()

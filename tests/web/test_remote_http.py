@@ -23,6 +23,8 @@ import pytest
 
 from repro.backends import (
     BackendStack,
+    CircuitBreakerPolicy,
+    FailoverRouter,
     QueryEngineBackend,
     RemoteBackend,
     UnreliableLayer,
@@ -310,6 +312,34 @@ class TestRemoteStackAndService:
             "HistoryLayer → StatisticsLayer → BudgetLayer → UnreliableLayer → RemoteBackend"
         )
 
+    def test_breaker_sits_below_the_retry_layer(self, server):
+        stack = remote_stack(server.url, parallel=2, breaker=True)
+        assert stack.describe() == (
+            "DispatchLayer → StatisticsLayer → BudgetLayer → UnreliableLayer "
+            "→ CircuitBreakerLayer → RemoteBackend"
+        )
+
+    def test_url_list_builds_a_failover_router(self, tiny_backend, tiny_schema):
+        policy = CircuitBreakerPolicy(window=4, failure_threshold=1, reset_timeout=60.0)
+        with HiddenDatabaseHTTPServer(tiny_backend) as primary, HiddenDatabaseHTTPServer(
+            tiny_backend
+        ) as replica:
+            stack = remote_stack([primary.url, replica.url], history=True, breaker=policy)
+            assert stack.describe() == (
+                "HistoryLayer → StatisticsLayer → BudgetLayer → UnreliableLayer → FailoverRouter"
+            )
+            router = stack.raw
+            assert isinstance(router, FailoverRouter)
+            assert [target.base_url for target in router.targets] == [primary.url, replica.url]
+            assert router.breaker("primary").policy is policy
+            assert router.breaker("replica-1").policy is policy
+            query = ConjunctiveQuery.empty(tiny_schema)
+            assert stack.submit(query) == tiny_backend.submit(query)
+
+    def test_empty_url_list_is_a_configuration_error(self):
+        with pytest.raises(ConfigurationError):
+            remote_stack([])
+
     def test_history_layer_saves_round_trips_over_the_socket(self, server, tiny_schema):
         stack = remote_stack(server.url, history=True)
         query = ConjunctiveQuery.from_assignment(tiny_schema, {"make": "Honda"})
@@ -328,6 +358,22 @@ class TestRemoteStackAndService:
     def test_service_rejects_non_url_strings(self):
         with pytest.raises(ConfigurationError):
             SamplingService("not-a-url")
+
+    def test_service_accepts_url_lists_as_failover_backends(self, server, tiny_backend):
+        service = SamplingService([server.url])
+        assert service.backend().k == 2
+        report = service.backend_statistics()
+        assert report["access_path"].endswith("UnreliableLayer → FailoverRouter")
+        assert report["failover"] is not None
+        config = HDSamplerConfig(n_samples=3, seed=2)
+        listed = service.submit(config).run()
+        single = SamplingService(server.url).submit(config).run()
+        assert [s.tuple_id for s in listed.samples] == [s.tuple_id for s in single.samples]
+
+    @pytest.mark.parametrize("urls", [[], ["not-a-url"]], ids=["empty", "non-url"])
+    def test_service_rejects_bad_url_lists(self, urls):
+        with pytest.raises(ConfigurationError):
+            SamplingService(urls)
 
     def test_full_sampling_run_identical_over_http_and_local(self):
         table = generate_vehicles_table(VehiclesConfig(n_rows=600, seed=9))
