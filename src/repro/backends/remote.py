@@ -220,7 +220,7 @@ class RemoteBackend:
     """Answer conjunctive queries by calling a remote HTTP endpoint.
 
     ``base_url`` is the endpoint root (e.g. ``http://127.0.0.1:8080``);
-    ``timeout`` is the per-request socket timeout in seconds; ``pool_size``
+    ``timeout`` is the per-request socket timeout in seconds (positive); ``pool_size``
     bounds the kept-alive connection pool (0 disables keep-alive — one
     connect per request).  The constructor performs one round-trip to fetch
     the schema, so a dead or unreachable endpoint fails fast with a
@@ -243,6 +243,8 @@ class RemoteBackend:
     ) -> None:
         if not base_url.startswith(("http://", "https://")):
             raise ConfigurationError(f"base_url must be an http(s) URL, got {base_url!r}")
+        if timeout <= 0:
+            raise ConfigurationError("timeout must be positive")
         if connect_retries < 0:
             raise ConfigurationError("connect_retries must be non-negative")
         if connect_backoff < 0:

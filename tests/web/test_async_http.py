@@ -17,6 +17,7 @@ indistinguishable from the threaded server on the wire.  The contract:
 import json
 import random
 import socket
+import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -43,6 +44,7 @@ from repro.datasets.vehicles import (
     generate_vehicles_table,
 )
 from repro.exceptions import (
+    CircuitOpenError,
     ConfigurationError,
     QueryBudgetExceededError,
     RateLimitedError,
@@ -356,3 +358,55 @@ class TestSlowClientReclaim:
                 assert stalled.recv(4096) == b""  # server closed on us
             with _get(endpoint.url + "/api/schema") as response:
                 assert response.status == 200
+
+
+@pytest.mark.parametrize("server_class", [HiddenDatabaseHTTPServer, AsyncHiddenDatabaseHTTPServer])
+class TestClientAgainstBothFrontEnds:
+    def test_pool_size_zero_disables_keep_alive(self, served, tiny_schema, server_class):
+        with server_class(served) as endpoint:
+            with RemoteBackend(endpoint.url, pool_size=0) as remote:
+                for _ in range(3):
+                    remote.submit(ConjunctiveQuery.empty(tiny_schema))
+                stats = remote.pool_statistics
+        assert stats["opened"] == 4  # schema fetch + one per submit
+        assert stats["reused"] == 0
+        assert stats["idle"] == 0
+
+    def test_idle_reclaimed_keep_alive_reconnects_transparently(
+        self, served, tiny_schema, server_class
+    ):
+        # The server reclaims the idle connection after 0.3s; the next submit
+        # must notice the clean pre-response EOF on the reused socket and
+        # re-send on a fresh connection instead of surfacing an error.
+        with server_class(served, request_timeout=0.3) as endpoint:
+            with RemoteBackend(endpoint.url) as remote:
+                query = ConjunctiveQuery.empty(tiny_schema)
+                expected = remote.submit(query)
+                time.sleep(0.8)
+                assert remote.submit(query) == expected
+                assert remote.pool_statistics["stale_reconnects"] >= 1
+
+    def test_open_breaker_fast_fails_without_touching_the_wire(
+        self, tiny_table, tiny_schema, server_class
+    ):
+        flaky = BackendStack(
+            engine_stack(
+                tiny_table, k=2, ranking=StaticScoreRanking(), statistics=False
+            ).top,
+            [lambda inner: UnreliableLayer(inner, max_retries=0, schedule=["transient"])],
+        )
+        query = ConjunctiveQuery.empty(tiny_schema)
+        with server_class(flaky) as endpoint:
+            stack = remote_stack(
+                endpoint.url,
+                max_retries=0,
+                breaker=CircuitBreakerPolicy(
+                    window=4, failure_threshold=1, reset_timeout=60.0
+                ),
+            )
+            with pytest.raises(TransientBackendError):
+                stack.submit(query)  # a real 503 over the wire
+            served_after_failure = endpoint.requests_served
+            with pytest.raises(CircuitOpenError):
+                stack.submit(query)  # the circuit is open: no round trip at all
+            assert endpoint.requests_served == served_after_failure

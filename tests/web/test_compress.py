@@ -16,12 +16,13 @@ over real loopback sockets against **both** serving tiers:
 
 import gzip
 import json
+import random
 import urllib.error
 import urllib.request
 
 import pytest
 
-from repro.backends import RemoteBackend, engine_stack
+from repro.backends import RemoteBackend, engine_stack, remote_stack
 from repro.database.interface import CountMode
 from repro.database.query import ConjunctiveQuery
 from repro.database.ranking import StaticScoreRanking
@@ -148,6 +149,31 @@ class TestWireCompression:
         wire = compressing_server.wire_statistics()
         assert wire["compressed_requests"] == 1
         assert wire["compressed_responses"] == counters["responses_decompressed"]
+
+    def test_dispatched_batches_stay_byte_identical_compressed(
+        self, compressing_server, tiny_table, tiny_schema
+    ):
+        oracle = engine_stack(
+            tiny_table, k=2, ranking=StaticScoreRanking(),
+            count_mode=CountMode.EXACT, statistics=False,
+        )
+        rng = random.Random(13)
+        queries = [
+            ConjunctiveQuery.from_assignment(
+                tiny_schema,
+                {a.name: rng.choice(a.domain.values) for a in tiny_schema if rng.random() < 0.5},
+            )
+            for _ in range(40)
+        ]
+        # One 40-query envelope clears the client's default 1024-byte threshold.
+        stack = remote_stack(compressing_server.url, parallel=4, batch=40)
+        try:
+            assert stack.submit_many(queries) == [oracle.submit(q) for q in queries]
+            counters = stack.raw.compression_statistics
+        finally:
+            stack.raw.close()
+        assert counters["requests_compressed"] >= 1
+        assert counters["responses_decompressed"] >= 1
 
     def test_small_bodies_skip_compression(self, tiny_table, tiny_schema):
         # Default thresholds: one single-query exchange stays well below 1024

@@ -246,6 +246,37 @@ class TestRemoteRoundTrip:
             RemoteBackend("ftp://example.com")
 
 
+class TestClientValidation:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"timeout": 0.0},
+            {"pool_size": -1},
+            {"connect_retries": -1},
+            {"connect_backoff": -0.1},
+            {"compress_threshold": -5},
+        ],
+        ids=["timeout", "pool_size", "connect_retries", "connect_backoff", "compress_threshold"],
+    )
+    def test_bad_parameters_rejected_before_any_connect(self, kwargs):
+        # Nothing listens on port 9: a connect attempt would surface as a
+        # TransientBackendError, so ConfigurationError means validation ran first.
+        with pytest.raises(ConfigurationError):
+            RemoteBackend("http://127.0.0.1:9", **kwargs)
+
+    def test_close_is_idempotent_and_leaves_the_backend_usable(
+        self, server, tiny_backend, tiny_schema
+    ):
+        query = ConjunctiveQuery.from_assignment(tiny_schema, {"make": "Honda"})
+        remote = RemoteBackend(server.url)
+        assert remote.submit(query) == tiny_backend.submit(query)
+        remote.close()
+        remote.close()
+        assert remote.pool_statistics["idle"] == 0
+        assert remote.submit(query) == tiny_backend.submit(query)
+        remote.close()
+
+
 class TestFaultTranslation:
     def _chaotic_server(self, tiny_table, **chaos):
         served = engine_stack(
