@@ -2,7 +2,7 @@
 
 Times ``QueryEngine.execute`` with and without the index at 1k/10k/50k/200k
 rows, reports what the rank-ordered bitmaps of one ranking cost to build
-(seconds and bytes), and times warm-history ``QueryHistoryCache.submit``
+(seconds and bytes), and times warm-history ``HistoryLayer.submit``
 with subset-key inference vs the linear history scan, then writes the
 machine-readable ``BENCH_engine.json`` (ops/sec and speedup ratios) so the
 repo's performance trajectory is recorded run over run.
@@ -30,7 +30,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.core.history import QueryHistoryCache
+from repro.backends.history import HistoryLayer
 from repro.database.engine import QueryEngine
 from repro.database.interface import HiddenDatabaseInterface
 from repro.database.query import ConjunctiveQuery
@@ -123,7 +123,7 @@ def bench_warm_history(table, rng: random.Random, n_warm: int, n_timed: int) -> 
     results = {}
     for mode in ("indexed", "scan"):
         interface = HiddenDatabaseInterface(table, k=K, ranking=default_vehicles_ranking(), seed=0)
-        cache = QueryHistoryCache(interface, inference=mode)
+        cache = HistoryLayer(interface, inference=mode)
         for query in warm:
             cache.submit(query)
         results[mode] = {

@@ -5,9 +5,7 @@ the query history and results to ensure that the random query generation
 process accumulates savings by not issuing the same query twice, or queries
 whose results can be inferred from the query history."  (paper Section 3.2)
 
-Historically this optimisation lived in the sampler core
-(``repro.core.history.QueryHistoryCache``) and only the core sampler loop
-benefited.  It is now a middleware layer in the backend stack, so the direct
+The optimisation is a middleware layer in the backend stack, so the direct
 engine path *and* the page-scraping web path both dedup and short-circuit
 known-empty/known-valid queries — on the web path every avoided submission is
 a whole page fetch saved.  :class:`HistoryLayer` intercepts submissions:
@@ -25,6 +23,9 @@ a whole page fetch saved.  :class:`HistoryLayer` intercepts submissions:
 
 Savings are tracked in :class:`HistoryStatistics`, which benchmark E7 and
 ``benchmarks/bench_backend_stack.py`` report.
+
+One backend has one history level however many sampling jobs use it; each
+job counts its own savings through a :class:`JobHistory` view on it.
 
 Thread-safety contract: the layer is **lock-striped** so it can legally sit
 *under* a :class:`~repro.backends.dispatch.DispatchLayer` or serve concurrent
@@ -47,13 +48,14 @@ over a remote endpoint pays one small POST instead of many GETs.
 
 Complexity contract: a subsuming ancestor's canonical key is, by definition,
 a subset of the query's canonical key, so the default ``inference="indexed"``
-mode answers a submission by enumerating the ≤ 2^|q| predicate subsets of the
-query (|q| is bounded by the schema width, 4–6 in this repo) and probing the
-empty-key/valid-key dictionaries directly — O(2^|q|) dict probes, independent
-of history size — instead of the O(history) linear subsumption scan of
-``inference="scan"`` (kept as the property-test oracle; the indexed mode also
-falls back to scanning automatically while the history is still smaller than
-the subset count, and for very wide queries).  Bookkeeping uses insertion-
+mode answers a miss by enumerating the ≤ 2^|q| predicate subsets of the
+query and probing the response dictionaries once per subset — O(2^|q|) dict
+probes, independent of history size — instead of the O(history) linear
+subsumption scan of ``inference="scan"`` (kept as the property-test oracle;
+the indexed mode also falls back to scanning automatically while the history
+is still smaller than the subset count, and for very wide queries).  An
+entry is a usable ancestor when it is empty or did not overflow, so one pass
+finds emptiness and subset inference alike.  Bookkeeping uses insertion-
 ordered dicts throughout, so remembering and evicting an entry are O(1) per
 stripe.
 """
@@ -63,7 +65,7 @@ from __future__ import annotations
 import enum
 import threading
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.database.interface import HiddenDatabase, InterfaceResponse, ReturnedTuple
 from repro.database.query import ConjunctiveQuery
@@ -76,7 +78,7 @@ DEFAULT_STRIPES = 8
 
 
 class CachedResponseSource(enum.Enum):
-    """Where the answer of the most recent submission came from."""
+    """Where the answer of one submission came from."""
 
     INTERFACE = "interface"    #: actually issued to the hidden database
     EXACT_HIT = "exact_hit"    #: replayed verbatim from the cache
@@ -119,14 +121,12 @@ class HistoryStatistics:
 class _Stripe:
     """One shard of the canonical-key space: its own dicts, its own lock."""
 
-    __slots__ = ("lock", "responses", "valid_keys", "empty_keys", "in_flight")
+    __slots__ = ("lock", "responses", "in_flight")
 
     #: Machine-checked by reprolint R1 (guarded-state): every dict of the
     #: stripe is only touched while that same stripe's ``lock`` is held.
     _guarded_by = {
         "responses": "lock",
-        "valid_keys": "lock",
-        "empty_keys": "lock",
         "in_flight": "lock",
     }
 
@@ -134,12 +134,6 @@ class _Stripe:
         self.lock = threading.Lock()
         #: key -> cached response, in insertion order (O(1) oldest eviction).
         self.responses: dict[tuple, InterfaceResponse] = {}
-        #: Canonical keys of valid (non-overflowing, non-empty) responses, the
-        #: only ones usable for subset inference.  Dicts-as-ordered-sets: O(1)
-        #: add/discard with deterministic (insertion) iteration order.
-        self.valid_keys: dict[tuple, None] = {}
-        #: Canonical keys of empty responses, usable for emptiness inference.
-        self.empty_keys: dict[tuple, None] = {}
         #: key -> event of the thread currently issuing that key.
         self.in_flight: dict[tuple, threading.Event] = {}
 
@@ -155,10 +149,6 @@ class HistoryLayer:
     ``stripes`` bounds the lock striping (see the module docstring); a cache
     bounded by ``max_entries`` always uses one stripe so eviction order stays
     exactly the serial oldest-first order.
-
-    (This is the paper's query-history optimisation, formerly
-    ``repro.core.history.QueryHistoryCache``, which remains importable as an
-    alias.)
     """
 
     #: Queries wider than this fall back to the linear scan even in indexed
@@ -203,10 +193,6 @@ class HistoryLayer:
         #: aggregation complexity.
         self._stats_lock = threading.Lock()
         self.statistics = HistoryStatistics()
-        #: Best-effort under concurrency (the most recently *finished*
-        #: submission on any thread); exact in serial use, which is what the
-        #: sampler core and the equivalence tests rely on.
-        self.last_source: CachedResponseSource = CachedResponseSource.INTERFACE
 
     # -- HiddenDatabase contract -----------------------------------------------------
 
@@ -226,7 +212,13 @@ class HistoryLayer:
         return len(self._stripe_list)
 
     def submit(self, query: ConjunctiveQuery) -> InterfaceResponse:
-        """Answer ``query`` from the cache if possible, else forward it.
+        """Answer ``query`` from the cache if possible, else forward it."""
+        return self.lookup(query)[0]
+
+    def lookup(
+        self, query: ConjunctiveQuery
+    ) -> tuple[InterfaceResponse, CachedResponseSource]:
+        """Answer ``query`` and say where the answer came from.
 
         Concurrent submissions of the *same* canonical query coalesce: one
         thread issues, the others wait on its in-flight event and replay the
@@ -237,9 +229,9 @@ class HistoryLayer:
         key = query.canonical_key()
         stripe = self._stripe_for(key)
         while True:
-            response = self._answer_locally(key, stripe, query)
-            if response is not None:
-                return response
+            answered = self._answer_locally(key, stripe, query)
+            if answered is not None:
+                return answered
             claim = self._claim(key, stripe)
             if claim is None:
                 # The key got cached between lookup and claim; re-read it.
@@ -258,10 +250,9 @@ class HistoryLayer:
             raise
         with self._stats_lock:
             self.statistics.issued_to_interface += 1
-        self.last_source = CachedResponseSource.INTERFACE
         self._remember(key, response)
         self._release(key, stripe, event)
-        return response
+        return response, CachedResponseSource.INTERFACE
 
     def submit_many(
         self, queries: Sequence[ConjunctiveQuery]
@@ -294,9 +285,9 @@ class HistoryLayer:
             # lookup and claim is re-read, never issued without owning the
             # in-flight slot (an eviction race must not double-issue).
             while True:
-                response = self._answer_locally(key, stripe, query)
-                if response is not None:
-                    results[index] = response
+                answered = self._answer_locally(key, stripe, query)
+                if answered is not None:
+                    results[index] = answered[0]
                     break
                 claim = self._claim(key, stripe)
                 if claim is None:
@@ -352,8 +343,6 @@ class HistoryLayer:
             with self._stats_lock:
                 self.statistics.issued_to_interface += issued
                 self.statistics.exact_hits += extra_hits
-            if issued:
-                self.last_source = CachedResponseSource.INTERFACE
         if first_error is not None:
             # Mirror submit_many contracts below: the first input-order error
             # surfaces — but everything answered is already in the cache, so
@@ -365,13 +354,12 @@ class HistoryLayer:
             event.wait()
             query = queries[index]
             key = query.canonical_key()
-            stripe = self._stripe_for(key)
-            response = self._answer_locally(key, stripe, query)
-            if response is None:
+            answered = self._answer_locally(key, self._stripe_for(key), query)
+            if answered is None:
                 with self._stats_lock:
                     self.statistics.submissions -= 1  # submit() recounts it
-                response = self.submit(query)
-            results[index] = response
+                answered = self.lookup(query)
+            results[index] = answered[0]
         return results  # type: ignore[return-value] - every slot is filled
 
     # -- lookup ------------------------------------------------------------------------
@@ -381,22 +369,20 @@ class HistoryLayer:
 
     def _answer_locally(
         self, key: tuple, stripe: _Stripe, query: ConjunctiveQuery
-    ) -> InterfaceResponse | None:
+    ) -> tuple[InterfaceResponse, CachedResponseSource] | None:
         """An exact hit or inferred answer, with statistics; ``None`` on miss."""
         with stripe.lock:
             cached = stripe.responses.get(key)
         if cached is not None:
             with self._stats_lock:
                 self.statistics.exact_hits += 1
-            self.last_source = CachedResponseSource.EXACT_HIT
-            return cached
+            return cached, CachedResponseSource.EXACT_HIT
         inferred = self._infer(query)
         if inferred is not None:
             with self._stats_lock:
                 self.statistics.inferred += 1
-            self.last_source = CachedResponseSource.INFERRED
             self._remember(key, inferred)
-            return inferred
+            return inferred, CachedResponseSource.INFERRED
         return None
 
     def _claim(
@@ -446,45 +432,37 @@ class HistoryLayer:
     # -- inference ---------------------------------------------------------------------
 
     def _infer(self, query: ConjunctiveQuery) -> InterfaceResponse | None:
-        ancestor = self._find_subsuming(query, "empty_keys")
-        if ancestor is not None:
+        ancestor = self._find_subsuming(query)
+        if ancestor is None:
+            return None
+        if ancestor.empty:
             # Emptiness: a cached empty query subsuming this one proves this
             # one is empty as well.
-            return InterfaceResponse(
-                query=query,
-                tuples=(),
-                overflow=False,
-                reported_count=0 if ancestor.reported_count is not None else None,
-                k=self.k,
-            )
-        ancestor = self._find_subsuming(query, "valid_keys")
-        if ancestor is not None:
+            tuples: tuple[ReturnedTuple, ...] = ()
+        else:
             # Subset inference: a cached valid query returned *all* of its
             # matches, so a specialisation's answer is the filtered subset.
             tuples = tuple(t for t in ancestor.tuples if self._tuple_matches(query, t))
-            return InterfaceResponse(
-                query=query,
-                tuples=tuples,
-                overflow=False,
-                reported_count=len(tuples) if ancestor.reported_count is not None else None,
-                k=self.k,
-            )
-        return None
+        return InterfaceResponse(
+            query=query,
+            tuples=tuples,
+            overflow=False,
+            reported_count=len(tuples) if ancestor.reported_count is not None else None,
+            k=self.k,
+        )
 
-    def _find_subsuming(
-        self, query: ConjunctiveQuery, index_name: str
-    ) -> InterfaceResponse | None:
-        """A cached response from the named key index subsuming ``query``.
+    def _find_subsuming(self, query: ConjunctiveQuery) -> InterfaceResponse | None:
+        """A cached empty or non-overflowing response subsuming ``query``.
 
-        Any subsuming ancestor yields the same inferred answer (an empty
-        ancestor proves emptiness outright; a valid ancestor holds the
-        complete result set, whose filtered-by-``query`` subset is the same
-        rows in the same rank order whichever ancestor is used), so the two
-        lookup strategies — and the stripe visit order — are interchangeable.
+        Any such ancestor yields the same inferred answer (an empty ancestor
+        proves emptiness outright; a valid ancestor holds the complete result
+        set, whose filtered-by-``query`` subset is the same rows in the same
+        rank order whichever ancestor is used), so the two lookup strategies
+        — and the stripe visit order — are interchangeable.
         """
         # Unlocked size probe: the count only steers the strategy choice, and
         # either strategy is correct.
-        total_keys = sum(len(getattr(stripe, index_name)) for stripe in self._stripe_list)
+        total_keys = len(self)
         if total_keys == 0:
             return None
         key = query.canonical_key()
@@ -492,25 +470,24 @@ class HistoryLayer:
         # Subset enumeration costs 2^|q| probes regardless of history size;
         # scanning costs one subsumption check per stored key.  Pick whichever
         # is cheaper, and always scan when asked to (the oracle mode).
-        use_scan = (
+        if (
             self._inference == "scan"
             or n_predicates > self._MAX_SUBSET_PREDICATES
             or total_keys < (1 << n_predicates)
-        )
-        if use_scan:
+        ):
             for stripe in self._stripe_list:
                 with stripe.lock:
-                    for cached_key in getattr(stripe, index_name):
-                        cached = stripe.responses[cached_key]
-                        if cached.query.subsumes(query):
+                    for cached in stripe.responses.values():
+                        if (cached.empty or not cached.overflow) and cached.query.subsumes(query):
                             return cached
             return None
         for mask in range(1 << n_predicates):
             subset = tuple(key[i] for i in range(n_predicates) if mask >> i & 1)
             stripe = self._stripe_for(subset)
             with stripe.lock:
-                if subset in getattr(stripe, index_name):
-                    return stripe.responses[subset]
+                cached = stripe.responses.get(subset)
+            if cached is not None and (cached.empty or not cached.overflow):
+                return cached
         return None
 
     @staticmethod
@@ -532,28 +509,9 @@ class HistoryLayer:
                 # stripe, so the stripe-local size IS the cache size and the
                 # evicted entry is the globally oldest one.
                 if self._max_entries is not None and len(stripe.responses) >= self._max_entries:
-                    self._evict_oldest_locked(stripe)
-            else:
-                # Reclassify cleanly on overwrite.
-                stripe.valid_keys.pop(key, None)
-                stripe.empty_keys.pop(key, None)
+                    # The stripe's least recently *inserted* entry goes.
+                    del stripe.responses[next(iter(stripe.responses))]
             stripe.responses[key] = response
-            if response.empty:
-                stripe.empty_keys[key] = None
-            elif not response.overflow:
-                stripe.valid_keys[key] = None
-
-    @staticmethod
-    def _evict_oldest_locked(stripe: _Stripe) -> None:
-        """Drop the stripe's least recently *inserted* entry — O(1) bookkeeping.
-
-        (The ``_locked`` suffix is the reprolint R1 convention: the caller
-        holds ``stripe.lock`` for the whole call.)
-        """
-        oldest_key = next(iter(stripe.responses))
-        del stripe.responses[oldest_key]
-        stripe.valid_keys.pop(oldest_key, None)
-        stripe.empty_keys.pop(oldest_key, None)
 
     def snapshot(self) -> HistoryStatistics:
         """A point-in-time copy of the savings counters, taken under the lock.
@@ -570,41 +528,89 @@ class HistoryLayer:
         for stripe in self._stripe_list:
             with stripe.lock:
                 stripe.responses.clear()
-                stripe.valid_keys.clear()
-                stripe.empty_keys.clear()
+
+    def _entries(self) -> list[tuple[tuple, InterfaceResponse]]:
+        """Snapshot of every (key, response), each stripe in insertion order."""
+        entries: list[tuple[tuple, InterfaceResponse]] = []
+        for stripe in self._stripe_list:
+            with stripe.lock:
+                entries.extend(stripe.responses.items())
+        return entries
 
     def valid_keys(self) -> frozenset:
         """Snapshot of the canonical keys usable for subset inference."""
-        keys: list[tuple] = []
-        for stripe in self._stripe_list:
-            with stripe.lock:
-                keys.extend(stripe.valid_keys)
-        return frozenset(keys)
+        return frozenset(key for key, response in self._entries() if response.valid)
 
     def empty_keys(self) -> frozenset:
         """Snapshot of the canonical keys usable for emptiness inference."""
-        keys: list[tuple] = []
-        for stripe in self._stripe_list:
-            with stripe.lock:
-                keys.extend(stripe.empty_keys)
-        return frozenset(keys)
+        return frozenset(key for key, response in self._entries() if response.empty)
 
-    # -- serialisation (job checkpoints) ------------------------------------------------
+    def cached(self, key: tuple) -> InterfaceResponse | None:
+        """The response remembered under canonical ``key``, if any."""
+        stripe = self._stripe_for(key)
+        with stripe.lock:
+            return stripe.responses.get(key)
+
+    def remember(self, response: InterfaceResponse) -> None:
+        """Store an answer paid for earlier (a checkpoint); statistics untouched."""
+        self._remember(response.query.canonical_key(), response)
+
+    def __len__(self) -> int:
+        return sum(len(stripe.responses) for stripe in self._stripe_list)
+
+
+class JobHistory:
+    """One sampling job's counting view on a shared :class:`HistoryLayer`.
+
+    Submissions go to the level's :meth:`HistoryLayer.lookup`; the view
+    counts the job's own :class:`HistoryStatistics` from the source it
+    reports — an answer another job paid for is a hit here — and keeps the
+    job's keys in first-submission order for its checkpoint.
+
+    Thread-safety contract: one job, one thread at a time; the view is
+    unlocked, the level beneath is what concurrent jobs share.
+    """
+
+    def __init__(self, level: HistoryLayer) -> None:
+        self.inner = level
+        self.statistics = HistoryStatistics()
+        self._keys: dict[tuple, None] = {}
+
+    @property
+    def schema(self) -> Schema:
+        """Schema of the shared level."""
+        return self.inner.schema
+
+    @property
+    def k(self) -> int:
+        """Top-``k`` limit of the shared level."""
+        return self.inner.k
+
+    def submit(self, query: ConjunctiveQuery) -> InterfaceResponse:
+        """Answer ``query`` through the level and count where it came from."""
+        response, source = self.inner.lookup(query)
+        self._keys[query.canonical_key()] = None  # re-assigning keeps the first position
+        statistics = self.statistics
+        statistics.submissions += 1
+        if source is CachedResponseSource.INTERFACE:
+            statistics.issued_to_interface += 1
+        elif source is CachedResponseSource.EXACT_HIT:
+            statistics.exact_hits += 1
+        else:
+            statistics.inferred += 1
+        return response
+
+    def snapshot(self) -> HistoryStatistics:
+        """A copy of the job's savings counters."""
+        return replace(self.statistics)
 
     def export_entries(self) -> list[dict]:
-        """The cached responses as JSON-serialisable dicts.
-
-        Within each stripe entries come out in insertion order (bounded
-        caches have exactly one stripe, so their global order is preserved).
-        Together with :meth:`import_entries` this lets a paused sampling job
-        checkpoint its warm cache and resume later without re-paying the
-        interface queries that filled it.
-        """
+        """The job's answers as JSON-serialisable dicts, first submission first
+        (keys a bounded level has since evicted are left out)."""
         entries = []
-        for stripe in self._stripe_list:
-            with stripe.lock:
-                responses = list(stripe.responses.values())
-            for response in responses:
+        for key in self._keys:
+            response = self.inner.cached(key)
+            if response is not None:
                 entries.append(
                     {
                         "query": response.query.assignment(),
@@ -622,15 +628,18 @@ class HistoryLayer:
                 )
         return entries
 
-    def import_entries(self, entries: list[dict]) -> int:
-        """Refill the cache from :meth:`export_entries` output.
+    def import_entries(
+        self, entries: Iterable[dict], parse: Callable[[dict], ConjunctiveQuery]
+    ) -> int:
+        """Refill the level from :meth:`export_entries` output, as this job's keys.
 
-        Returns the number of entries loaded.  Statistics are untouched: the
-        imported answers were paid for before the checkpoint.
+        ``parse`` turns an entry's ``query`` assignment into the query its
+        answer is stored under.  Returns the number of entries loaded;
+        statistics are untouched, the answers were paid for before.
         """
         loaded = 0
         for entry in entries:
-            query = ConjunctiveQuery.from_assignment(self.schema, entry["query"])
+            query = parse(entry["query"])
             tuples = tuple(
                 ReturnedTuple(
                     tuple_id=t["tuple_id"],
@@ -639,16 +648,18 @@ class HistoryLayer:
                 )
                 for t in entry["tuples"]
             )
-            response = InterfaceResponse(
-                query=query,
-                tuples=tuples,
-                overflow=bool(entry["overflow"]),
-                reported_count=entry.get("reported_count"),
-                k=self.k,
+            self.inner.remember(
+                InterfaceResponse(
+                    query=query,
+                    tuples=tuples,
+                    overflow=bool(entry["overflow"]),
+                    reported_count=entry.get("reported_count"),
+                    k=self.k,
+                )
             )
-            self._remember(query.canonical_key(), response)
+            self._keys[query.canonical_key()] = None
             loaded += 1
         return loaded
 
     def __len__(self) -> int:
-        return sum(len(stripe.responses) for stripe in self._stripe_list)
+        return len(self._keys)

@@ -6,9 +6,9 @@ The four modules of the paper's architecture (Figure 2) map onto:
   :class:`~repro.core.tradeoff.TradeoffSlider` (programmatic) and
   :mod:`repro.frontend` (interactive);
 * Sample Generator → :class:`~repro.core.sample_generator.SampleGenerator`,
-  which drives a sampling algorithm through the
-  :class:`~repro.core.history.QueryHistoryCache` so no query is issued twice
-  and inferable answers are never issued at all;
+  which drives a sampling algorithm through the query history
+  (:class:`~repro.backends.history.HistoryLayer`) so no query is issued
+  twice and inferable answers are never issued at all;
 * Sample Processor → :class:`~repro.core.sample_processor.SampleProcessor`,
   the acceptance–rejection stage controlled by the efficiency↔skew slider;
 * Output Module → :class:`~repro.core.output.OutputModule`, which accumulates
@@ -25,7 +25,6 @@ classic one-job facade over that service.
 from repro.core.config import HDSamplerConfig, SamplerAlgorithm
 from repro.core.tradeoff import TradeoffSlider
 from repro.core.scope import ScopedDatabase
-from repro.core.history import CachedResponseSource, HistoryStatistics, QueryHistoryCache
 from repro.core.sample_generator import SampleGenerator
 from repro.core.sample_processor import ProcessorStatistics, SampleProcessor
 from repro.core.output import AggregateEstimate, OutputModule
@@ -35,14 +34,11 @@ from repro.core.hdsampler import HDSampler
 
 __all__ = [
     "AggregateEstimate",
-    "CachedResponseSource",
     "HDSampler",
     "HDSamplerConfig",
-    "HistoryStatistics",
     "OutputModule",
     "ProcessorStatistics",
     "ProgressEvent",
-    "QueryHistoryCache",
     "SampleGenerator",
     "SampleProcessor",
     "SamplerAlgorithm",

@@ -5,11 +5,17 @@ queries according to the HIDDEN-DB-SAMPLER algorithm. [...] this module also
 keeps track of the query history and results."
 
 :class:`SampleGenerator` assembles the access path (scoping adapter →
-:class:`~repro.backends.history.HistoryLayer` → the backend it was given,
-which may itself be a whole :class:`~repro.backends.stack.BackendStack`),
-instantiates the configured sampling algorithm over it, and produces
+:class:`~repro.backends.history.JobHistory` view → one
+:class:`~repro.backends.history.HistoryLayer` → the backend), instantiates
+the configured sampling algorithm over it, and produces
 :class:`~repro.algorithms.base.Candidate` tuples one at a time for the
 Sample Processor.
+
+The level sits below the scope, so it caches full queries (bindings
+included) and can serve every job on a backend.  Given a
+:class:`~repro.backends.history.HistoryLayer` as its database (what
+:class:`~repro.service.SamplingService` hands its jobs) the generator counts
+through a view on it; given any other backend it builds a private level.
 """
 
 from __future__ import annotations
@@ -20,10 +26,11 @@ from repro.algorithms.brute_force import BruteForceSampler
 from repro.algorithms.count_based import CountAidedSampler
 from repro.algorithms.ordering import RandomOrdering
 from repro.algorithms.random_walk import RandomWalkConfig, RandomWalkSampler
-from repro.backends.history import HistoryLayer
+from repro.backends.history import HistoryLayer, JobHistory
 from repro.core.config import HDSamplerConfig, SamplerAlgorithm
 from repro.core.scope import ScopedDatabase
 from repro.database.interface import HiddenDatabase
+from repro.database.query import ConjunctiveQuery
 from repro.exceptions import ConfigurationError, QueryBudgetExceededError
 
 
@@ -33,23 +40,19 @@ class SampleGenerator:
     def __init__(self, database: HiddenDatabase, config: HDSamplerConfig) -> None:
         self.config = config
         rng = resolve_rng(config.seed)
-        self._rng = rng
 
-        # Access path: scope (attribute selection + bindings) first so the
-        # cache and the sampler reason in the analyst's restricted schema.
-        scoped: HiddenDatabase = ScopedDatabase(
+        # Access path: the sampler sees the analyst's scoped schema; beneath
+        # the scope, the job's view counts on the one history level.
+        self.history: JobHistory | None = None
+        if config.use_history:
+            level = database if isinstance(database, HistoryLayer) else HistoryLayer(database)
+            self.history = JobHistory(level)
+            database = self.history
+        self.database = ScopedDatabase(
             database, attributes=config.attributes, bindings=config.bindings
         )
-        self.history: HistoryLayer | None = None
-        if config.use_history:
-            self.history = HistoryLayer(scoped)
-            access: HiddenDatabase = self.history
-        else:
-            access = scoped
-        self.database = access
-        self.scoped = scoped
 
-        self.sampler = self._build_sampler(access, config, spawn_rng(rng, "sampler"))
+        self.sampler = self._build_sampler(self.database, config, spawn_rng(rng, "sampler"))
         self.budget_exhausted = False
 
     # -- candidate generation --------------------------------------------------------
@@ -77,14 +80,40 @@ class SampleGenerator:
         return self.sampler.report
 
     def interface_queries_issued(self) -> int:
-        """Queries that actually reached the hidden database.
+        """Queries this job's submissions caused to reach the hidden database.
 
-        With the history cache enabled this is smaller than the sampler's own
-        count of submissions; the difference is the optimisation's saving.
+        With history enabled this is smaller than the sampler's own count of
+        submissions; the difference is the optimisation's saving, answers
+        other jobs on the same level paid for included.
         """
         if self.history is not None:
             return self.history.statistics.issued_to_interface
         return self.sampler.report.queries_issued
+
+    # -- checkpointing ---------------------------------------------------------------------
+
+    def export_history(self) -> list[dict] | None:
+        """The job's history entries in its scoped terms, bindings stripped
+        (``None`` without history)."""
+        if self.history is None:
+            return None
+        bound = self.database.bindings
+        entries = self.history.export_entries()
+        for entry in entries:
+            entry["query"] = {name: value for name, value in entry["query"].items() if name not in bound}
+        return entries
+
+    def import_history(self, entries: list[dict]) -> None:
+        """Load :meth:`export_history` output into the history level: each
+        entry is parsed against the scoped schema, then stored under the full
+        query, bindings added, so no other job mistakes it for its own."""
+        if self.history is None:
+            return
+        scope = self.database
+        self.history.import_entries(
+            entries,
+            lambda assignment: scope.to_full_query(ConjunctiveQuery.from_assignment(scope.schema, assignment)),
+        )
 
     # -- internals -------------------------------------------------------------------------
 

@@ -79,9 +79,9 @@ class ScopedDatabase:
         """Forward ``query`` with the fixed bindings merged in.
 
         The response's query is rewritten back to the scoped form so that
-        traces and the history cache reason in the sampler's own terms.
+        the sampler reasons in its own terms.
         """
-        full_query = self._to_full_query(query)
+        full_query = self.to_full_query(query)
         response = self._database.submit(full_query)
         return InterfaceResponse(
             query=query,
@@ -103,7 +103,8 @@ class ScopedDatabase:
         """The wrapped database (for statistics inspection)."""
         return self._database
 
-    def _to_full_query(self, query: ConjunctiveQuery) -> ConjunctiveQuery:
+    def to_full_query(self, query: ConjunctiveQuery) -> ConjunctiveQuery:
+        """``query`` over the wrapped schema, the fixed bindings merged in."""
         assignment: dict[str, Value] = dict(self._bindings)
         assignment.update(query.assignment())
         return ConjunctiveQuery.from_assignment(self._database.schema, assignment)

@@ -12,7 +12,7 @@ the query-history optimisation need:
   random drill-down);
 * ``generalise`` — drop a predicate (walk back up the query tree);
 * ``subsumes`` — does query ``A``'s result necessarily contain query ``B``'s?
-  (used by :mod:`repro.core.history` to infer answers without issuing queries);
+  (used by :mod:`repro.backends.history` to infer answers without issuing queries);
 * ``matches`` — evaluate the query against a raw table row.
 """
 

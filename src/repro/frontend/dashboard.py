@@ -129,7 +129,7 @@ class Dashboard:
             parts.append(f"history saved {history['saved']} queries")
         shared = report.get("shared_history")
         if shared is not None:
-            parts.append(f"shared history saved {shared['saved']} queries across jobs")
+            parts.append(f"shared history saved {shared['saved']} queries for all jobs")
         breakers = report.get("breakers")
         if breakers:
             states = [str(snapshot.get("state", "?")) for snapshot in breakers]

@@ -91,7 +91,12 @@ class SamplingJob:
 
     @property
     def queries_issued(self) -> int:
-        """Interface queries the job has spent so far."""
+        """Queries this job's submissions caused to reach the backend so far.
+
+        An answer another job on the same history level already paid for
+        costs this job nothing, so the jobs of one backend sum to what its
+        statistics layer counted.
+        """
         return self.session.generator.interface_queries_issued()
 
     def on_progress(self, callback: ProgressCallback) -> None:
@@ -244,7 +249,7 @@ class SamplingJob:
                 {"remaining": self.degraded_remaining()} if self.degraded else None
             ),
             "samples": [_sample_to_dict(sample) for sample in session.output.samples],
-            "history": history.export_entries() if history is not None else None,
+            "history": generator.export_history(),
             "counters": {
                 "sampler": {
                     "samples_accepted": report.samples_accepted,
@@ -298,8 +303,8 @@ class SamplingJob:
         if config.deduplicate:
             session.processor.remember_seen(sample.tuple_id for sample in samples)
         history_entries = snapshot.get("history")
-        if history_entries and session.generator.history is not None:
-            session.generator.history.import_entries(history_entries)  # type: ignore[arg-type]
+        if history_entries:
+            session.generator.import_history(history_entries)  # type: ignore[arg-type]
         _restore_counters(session, snapshot.get("counters"))
         session.state = SessionState(snapshot.get("state", SessionState.READY.value))
         degraded = snapshot.get("degraded")

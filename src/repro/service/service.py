@@ -31,6 +31,9 @@ import threading
 import time
 from typing import Callable, Iterable, Mapping, Sequence
 
+from repro.backends.dispatch import DispatchLayer
+from repro.backends.history import HistoryLayer
+from repro.backends.stack import BackendStack
 from repro.core.config import HDSamplerConfig
 from repro.core.result import SamplingResult
 from repro.core.session import SessionState
@@ -80,25 +83,14 @@ def _resolve_backend(backend: "HiddenDatabase | str | Sequence[str]") -> HiddenD
 class SamplingService:
     """A long-lived sampling engine bound to one or several named backends.
 
-    ``shared_history=True`` (the default) interposes **one** lock-striped
-    :class:`~repro.backends.history.HistoryLayer` per named backend between
-    the jobs and that backend, so every job accumulates every other job's
-    savings: a query one analyst already paid for is replayed (or inferred)
-    for the next analyst without touching the hidden database.  Per-job
-    accounting is untouched — each job still reports its own submissions —
-    while :meth:`backend_statistics` surfaces the shared layer's cross-job
-    savings.  A backend whose own stack already carries a history layer
-    (e.g. ``remote_stack(url, history=True)``) is *not* double-wrapped: that
-    layer is already shared by construction and is reported instead.
-
-    Jobs with ``use_history=True`` therefore cache at *two* levels, by
-    design: the per-job layer (inside :class:`SampleGenerator`) is the job's
-    own accounting and its checkpointable warm cache — snapshots export it,
-    ``extend()`` reuses it — while the backend-level shared layer is where
-    jobs profit from each other.  The duplication costs memory proportional
-    to one job's unique responses and an O(2^|q|) inference probe per
-    per-job miss; answers are identical with either layer alone.  Jobs that
-    *disable* history bypass both (see :meth:`submit`).
+    Each named backend has **one** history level (see
+    :meth:`shared_history`) that every job on it submits through, so every
+    job accumulates every other job's savings: a query one analyst already
+    paid for is replayed (or inferred) for the next analyst without touching
+    the hidden database.  Each job counts through its own
+    :class:`~repro.backends.history.JobHistory` view on that level, so its
+    accounting is its own, while :meth:`backend_statistics` surfaces the
+    level's cross-job savings.  Jobs that *disable* history bypass the level.
     """
 
     #: Machine-checked by reprolint R1 (guarded-state): the lazily-created
@@ -114,7 +106,6 @@ class SamplingService:
         self,
         backends: HiddenDatabase | str | Mapping[str, HiddenDatabase | str],
         default_backend: str | None = None,
-        shared_history: bool = True,
     ) -> None:
         if isinstance(backends, Mapping):
             if not backends:
@@ -129,8 +120,7 @@ class SamplingService:
         if default_backend not in self._backends:
             raise UnknownBackendError(default_backend, tuple(self._backends))
         self._default_backend = default_backend
-        self._share_history = shared_history
-        self._shared_history: dict[str, "HistoryLayer"] = {}
+        self._shared_history: dict[str, HistoryLayer] = {}
         # Jobs may be submitted from concurrent analyst threads; the lock
         # keeps lazy creation from racing two layers into existence, which
         # would silently split the cache the feature exists to share.
@@ -163,50 +153,39 @@ class SamplingService:
             raise ConfigurationError(f"backend {name!r} is already bound")
         self._backends[name] = _resolve_backend(database)
 
-    def shared_history(self, name: str | None = None):
-        """The history layer every job of the named backend submits through.
+    def shared_history(self, name: str | None = None) -> HistoryLayer:
+        """The history level every job of the named backend submits through.
 
-        This is either the service-owned lock-striped
+        The backend's own history layer when it is reachable through
+        pass-through nodes only — a facade's ``.stack``, a stack's ``.top``,
+        a :class:`~repro.backends.dispatch.DispatchLayer` (whose ``submit``
+        forwards unchanged) — else a service-owned lock-striped
         :class:`~repro.backends.history.HistoryLayer` wrapped around the
-        backend, or — when the backend's own stack already carries a history
-        layer — that layer (already shared by construction).  ``None`` when
-        history sharing is disabled and the backend brings none of its own.
+        backend.  Any other wrapper stops the walk, so a hand-added layer
+        above a history layer is never bypassed.
         """
-        from repro.backends.base import iter_chain
-        from repro.backends.history import HistoryLayer
-
         name = name or self._default_backend
-        backend = self.backend(name)
-        for node in iter_chain(backend):
-            if isinstance(node, HistoryLayer):
-                return node
-        if not self._share_history:
-            return None
-        with self._shared_history_lock:
-            layer = self._shared_history.get(name)
-            if layer is None:
-                layer = self._shared_history[name] = HistoryLayer(backend)
-        return layer
+        backend = node = self.backend(name)
+        while not isinstance(node, HistoryLayer):
+            if isinstance(node, BackendStack):
+                node = node.top
+            elif isinstance(node, DispatchLayer):
+                node = node.inner
+            elif isinstance(getattr(node, "stack", None), BackendStack):
+                node = node.stack  # type: ignore[attr-defined]
+            else:
+                with self._shared_history_lock:
+                    layer = self._shared_history.get(name)
+                    if layer is None:
+                        layer = self._shared_history[name] = HistoryLayer(backend)
+                return layer
+        return node
 
     def _job_database(self, name: str, use_history: bool = True) -> HiddenDatabase:
-        """What a job of the named backend actually submits through.
-
-        With history sharing on, jobs submit through the service-owned shared
-        layer; a backend that carries its own history layer — or a service
-        with sharing disabled — is used directly.  A job whose config
-        *disables* the §3.2 optimisation (``use_history=False``, the CLI's
-        ``--no-history``) also bypasses the shared layer: a no-history
-        baseline must measure genuinely uncached round-trips.
-        """
-        from repro.backends.base import iter_chain
-        from repro.backends.history import HistoryLayer
-
-        backend = self.backend(name)
-        if not self._share_history or not use_history:
-            return backend
-        if any(isinstance(node, HistoryLayer) for node in iter_chain(backend)):
-            return backend
-        return self.shared_history(name)  # the service-owned layer
+        """What a job is built over: the history level, or with
+        ``use_history=False`` (the CLI's ``--no-history``) the bare backend,
+        so a no-history baseline measures genuinely uncached round-trips."""
+        return self.shared_history(name) if use_history else self.backend(name)
 
     # -- job management --------------------------------------------------------------
 
@@ -432,17 +411,15 @@ class SamplingService:
         history-cache savings — the numbers an operator watches on a shared
         deployment.  Backends without a statistics layer report ``None``
         counters rather than guessing.  ``shared_history`` reports the
-        cross-job savings of the history layer every job of this backend
-        submits through (``None`` when sharing is off and the backend brings
-        no layer of its own).
+        cross-job savings of the history level every job of this backend
+        submits through.
         """
         from repro.backends import introspect
 
-        shared = self.shared_history(name)
         return {
             "backend": name or self._default_backend,
             **introspect(self.backend(name)),
-            "shared_history": shared.snapshot().as_dict() if shared is not None else None,
+            "shared_history": self.shared_history(name).snapshot().as_dict(),
         }
 
     def describe(self) -> str:

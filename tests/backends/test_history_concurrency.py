@@ -9,6 +9,7 @@ twice — however many threads miss on it simultaneously.
 """
 
 import random
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backends import HistoryLayer, QueryEngineBackend
+from repro.backends.history import JobHistory
 from repro.database.interface import HiddenDatabaseInterface
 from repro.exceptions import ConfigurationError
 from repro.database.query import ConjunctiveQuery
@@ -155,6 +157,38 @@ class TestInFlightGuard:
         with ThreadPoolExecutor(max_workers=N_THREADS) as pool:
             list(pool.map(layer.submit, queries))
         assert all(count == 1 for count in counting.counts.values()), counting.counts
+
+    def test_job_views_count_exactly_under_concurrency(self, tiny_table, tiny_schema):
+        """Eight jobs, each counting through its own view on one level: every
+        query the backend answered is charged to exactly one job."""
+        counting = CountingBackend(
+            QueryEngineBackend(tiny_table, k=2, ranking=StaticScoreRanking()),
+            delay=0.001,
+        )
+        level = HistoryLayer(counting)
+        views = [JobHistory(level) for _ in range(N_THREADS)]
+        workloads = [_query_sequence(tiny_schema, random.Random(seed), 40) for seed in range(N_THREADS)]
+        barrier = threading.Barrier(N_THREADS)
+
+        def run(view, queries):
+            barrier.wait(timeout=10)
+            for query in queries:
+                view.submit(query)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=N_THREADS) as pool:
+                for future in [pool.submit(run, v, q) for v, q in zip(views, workloads)]:
+                    future.result(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        issued = sum(view.statistics.issued_to_interface for view in views)
+        assert issued == sum(counting.counts.values()) == level.statistics.issued_to_interface
+        for view, queries in zip(views, workloads):
+            stats = view.statistics
+            assert stats.submissions == len(queries)
+            assert stats.issued_to_interface + stats.saved == stats.submissions
 
     def test_failed_issue_releases_waiters(self, tiny_schema, tiny_table):
         """If the issuing thread's submit raises, parked waiters wake up and

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.history import CachedResponseSource, QueryHistoryCache
+from repro.backends.history import CachedResponseSource, HistoryLayer, JobHistory
 from repro.exceptions import ConfigurationError
 from repro.database.interface import HiddenDatabaseInterface
 from repro.database.query import ConjunctiveQuery
@@ -10,7 +10,7 @@ from repro.database.query import ConjunctiveQuery
 
 @pytest.fixture()
 def cached(tiny_interface):
-    return QueryHistoryCache(tiny_interface)
+    return HistoryLayer(tiny_interface)
 
 
 class TestExactHits:
@@ -18,9 +18,9 @@ class TestExactHits:
         query = ConjunctiveQuery.from_assignment(tiny_schema, {"make": "Honda"})
         first = cached.submit(query)
         issued_after_first = tiny_interface.statistics.queries_issued
-        second = cached.submit(query)
+        second, source = cached.lookup(query)
         assert tiny_interface.statistics.queries_issued == issued_after_first
-        assert cached.last_source is CachedResponseSource.EXACT_HIT
+        assert source is CachedResponseSource.EXACT_HIT
         assert [t.tuple_id for t in second.tuples] == [t.tuple_id for t in first.tuples]
 
     def test_predicate_order_does_not_matter_for_the_cache(self, cached, tiny_schema, tiny_interface):
@@ -38,9 +38,9 @@ class TestInference:
         cached.submit(broad)  # valid: 2 tuples, no overflow
         issued = tiny_interface.statistics.queries_issued
         narrow = broad.specialise("color", "red")
-        response = cached.submit(narrow)
+        response, source = cached.lookup(narrow)
         assert tiny_interface.statistics.queries_issued == issued
-        assert cached.last_source is CachedResponseSource.INFERRED
+        assert source is CachedResponseSource.INFERRED
         assert len(response.tuples) == 1
         assert response.tuples[0].selectable_values["color"] == "red"
         assert not response.overflow
@@ -59,20 +59,20 @@ class TestInference:
         cached.submit(empty)
         issued = tiny_interface.statistics.queries_issued
         narrower = empty.specialise("color", "blue")
-        response = cached.submit(narrower)
+        response, source = cached.lookup(narrower)
         assert tiny_interface.statistics.queries_issued == issued
         assert response.empty
-        assert cached.last_source is CachedResponseSource.INFERRED
+        assert source is CachedResponseSource.INFERRED
 
     def test_overflowing_queries_are_never_used_for_subset_inference(self, cached, tiny_schema, tiny_interface):
         overflowing = ConjunctiveQuery.from_assignment(tiny_schema, {"make": "Toyota"})
         cached.submit(overflowing)  # 4 tuples > k=2: overflow
         issued = tiny_interface.statistics.queries_issued
         narrow = overflowing.specialise("color", "red")
-        cached.submit(narrow)
+        _, source = cached.lookup(narrow)
         # The narrow query had to be issued for real.
         assert tiny_interface.statistics.queries_issued == issued + 1
-        assert cached.last_source is CachedResponseSource.INTERFACE
+        assert source is CachedResponseSource.INTERFACE
 
     def test_statistics_accumulate(self, cached, tiny_schema):
         broad = ConjunctiveQuery.from_assignment(tiny_schema, {"make": "Honda"})
@@ -102,7 +102,7 @@ class TestCacheMaintenance:
         assert cached.statistics.submissions == 2
 
     def test_max_entries_evicts_oldest(self, tiny_interface, tiny_schema):
-        cached = QueryHistoryCache(tiny_interface, max_entries=1)
+        cached = HistoryLayer(tiny_interface, max_entries=1)
         first = ConjunctiveQuery.from_assignment(tiny_schema, {"make": "Ford"})
         second = ConjunctiveQuery.from_assignment(tiny_schema, {"make": "Honda"})
         cached.submit(first)
@@ -114,16 +114,16 @@ class TestCacheMaintenance:
 
     def test_max_entries_must_be_positive(self, tiny_interface):
         with pytest.raises(ConfigurationError):
-            QueryHistoryCache(tiny_interface, max_entries=0)
+            HistoryLayer(tiny_interface, max_entries=0)
 
     def test_inference_mode_is_validated(self, tiny_interface):
         with pytest.raises(ConfigurationError):
-            QueryHistoryCache(tiny_interface, inference="magic")
+            HistoryLayer(tiny_interface, inference="magic")
 
     def test_eviction_keeps_key_indexes_consistent(self, tiny_interface, tiny_schema):
         """Evicted keys disappear from the valid/empty indexes in O(1) and can
         no longer be used for inference."""
-        cached = QueryHistoryCache(tiny_interface, max_entries=2)
+        cached = HistoryLayer(tiny_interface, max_entries=2)
         valid = ConjunctiveQuery.from_assignment(tiny_schema, {"make": "Honda"})
         empty = ConjunctiveQuery.from_assignment(tiny_schema, {"make": "Honda", "price": "0-10000"})
         cached.submit(valid)   # valid entry
@@ -146,13 +146,14 @@ class TestCacheMaintenance:
         from repro.database.interface import HiddenDatabaseInterface
 
         interface = HiddenDatabaseInterface(tiny_table, k=2)
-        cached = QueryHistoryCache(interface, max_entries=2)
+        cached = HistoryLayer(interface, max_entries=2)
+        view = JobHistory(cached)
         first = ConjunctiveQuery.from_assignment(tiny_schema, {"make": "Ford"})
         second = ConjunctiveQuery.from_assignment(tiny_schema, {"make": "Honda"})
-        cached.submit(first)
-        cached.submit(second)
-        snapshot = cached.export_entries()
-        assert cached.import_entries(snapshot) == 2
+        view.submit(first)
+        view.submit(second)
+        snapshot = view.export_entries()
+        assert view.import_entries(snapshot, lambda a: ConjunctiveQuery.from_assignment(tiny_schema, a)) == 2
         assert len(cached) == 2
         # Both original entries are still answerable without the interface.
         issued = interface.statistics.queries_issued

@@ -4,6 +4,7 @@ import pytest
 
 from repro.algorithms.base import Candidate, SampleRecord, WalkTrace
 from repro.algorithms.brute_force import BruteForceSampler
+from repro.backends.history import HistoryLayer, JobHistory
 from repro.core.config import HDSamplerConfig, SamplerAlgorithm
 from repro.core.output import OutputModule
 from repro.core.sample_generator import SampleGenerator
@@ -47,14 +48,24 @@ class TestSampleGenerator:
         assert candidate is not None
 
     def test_history_cache_is_wired_in_by_default(self, tiny_interface):
+        """scope → the job's view → one private level → the backend it was given."""
         generator = SampleGenerator(tiny_interface, HDSamplerConfig())
-        assert generator.history is not None
-        assert generator.database is generator.history
+        assert isinstance(generator.history, JobHistory)
+        assert generator.database.inner is generator.history
+        level = generator.history.inner
+        assert isinstance(level, HistoryLayer)
+        assert level.inner is tiny_interface
+
+    def test_a_given_history_level_is_used_not_wrapped(self, tiny_interface):
+        level = HistoryLayer(tiny_interface)
+        generator = SampleGenerator(level, HDSamplerConfig())
+        assert generator.history.inner is level
+        assert level.inner is tiny_interface
 
     def test_history_can_be_disabled(self, tiny_interface):
         generator = SampleGenerator(tiny_interface, HDSamplerConfig(use_history=False))
         assert generator.history is None
-        assert generator.database is generator.scoped
+        assert generator.database.inner is tiny_interface
 
     def test_scoping_is_applied(self, tiny_interface):
         config = HDSamplerConfig(attributes=("make",), bindings={"color": "red"})

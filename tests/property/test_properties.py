@@ -15,7 +15,7 @@ from repro.algorithms.acceptance_rejection import (
 from repro.algorithms.base import Candidate, WalkTrace
 from repro.analytics.histogram import Histogram
 from repro.analytics.skew import kl_divergence, total_variation_distance
-from repro.core.history import QueryHistoryCache
+from repro.backends.history import HistoryLayer
 from repro.database.engine import QueryEngine
 from repro.database.interface import CountMode, HiddenDatabaseInterface
 from repro.database.query import ConjunctiveQuery
@@ -255,23 +255,23 @@ class TestIndexedScanEquivalence:
         including under ``max_entries`` eviction pressure."""
         schema, table, _ = data
         rng = random.Random(seed)
-        indexed_cache = QueryHistoryCache(
+        indexed_cache = HistoryLayer(
             HiddenDatabaseInterface(table, k=k, ranking=HashRanking("x"), count_mode=CountMode.EXACT),
             max_entries=max_entries,
             inference="indexed",
         )
-        scan_cache = QueryHistoryCache(
+        scan_cache = HistoryLayer(
             HiddenDatabaseInterface(table, k=k, ranking=HashRanking("x"), count_mode=CountMode.EXACT),
             max_entries=max_entries,
             inference="scan",
         )
         for query in _random_query_sequence(schema, rng, 8):
-            via_indexed = indexed_cache.submit(query)
-            via_scan = scan_cache.submit(query)
+            via_indexed, indexed_source = indexed_cache.lookup(query)
+            via_scan, scan_source = scan_cache.lookup(query)
             assert via_indexed.overflow == via_scan.overflow
             assert via_indexed.reported_count == via_scan.reported_count
             assert [t.tuple_id for t in via_indexed.tuples] == [t.tuple_id for t in via_scan.tuples]
-            assert indexed_cache.last_source is scan_cache.last_source
+            assert indexed_source is scan_source
             assert len(indexed_cache) == len(scan_cache)
             if max_entries is not None:
                 assert len(indexed_cache) <= max_entries
@@ -290,7 +290,7 @@ class TestHistoryProperties:
         """Submitting random query sequences through the cache never changes answers."""
         schema, table, _ = data
         rng = random.Random(seed)
-        cached_interface = QueryHistoryCache(HiddenDatabaseInterface(table, k=k, ranking=HashRanking("x")))
+        cached_interface = HistoryLayer(HiddenDatabaseInterface(table, k=k, ranking=HashRanking("x")))
         fresh_interface = HiddenDatabaseInterface(table, k=k, ranking=HashRanking("x"))
 
         queries = []

@@ -1,6 +1,7 @@
 """Tests for the job-oriented service API: SamplingService and SamplingJob."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -8,9 +9,12 @@ from repro.core.config import HDSamplerConfig
 from repro.core.session import SessionState
 from repro.core.tradeoff import TradeoffSlider
 from repro.database.interface import HiddenDatabaseInterface
+from repro.database.query import ConjunctiveQuery
 from repro.datasets.boolean import BooleanConfig, generate_boolean_table
 from repro.exceptions import ConfigurationError, SessionStateError, UnknownBackendError, UnknownJobError
 from repro.service import SamplingJob, SamplingService
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 @pytest.fixture()
@@ -305,6 +309,58 @@ class TestSnapshotRestore:
         assert restored.output.histogram("make").counts == job.output.histogram("make").counts
 
 
+    def test_job_with_bindings_round_trips(self, tiny_interface):
+        """History entries are checkpointed in the job's scoped terms and
+        restored under the full query, bindings added back."""
+        job = SamplingService(tiny_interface).submit(
+            _config(8, seed=16, bindings={"color": "red"})
+        )
+        for _ in job.stream(limit=4):
+            pass
+        job.pause()
+        payload = json.loads(json.dumps(job.snapshot()))
+        assert payload["history"]
+        assert all("color" not in entry["query"] for entry in payload["history"])
+
+        restored = SamplingJob.restore(payload, tiny_interface)
+        assert restored.snapshot() == payload
+        level = restored.session.generator.history.inner
+        assert all(("color", "red") in key for key in level.valid_keys() | level.empty_keys())
+        restored.resume()
+        assert restored.run().sample_count == 8
+
+    def test_parent_format_payload_with_bindings_restores(self, tiny_interface):
+        """A version-1 checkpoint of a bound job, written before jobs shared
+        one history level, still restores and continues."""
+        payload = json.loads((FIXTURES / "bound_job_snapshot_v1.json").read_text())
+        restored = SamplingJob.restore(payload, tiny_interface)
+        assert restored.state is SessionState.PAUSED
+        assert restored.queries_issued == payload["counters"]["history"]["issued_to_interface"]
+        assert len(restored.session.generator.history) == len(payload["history"])
+        assert restored.snapshot() == payload
+
+        issued = tiny_interface.statistics.queries_issued
+        for entry in payload["history"]:
+            restored.session.generator.database.submit(
+                ConjunctiveQuery.from_assignment(restored.schema, entry["query"])
+            )
+        assert tiny_interface.statistics.queries_issued == issued  # all replayed
+        restored.resume()
+        assert restored.run().sample_count == payload["config"]["n_samples"]
+
+    def test_adopted_bound_entries_do_not_leak_into_unbound_jobs(self, tiny_interface):
+        """After a bound job is adopted into a service, an unbound job on it
+        samples exactly what it samples on a cold service."""
+        payload = json.loads((FIXTURES / "bound_job_snapshot_v1.json").read_text())
+        service = SamplingService(tiny_interface)
+        service.adopt(payload)
+        assert len(service.shared_history()) == len(payload["history"])
+        warm = service.submit(_config(8, seed=17)).run()
+        cold = SamplingService(tiny_interface).submit(_config(8, seed=17)).run()
+        assert service.shared_history().statistics.saved > 0
+        assert [s.tuple_id for s in warm.samples] == [s.tuple_id for s in cold.samples]
+
+
 class TestRunAll:
     def test_run_all_completes_every_job(self, tiny_interface):
         service = SamplingService(tiny_interface)
@@ -380,9 +436,12 @@ class TestSharedHistory:
         first = service.submit(_config(3, seed=70))
         second = service.submit(_config(3, seed=71))
         shared = service.shared_history()
-        assert shared is not None
-        assert first.session.generator.scoped._database is shared
-        assert second.session.generator.scoped._database is shared
+        assert shared.inner is tiny_interface
+        # Each job counts through its own view on the one shared level.
+        assert first.session.generator.history is not second.session.generator.history
+        assert first.session.generator.history.inner is shared
+        assert second.session.generator.history.inner is shared
+        assert first.session.generator.database.inner is first.session.generator.history
 
     def test_second_job_accumulates_the_firsts_savings(self, boolean_interface):
         """The ROADMAP payoff: a job re-running the same workload on a warm
@@ -393,7 +452,7 @@ class TestSharedHistory:
         shared_service.submit(_config(8, seed=9)).run()
         shared_delta = boolean_interface.statistics.queries_issued - issued_after_first
 
-        cold = SamplingService(boolean_interface, shared_history=False)
+        cold = SamplingService(boolean_interface)
         before = boolean_interface.statistics.queries_issued
         cold.submit(_config(8, seed=9)).run()
         cold_delta = boolean_interface.statistics.queries_issued - before
@@ -414,13 +473,7 @@ class TestSharedHistory:
         service = SamplingService(stack)
         assert service.shared_history() is stack.history
         job = service.submit(_config(2, seed=72))
-        assert job.session.generator.scoped._database is stack
-
-    def test_sharing_can_be_disabled(self, tiny_interface):
-        service = SamplingService(tiny_interface, shared_history=False)
-        assert service.shared_history() is None
-        job = service.submit(_config(2, seed=73))
-        assert job.session.generator.scoped._database is tiny_interface
+        assert job.session.generator.history.inner is stack.history
 
     def test_backend_statistics_surface_shared_savings(self, tiny_interface):
         service = SamplingService(tiny_interface)
@@ -442,14 +495,16 @@ class TestSharedHistory:
         assert "shared history saved" in line
 
     def test_results_identical_with_and_without_sharing(self, tiny_interface):
-        """Sharing changes round-trip accounting, never answers: the sampled
-        tuples of a job are byte-identical either way."""
-        with_sharing = SamplingService(tiny_interface).submit(_config(6, seed=76)).run()
-        without = SamplingService(tiny_interface, shared_history=False).submit(
-            _config(6, seed=76)
-        ).run()
+        """Sharing changes round-trip accounting, never answers: a job on a
+        warm shared service samples the same tuples as on a cold one."""
+        warm = SamplingService(tiny_interface)
+        warm.submit(_config(6, seed=78)).run()
+        warm.submit(_config(6, seed=79, bindings={"color": "red"})).run()
+        with_sharing = warm.submit(_config(6, seed=76)).run()
+        cold = SamplingService(tiny_interface).submit(_config(6, seed=76)).run()
+        assert warm.shared_history().statistics.saved > 0
         assert [s.tuple_id for s in with_sharing.samples] == [
-            s.tuple_id for s in without.samples
+            s.tuple_id for s in cold.samples
         ]
 
     def test_no_history_jobs_bypass_the_shared_layer(self, tiny_interface):
@@ -458,10 +513,87 @@ class TestSharedHistory:
         service = SamplingService(tiny_interface)
         spec = _config(4, seed=77, use_history=False)
         job = service.submit(spec)
-        assert job.session.generator.scoped._database is tiny_interface
+        assert job.session.generator.history is None
+        assert job.session.generator.database.inner is tiny_interface
         job.run()
         before = tiny_interface.statistics.queries_issued
         rerun = service.submit(_config(4, seed=77, use_history=False))
         rerun.run()
         # The identical workload re-pays every interface query.
         assert tiny_interface.statistics.queries_issued - before == job.queries_issued
+
+
+class TestOneHistoryLevel:
+    """Exactly one HistoryLayer between any job and its raw backend."""
+
+    @staticmethod
+    def _history_layers(job):
+        from repro.backends import HistoryLayer, iter_chain
+
+        return [node for node in iter_chain(job.session.generator.database) if isinstance(node, HistoryLayer)]
+
+    def test_job_query_counts_sum_to_what_the_backend_counted(self, boolean_interface):
+        """Per-job accounting counts only the queries the job's own
+        submissions sent: a second identical job pays nothing."""
+        from repro.backends import engine_stack
+
+        stack = engine_stack(boolean_interface.table, k=15, seed=0)
+        service = SamplingService(stack)
+        first = service.submit(_config(8, seed=9))
+        first.run()
+        second = service.submit(_config(8, seed=9))
+        second.run()
+        assert first.queries_issued > 0
+        assert second.queries_issued == 0
+        assert first.queries_issued + second.queries_issued == stack.statistics.queries_issued
+        statistics = second.session.generator.history.statistics
+        assert statistics.exact_hits == statistics.submissions > 0
+        assert [s.tuple_id for s in first.output.samples] == [
+            s.tuple_id for s in second.output.samples
+        ]
+
+    def test_stack_with_history_gives_every_job_exactly_one_level(self, tiny_table):
+        from repro.backends import engine_stack
+
+        stack = engine_stack(tiny_table, k=2, history=True)
+        service = SamplingService(stack)
+        jobs = [
+            service.submit(_config(3, seed=80)),
+            service.submit(_config(3, seed=81, bindings={"color": "red"})),
+            service.submit(_config(3, seed=82, attributes=("make",))),
+        ]
+        service.run_all()
+        for job in jobs:
+            assert self._history_layers(job) == [stack.history]
+        assert stack.history.statistics.submissions == sum(
+            job.session.generator.history.statistics.submissions for job in jobs
+        )
+
+    def test_jobs_attach_through_a_dispatch_layer(self, tiny_table):
+        from repro.backends import BackendStack, DispatchLayer, HistoryLayer, QueryEngineBackend
+
+        stack = BackendStack(
+            QueryEngineBackend(tiny_table, 2),
+            [HistoryLayer, lambda inner: DispatchLayer(inner, max_workers=2)],
+        )
+        service = SamplingService(stack)
+        assert service.shared_history() is stack.history
+        job = service.submit(_config(3, seed=83))
+        job.run()
+        assert self._history_layers(job) == [stack.history]
+
+    def test_a_wrapper_above_a_history_layer_is_never_bypassed(self, tiny_table):
+        """The service puts its own level on top of a hand-added wrapper, and
+        the wrapper sees every submission that level forwards."""
+        from repro.backends import UnreliableLayer, engine_stack
+
+        stack = engine_stack(tiny_table, k=2, history=True)
+        wrapper = UnreliableLayer(stack.top)
+        service = SamplingService(wrapper)
+        level = service.shared_history()
+        assert level is not stack.history
+        assert level.inner is wrapper
+        job = service.submit(_config(4, seed=84))
+        job.run()
+        assert self._history_layers(job) == [level, stack.history]
+        assert wrapper.statistics.attempts == level.statistics.issued_to_interface > 0
