@@ -9,16 +9,29 @@ the result table, detect the overflow notice and the approximate count.
   :class:`html.parser.HTMLParser` subclass.
 * **Result pages** are read once per submitted query, so they get a
   dedicated single-pass scanner (:func:`parse_result_page`): one compiled
-  tag regex walks the page with ``finditer``, and the text of each cell,
-  header and count notice is sliced out between its tags, with nested tags
-  and comments dropped and entity references decoded only when a ``&``
-  appears.  The scanner keys off the same class anchors the renderer writes
+  tag regex walks the page, and the text of each cell, header and count
+  notice is sliced out between its tags, with nested tags and comments
+  dropped and entity references decoded only when a ``&`` appears.  The
+  scanner keys off the same class anchors the renderer writes
   (:mod:`repro.web.html`), lower-cases tag and attribute names, accepts
   double-, single- and un-quoted attributes (a ``<`` or ``>`` inside quotes
   included), and reads a cell, header or row only once its own end tag
-  closes it, as :mod:`html.parser` callbacks did.  Its regexes cannot
-  backtrack, so the time it takes grows linearly with the page, however
-  malformed.
+  closes it, as :mod:`html.parser` callbacks did.
+
+  Most rows are *plain* — attribute-free lower-case ``<td>`` cells with no
+  ``<`` or ``&`` in their text, as the renderer writes them — and those are
+  read in one step: right after a result row's ``<tr>`` one more regex
+  tries to match the rest of the row up to its ``</tr>``, the cells come
+  out of one ``findall``, and the tag walk resumes after the ``</tr>`` in
+  the state the tag-by-tag path would have left.  Any other row takes that
+  general path, which is the only reader of attributes, upper-case tags,
+  entities, nested tags, comments, unclosed cells and rows without cells.
+
+  No regex here can backtrack.  A failed tag match ends at the first ``<``
+  or ``>`` outside quotes, and a failed plain-row match at the first ``<``
+  that opens none of ``<td>``, ``</td>`` and ``</tr>`` — never past the
+  next ``<tr`` — so no two plain-row attempts read the same text.  The time
+  a page takes grows linearly with its length, however malformed.
 """
 
 from __future__ import annotations
@@ -176,6 +189,16 @@ _MARKUP = re.compile(
     r"|<(/?)([A-Za-z][^\s/<>\"']*+)((?:[^<>\"']++|\"[^\"]*+\"|'[^']*+')*+)>",
     re.DOTALL,
 )
+#: The rest of a *plain* result row, from the end of its ``<tr>`` tag: one or
+#: more attribute-free lower-case ``<td>`` cells whose text holds no ``<`` and
+#: no ``&``, optional whitespace between them, then ``</tr>``.  At least one
+#: cell, because a row without cells must leave a cell opened before it open,
+#: as the tag-by-tag path does.  Possessive throughout, so a failed match
+#: never backtracks; it stops at the first ``<`` that opens none of ``<td>``,
+#: ``</td>`` and ``</tr>``, and so never reads past the next ``<tr``.
+_PLAIN_ROW = re.compile(r"(?:\s*+<td>[^<&]*+</td>)++\s*+</tr>")
+#: The text of each cell inside a matched plain row.
+_PLAIN_CELL = re.compile(r"<td>([^<&]*)</td>")
 #: ``name``, ``name=value``, ``name="value"`` or ``name='value'``.
 _ATTRIBUTE = re.compile(
     r"""([^\s"'<>/=]+)(?:\s*=\s*(?:"([^"]*)"|'([^']*)'|([^\s"'<>=`]+)))?"""
@@ -241,10 +264,11 @@ def parse_result_page(html_text: str) -> ParsedResultPage:
     """Parse a result page into rows, overflow flag and reported count.
 
     One pass over the page's tags; the text of a cell, header or count
-    notice is sliced out of the page between its start and end tags.  A row
-    is kept when its ``</tr>`` is read, and a ``<tr>`` replaces a row left
-    open.  The reported count is the ``hd-count-value`` span of the notice
-    when there is one, else the notice's first integer.
+    notice is sliced out of the page between its start and end tags, and a
+    plain row is read whole.  A row is kept when its ``</tr>`` is read, and
+    a ``<tr>`` replaces a row left open.  The reported count is the
+    ``hd-count-value`` span of the notice when there is one, else the
+    notice's first integer.
 
     Raises :class:`~repro.exceptions.FormParseError` on a row whose
     ``data-tuple-id`` is not an integer, and on a page with no result
@@ -262,7 +286,10 @@ def parse_result_page(html_text: str) -> ParsedResultPage:
     cell = header = notice = value = -1
     notice_text: str | None = None
     value_text: str | None = None
-    for token in _MARKUP.finditer(page):
+    search = _MARKUP.search
+    position = 0
+    while (token := search(page, position)) is not None:
+        position = token.end()
         closing, name, attributes = token.groups()
         if name is None:  # a comment
             continue
@@ -308,6 +335,13 @@ def parse_result_page(html_text: str) -> ParsedResultPage:
                         f"result row has a non-integer tuple id: {row_id_text!r}"
                     ) from None
                 cells = []
+                plain = _PLAIN_ROW.match(page, position)
+                if plain is not None:
+                    # What the tag-by-tag path leaves after this row's last
+                    # ``</td>`` and its ``</tr>``, read in one step.
+                    cells = [text.strip() for text in _PLAIN_CELL.findall(page, position, plain.end())]
+                    rows.append(ParsedResultRow(row_id, dict(zip(columns[1:], cells[1:]))))
+                    row_id, cell, position = None, -1, plain.end()
         elif tag == "th":
             if in_head:
                 header = token.end()

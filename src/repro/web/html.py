@@ -17,7 +17,9 @@ attribute quoting, optional elements).
 
 from __future__ import annotations
 
+import re
 from html import escape
+from itertools import repeat
 from typing import Sequence
 
 from repro.database.interface import ReturnedTuple
@@ -32,6 +34,8 @@ COUNT_CLASS = "hd-count"
 COUNT_VALUE_CLASS = "hd-count-value"
 EMPTY_CLASS = "hd-empty"
 ANY_VALUE = ""  # the <option value=""> meaning "any"
+#: The characters :func:`html.escape` rewrites; text without them renders as is.
+_HTML_SPECIAL = re.compile("[&<>\"']")
 
 
 def format_value(value: Value) -> str:
@@ -46,6 +50,12 @@ def format_value(value: Value) -> str:
     if isinstance(value, float) and value == int(value):
         return str(int(value))
     return str(value)
+
+
+def _cell_text(value: Value) -> str:
+    """The escaped display text of one result-table cell."""
+    text = value if type(value) is str else format_value(value)
+    return escape(text) if _HTML_SPECIAL.search(text) else text
 
 
 def render_form_page(schema: Schema, action: str = "/results", k: int | None = None, title: str | None = None) -> str:
@@ -101,6 +111,12 @@ def render_result_page(
     "interface will also notify the user that there is an overflow"), and a
     table with one row per displayed tuple.  An empty result renders an
     explicit "no results" marker rather than an empty table, as real sites do.
+
+    Each table row is built as one string, its cells joined with one
+    ``str.join``.  A cell goes through :func:`format_value` only when its
+    value is not exactly a ``str``, and through :func:`html.escape` only when
+    its text holds one of ``&<>"'``; the page is byte for byte what one
+    line and one ``escape`` per cell would write.
     """
     columns: list[str] = list(schema.attribute_names)
     for column in display_columns:
@@ -128,20 +144,28 @@ def render_result_page(
     if not tuples:
         lines.append(f'<p class="{EMPTY_CLASS}">No results matched your search.</p>')
     else:
+        special = _HTML_SPECIAL.search
         lines.append(f'<table class="{RESULT_TABLE_CLASS}">')
         lines.append("<thead><tr>")
         lines.append('<th data-column="__id__">id</th>')
         for column in columns:
-            lines.append(f'<th data-column="{escape(column, quote=True)}">{escape(column)}</th>')
+            name = column if type(column) is str and not special(column) else escape(column)
+            lines.append(f'<th data-column="{name}">{name}</th>')
         lines.append("</tr></thead>")
         lines.append("<tbody>")
+        blanks = repeat("")
         for returned in tuples:
-            lines.append(f'<tr data-tuple-id="{int(returned.tuple_id)}">')
-            lines.append(f"<td>{int(returned.tuple_id)}</td>")
-            for column in columns:
-                value = returned.values.get(column, "")
-                lines.append(f"<td>{escape(format_value(value))}</td>")
-            lines.append("</tr>")
+            tuple_id = int(returned.tuple_id)
+            cells = [
+                value if type(value) is str and not special(value) else _cell_text(value)
+                for value in map(returned.values.get, columns, blanks)
+            ]
+            # The schema has at least one attribute, so ``cells`` is never empty.
+            lines.append(
+                f'<tr data-tuple-id="{tuple_id}">\n<td>{tuple_id}</td>\n<td>'
+                + "</td>\n<td>".join(cells)
+                + "</td>\n</tr>"
+            )
         lines.append("</tbody>")
         lines.append("</table>")
     lines.extend(["</body>", "</html>"])

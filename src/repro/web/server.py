@@ -15,6 +15,8 @@ problem — everything the client learns, it learns by parsing HTML.
 
 from __future__ import annotations
 
+import threading
+
 from repro.database.interface import HiddenDatabase
 from repro.exceptions import PageNotFoundError
 from repro.web import html as html_render
@@ -39,9 +41,14 @@ class HiddenWebSite:
     #: Path (before the query string) of result pages.
     RESULTS_PATH = "/results"
 
+    #: Machine-checked by reprolint R1 (guarded-state): an HTTP server's
+    #: handler threads fetch pages through one site concurrently.
+    _guarded_by = {"pages_served": "_lock"}
+
     def __init__(self, interface: HiddenDatabase, site_name: str | None = None) -> None:
         self.interface = interface
         self.site_name = site_name or f"{interface.schema.name} search"
+        self._lock = threading.Lock()
         self.pages_served = 0
 
     # -- request handling -------------------------------------------------------
@@ -54,12 +61,16 @@ class HiddenWebSite:
         """
         base, _, query_string = path.partition("?")
         if base == self.FORM_PATH:
-            self.pages_served += 1
+            self._count_page()
             return self._form_page()
         if base == self.RESULTS_PATH:
-            self.pages_served += 1
+            self._count_page()
             return self._results_page(query_string)
         raise PageNotFoundError(path)
+
+    def _count_page(self) -> None:
+        with self._lock:
+            self.pages_served += 1
 
     # -- page builders ----------------------------------------------------------
 

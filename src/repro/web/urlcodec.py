@@ -9,7 +9,7 @@ matched against the attribute's buckets.
 
 from __future__ import annotations
 
-from urllib.parse import parse_qsl, quote_plus, unquote_plus
+from urllib.parse import parse_qsl, quote_plus
 
 from repro.database.query import ConjunctiveQuery, Predicate
 from repro.database.schema import AttributeKind, Schema, Value
@@ -84,8 +84,8 @@ def decode_query(schema: Schema, query_string: str) -> ConjunctiveQuery:
     predicates: list[Predicate] = []
     if not query_string:
         return ConjunctiveQuery.empty(schema)
-    for raw_key, raw_value in parse_qsl(query_string, keep_blank_values=True):
-        key = unquote_plus(raw_key) if "%" in raw_key or "+" in raw_key else raw_key
+    # ``parse_qsl`` has already unquoted both names and values.
+    for key, raw_value in parse_qsl(query_string, keep_blank_values=True):
         if key in RESERVED_PARAMETERS:
             continue
         if key not in schema:

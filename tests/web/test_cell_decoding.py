@@ -8,7 +8,8 @@ from repro.database.query import ConjunctiveQuery
 from repro.database.schema import Attribute, Domain, Schema
 from repro.database.table import Table
 from repro.exceptions import DomainValueError, FormParseError
-from repro.web.form_parser import ParsedResultRow
+from repro.web.client import WebFormClient
+from repro.web.form_parser import ParsedResultRow, parse_result_page
 from repro.web.html import format_value
 from repro.web.server import HiddenWebSite
 
@@ -113,3 +114,25 @@ class TestScrapedResponses:
         row = ParsedResultRow(7, {"year": "2019", "used": "true", "make": "Ford"})
         with pytest.raises(FormParseError, match="missing column 'price'"):
             backend._to_returned_tuple(row)
+
+
+class _LastRowBadCellSite(HiddenWebSite):
+    """Serves real result pages, except that the last listed row's ``used``
+    cell reads ``maybe``."""
+
+    def _results_page(self, query_string):
+        head, tag, last_row = super()._results_page(query_string).rpartition("<tr ")
+        lines = last_row.split("\n")  # the tag's end, then the id, year and used cells
+        lines[3] = "<td>maybe</td>"
+        return head + tag + "\n".join(lines)
+
+
+class TestEagerDecoding:
+    def test_a_bad_cell_in_the_last_row_of_an_overflow_page_raises_at_submit(self):
+        table = Table(SCHEMA, ROWS, name="decode")
+        site = _LastRowBadCellSite(HiddenDatabaseInterface(table, k=2))
+        client = WebFormClient(site, SCHEMA)
+        page = parse_result_page(site.get("/results"))
+        assert page.overflow and page.rows[-1].values["used"] == "maybe"
+        with pytest.raises(FormParseError, match="cannot parse boolean cell 'maybe' for 'used'"):
+            client.submit(ConjunctiveQuery.empty(SCHEMA))

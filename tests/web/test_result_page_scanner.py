@@ -183,6 +183,90 @@ class TestMarkupVariants:
         assert [row.tuple_id for row in parse_result_page(page).rows] == [1]
 
 
+def _general_path(page, variant):
+    """``page`` with every ``<td>`` rewritten so that no row is plain."""
+    if variant == "upper":
+        return page.replace("<td>", "<TD>").replace("</td>", "</TD>")
+    return page.replace("<td>", "<td class=x>")
+
+
+class TestPlainRowsMatchTheGeneralPath:
+    """A plain row is read in one step; the tag-by-tag path must agree."""
+
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.integers(0, 10**9),
+                st.fixed_dictionaries(
+                    {"make": cell_value, "used": cell_value},
+                    optional={"a&b <c>": cell_value},
+                ),
+            ),
+            max_size=6,
+        ),
+        overflow=st.booleans(),
+        variant=st.sampled_from(["upper", "attribute"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rendered_pages(self, rows, overflow, variant):
+        page = _page(rows, overflow, reported_count=len(rows))
+        assert parse_result_page(page) == parse_result_page(_general_path(page, variant))
+
+    def test_mixed_page(self):
+        page = (
+            ROW_HEAD
+            + '<tr data-tuple-id="1"><td>1</td><td> Honda\n</td> <td>true</td>\n</tr>'
+            + '<tr data-tuple-id="2"><td>2</td><td>R&amp;D</td><td>false</td></tr>'
+            + '<tr data-tuple-id="3"><td>3</td><td><b>Kia</b></td><td>true</td></tr>'
+            # An unclosed cell: the row keeps the cells closed before </tr>.
+            + '<tr data-tuple-id="4"><td>4</td><td>Ford</td><td>tr</tr>'
+            + '<tr data-tuple-id="5"><td>5</td><td>Fiat</td><td>false</td></tr>'
+            # A stray </td>: no cell is open any more, so nothing is read.
+            + '<tr data-tuple-id="6"></td><td>6</td><td>Audi</td><td>true</td></tr>'
+            + "</tbody></table>"
+        )
+        parsed = parse_result_page(page)
+        assert [(row.tuple_id, row.values) for row in parsed.rows] == [
+            (1, {"make": "Honda", "used": "true"}),
+            (2, {"make": "R&D", "used": "false"}),
+            (3, {"make": "Kia", "used": "true"}),
+            (4, {"make": "Ford"}),
+            (5, {"make": "Fiat", "used": "false"}),
+            (6, {"make": "Audi", "used": "true"}),
+        ]
+        for variant in ("upper", "attribute"):
+            assert parse_result_page(_general_path(page, variant)) == parsed
+
+    def test_an_empty_row_leaves_an_open_cell_open(self):
+        # A row without cells closes no cell, so a cell left open before it
+        # is still open at the next ``</td>``, on either path.
+        page = (
+            ROW_HEAD
+            + '<tr data-tuple-id="1"><td>1</td><td>Ford</td><td>tr</tr>'
+            + '<tr data-tuple-id="2"></tr>'
+            + '<tr data-tuple-id="3"></td><td>3</td><td>Audi</td><td>true</td></tr>'
+            + "</tbody></table>"
+        )
+        parsed = parse_result_page(page)
+        assert parsed.rows[1].values == {}
+        assert parsed.rows[2].values == {"make": "3", "used": "Audi"}
+        for variant in ("upper", "attribute"):
+            assert parse_result_page(_general_path(page, variant)) == parsed
+
+    def test_rows_that_are_not_plain(self):
+        # Each of these leaves the row to the tag-by-tag path.
+        for row in (
+            '<td>1</td><td>Kia</td><td>true</td></tr >',
+            '<td>1</td>x<td>Kia</td><td>true</td></tr>',
+            '<td>1</td><td>Kia<!-- c --></td><td>true</td></tr>',
+            '<td >1</td><td>Kia</td><td>true</td></tr>',
+        ):
+            (parsed,) = parse_result_page(ROW_HEAD + '<tr data-tuple-id="1">' + row).rows
+            assert parsed.values == {"make": "Kia", "used": "true"}
+        (empty,) = parse_result_page(ROW_HEAD + '<tr data-tuple-id="1"></tr>').rows
+        assert empty.values == {}
+
+
 class TestErrors:
     @pytest.mark.parametrize("tuple_id", ["abc", "", "1.5"])
     def test_non_integer_tuple_id(self, tuple_id):
@@ -245,6 +329,16 @@ class TestScale:
             f'<tr data-tuple-id="{i}"><td>{i}</td><td>m{i}</td>' for i in range(50_000)
         )
         assert parse_result_page(page).columns == ("id", "make", "used")
+
+    def test_fifty_thousand_plain_cells_in_an_unclosed_row(self):
+        page = ROW_HEAD + "<tr data-tuple-id=1>" + "<td>x</td>" * 50_000
+        assert parse_result_page(page).rows == ()
+
+    def test_fifty_thousand_unclosed_rows_of_plain_cells(self):
+        # Each plain-row attempt stops at the next ``<tr``, so no cell is
+        # read by more than one attempt.
+        page = ROW_HEAD + '<tr data-tuple-id="1"><td>x</td>' * 50_000
+        assert parse_result_page(page).rows == ()
 
     def test_fifty_thousand_unclosed_tags_and_quotes(self):
         for filler in ("<tr ", '<td title="', "<td title='<\"", "<!--", "<"):

@@ -1,16 +1,31 @@
 """Unit tests for the simulated web layer: codec, HTML, server, parser, client."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.database.interface import CountMode, HiddenDatabaseInterface
 from repro.database.query import ConjunctiveQuery
 from repro.database.ranking import StaticScoreRanking
+from repro.database.schema import Attribute, Domain, Schema
+from repro.database.table import Table
 from repro.exceptions import FormParseError, PageNotFoundError, WebFormError
 from repro.web.client import WebFormClient
 from repro.web.form_parser import parse_form_page, parse_result_page
 from repro.web.html import render_form_page, render_result_page
 from repro.web.server import HiddenWebSite
 from repro.web.urlcodec import decode_query, encode_query, result_page_path
+
+
+def _quoted_schema() -> Schema:
+    """Attribute names holding the characters URL quoting rewrites."""
+    return Schema(
+        [
+            Attribute(name, Domain.categorical(("u", "v w")))
+            for name in ("a+b", "x%20y", "p q", "100%")
+        ]
+    )
 
 
 @pytest.fixture()
@@ -60,6 +75,17 @@ class TestUrlCodec:
         schema = small_vehicles_table.schema
         query = ConjunctiveQuery.from_assignment(schema, {"make": "Mercedes-Benz", "model": "Ram 1500"})
         assert decode_query(schema, encode_query(query)) == query
+
+    def test_attribute_names_that_need_quoting_round_trip(self):
+        # Each name is quoted once on the way out and unquoted once on the
+        # way in: ``%`` and ``+`` in a name must come back as themselves.
+        schema = _quoted_schema()
+        query = ConjunctiveQuery.from_assignment(
+            schema, {"a+b": "u", "x%20y": "v w", "p q": "u", "100%": "v w"}
+        )
+        encoded = encode_query(query)
+        assert encoded == "a%2Bb=u&x%2520y=v+w&p+q=u&100%25=v+w"
+        assert decode_query(schema, encoded) == query
 
     def test_result_page_path(self, tiny_schema):
         query = ConjunctiveQuery.from_assignment(tiny_schema, {"make": "Ford"})
@@ -125,6 +151,26 @@ class TestHiddenWebSite:
         with pytest.raises(PageNotFoundError):
             site.get("/nowhere")
 
+    def test_pages_served_counts_every_concurrent_fetch(self, site):
+        threads, fetches = 8, 200
+
+        def fetch() -> None:
+            for _ in range(fetches):
+                site.get("/results?make=Honda")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=fetch) for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert site.pages_served == threads * fetches
+
     def test_results_page_charges_the_interface(self, site):
         before = site.interface.statistics.queries_issued
         site.get("/results?color=red")
@@ -177,6 +223,20 @@ class TestWebFormClient:
         discovered = WebFormClient.discover_schema(site)
         assert discovered.attribute_names == tiny_schema.attribute_names
         assert discovered.attribute("price").domain.values == ("0-10000", "10000-20000", "20000-40000")
+
+    def test_attribute_names_that_need_quoting_survive_a_submit(self):
+        schema = _quoted_schema()
+        rows = [
+            {"a+b": "u", "x%20y": "v w", "p q": "u", "100%": "u"},
+            {"a+b": "u", "x%20y": "u", "p q": "v w", "100%": "v w"},
+            {"a+b": "v w", "x%20y": "v w", "p q": "u", "100%": "v w"},
+        ]
+        quoted_site = HiddenWebSite(HiddenDatabaseInterface(Table(schema, rows), k=5))
+        client = WebFormClient(quoted_site, schema)
+        query = ConjunctiveQuery.from_assignment(schema, {"a+b": "u", "x%20y": "v w"})
+        (returned,) = client.submit(query).tuples
+        assert returned.tuple_id == 0
+        assert returned.values == rows[0]
 
     def test_boolean_attributes_round_trip_through_html(self, figure1):
         interface = HiddenDatabaseInterface(figure1, k=2)
