@@ -19,10 +19,16 @@ the scraping path count shaping already happened server-side.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Sequence, overload
+from operator import itemgetter
+from typing import TYPE_CHECKING, Sequence
 
 from repro.database.engine import QueryEngine, QueryOutcome, QueryResult
-from repro.database.interface import InterfaceResponse, ReturnedTuple
+from repro.database.interface import (
+    InterfaceResponse,
+    LazyTupleSequence,
+    ReturnedTuple,
+    Rows,
+)
 from repro.database.query import ConjunctiveQuery
 from repro.database.ranking import RankingFunction
 from repro.database.schema import Attribute, AttributeKind, Schema, Value
@@ -61,26 +67,18 @@ def build_returned_tuples(
 _Lookups = tuple[tuple[Row, ...], tuple[tuple[str, Sequence[Value]], ...]]
 
 
-class LazyTuples(Sequence[ReturnedTuple]):
-    """The returned tuples of one response, each built on first read.
+class LazyTuples(LazyTupleSequence):
+    """The returned tuples of one engine or shard answer, each built on first read.
 
     Holds the table, the listed row ids (best-ranked first) and the display
-    columns.  ``len`` and truth use the row ids alone; indexing, slicing and
-    iteration all go through one per-item builder, which resolves the schema
-    names and index columns once per response, at its first read.  Slices
-    return plain tuples.  The sequence compares equal, in both directions,
-    to the tuple it materialises to and to another lazy sequence listing
-    equal tuples; like that tuple (whose items hold dicts) it is unhashable.
-
-    Thread safety: each built tuple is published into a per-response slot
-    list with one item assignment, and the lookups with one attribute
-    assignment, without a lock.  Two threads reading the same cold item may
-    both build it; the results are equal and the last assignment wins.
+    columns; everything else — slots, slicing, equality, unhashability — is
+    the :class:`~repro.database.interface.LazyTupleSequence` base.  The
+    schema names and index columns are resolved once per response, at its
+    first read (or :meth:`rows` call), and published with one attribute
+    assignment, without a lock, like the slots.
     """
 
-    __slots__ = ("_table", "_row_ids", "_display_columns", "_slots", "_lookups")
-
-    __hash__ = None  # type: ignore[assignment]
+    __slots__ = ("_table", "_row_ids", "_display_columns", "_lookups")
 
     def __init__(
         self, table: Table, row_ids: Sequence[int], display_columns: Sequence[str]
@@ -88,49 +86,46 @@ class LazyTuples(Sequence[ReturnedTuple]):
         self._table = table
         self._row_ids = tuple(row_ids)
         self._display_columns = tuple(display_columns)
-        self._slots: list[ReturnedTuple | None] = [None] * len(self._row_ids)
         self._lookups: _Lookups | None = None
+        super().__init__(len(self._row_ids))
 
-    def __len__(self) -> int:
-        return len(self._row_ids)
+    def rows(self) -> Rows:
+        """The answer straight from the table rows and index columns.
 
-    @overload
-    def __getitem__(self, index: int) -> ReturnedTuple: ...
+        The header is the schema names, then the display columns.  A row
+        lacking one of those display columns is built and lists its values
+        as an object; an empty answer lists no header, as a tuple loop over
+        no tuples would.
+        """
+        if not self._row_ids:
+            return [], [], []
+        table_rows, columns = self._lookups or self._resolve()
+        names = [name for name, _ in columns]
+        selectable = [column for _, column in columns]
+        shown = frozenset(self._display_columns)
+        header = names + list(self._display_columns)
+        # An itemgetter of one key returns the bare value, not a 1-tuple.
+        cells = itemgetter(*header) if len(header) > 1 else _one_cell(header[0])
+        rows = []
+        for position, row_id in enumerate(self._row_ids):
+            row = table_rows[row_id]
+            values = list(cells(row)) if row.keys() >= shown else dict(self[position].values)
+            rows.append([row_id, values, [column[row_id] for column in selectable]])
+        return header, names, rows
 
-    @overload
-    def __getitem__(self, index: slice) -> tuple[ReturnedTuple, ...]: ...
+    def _resolve(self) -> _Lookups:
+        table = self._table
+        index = table.index
+        names = table.schema.attribute_names
+        lookups = self._lookups = (
+            table.rows,
+            tuple((name, index.selectable_column(name)) for name in names),
+        )
+        return lookups
 
-    def __getitem__(self, index: int | slice) -> ReturnedTuple | tuple[ReturnedTuple, ...]:
-        if isinstance(index, slice):
-            return tuple(self[position] for position in range(*index.indices(len(self))))
-        built = self._slots[index]  # raises IndexError as the tuple would
-        if built is None:
-            built = self._slots[index] = self._build(self._row_ids[index])
-        return built
-
-    def __iter__(self) -> Iterator[ReturnedTuple]:
-        for position in range(len(self)):
-            yield self[position]
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (tuple, LazyTuples)):
-            return self[:] == other[:]
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return repr(self[:])
-
-    def _build(self, row_id: int) -> ReturnedTuple:
-        lookups = self._lookups
-        if lookups is None:
-            table = self._table
-            index = table.index
-            names = table.schema.attribute_names
-            lookups = self._lookups = (
-                table.rows,
-                tuple((name, index.selectable_column(name)) for name in names),
-            )
-        rows, columns = lookups
+    def _build(self, index: int) -> ReturnedTuple:
+        rows, columns = self._lookups or self._resolve()
+        row_id = self._row_ids[index]
         row = rows[row_id]
         values: dict[str, Value] = {name: row[name] for name, _ in columns}
         for column in self._display_columns:
@@ -138,6 +133,13 @@ class LazyTuples(Sequence[ReturnedTuple]):
                 values[column] = row[column]
         selectable = {name: column[row_id] for name, column in columns}
         return ReturnedTuple(tuple_id=row_id, values=values, selectable_values=selectable)
+
+
+def _one_cell(column: str):
+    def cells(row: Row) -> tuple:
+        return (row[column],)
+
+    return cells
 
 
 class QueryEngineBackend:

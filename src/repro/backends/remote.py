@@ -101,11 +101,25 @@ DEFAULT_POOL_SIZE = 8
 #: the point where waiting longer tells us anything new about the server.
 MAX_CONNECT_BACKOFF = 2.0
 
-#: Ceiling on what a compressed *response* may inflate to, bytes.  Batch
-#: answers legitimately dwarf their requests (every item carries up to ``k``
-#: tuples), so this is generous — its job is only to keep a corrupt or
-#: hostile stream from exhausting client memory.
+#: Ceiling on a response body, bytes: as sent, and for a compressed body
+#: also once inflated.  Batch answers legitimately dwarf their requests
+#: (every item carries up to ``k`` tuples), so this is generous — its job is
+#: only to keep a corrupt or hostile stream from exhausting client memory.
 MAX_RESPONSE_BYTES = 128 * 1024 * 1024
+
+
+def _read_capped(response: http.client.HTTPResponse) -> bytes | None:
+    """The response body, or ``None`` when it exceeds :data:`MAX_RESPONSE_BYTES`.
+
+    A declared ``Content-Length`` above the cap is refused before any body
+    byte is read; a body of unknown length is read to at most one byte past
+    the cap.  A body shorter than its ``Content-Length`` still raises
+    ``IncompleteRead``.
+    """
+    if response.length is not None:
+        return response.read() if response.length <= MAX_RESPONSE_BYTES else None
+    body = response.read(MAX_RESPONSE_BYTES + 1)
+    return body if len(body) <= MAX_RESPONSE_BYTES else None
 
 
 class _PooledConnection:
@@ -474,7 +488,7 @@ class RemoteBackend:
             try:
                 connection.raw.request(method, target, body=body, headers=headers)
                 response = connection.raw.getresponse()
-                raw_body = response.read()
+                raw_body = _read_capped(response)
             except (http.client.HTTPException, OSError) as error:
                 stale = connection.reused and isinstance(error, self._STALE_ERRORS)
                 self._pool.discard(connection, stale=stale)
@@ -486,6 +500,14 @@ class RemoteBackend:
                 raise ConnectionDroppedError(
                     f"remote backend dropped the connection: {type(error).__name__}: {error}"
                 ) from error
+            if raw_body is None:
+                # The rest of the oversized body is still on the socket: the
+                # connection cannot carry another request.
+                self._pool.discard(connection, stale=False)
+                raise FormParseError(
+                    f"remote backend answered with a body over the "
+                    f"{MAX_RESPONSE_BYTES}-byte limit"
+                )
             if deadline is not None and connection.raw.sock is not None:
                 # Restore the configured timeout before the socket returns to
                 # the pool — the clipped value must not leak into requests

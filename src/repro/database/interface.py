@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from typing import Mapping, Protocol, Sequence, runtime_checkable
+from typing import Iterator, Mapping, Protocol, Sequence, overload, runtime_checkable
 
 from repro.database.limits import QueryBudget
 from repro.database.query import ConjunctiveQuery
@@ -60,14 +60,83 @@ class ReturnedTuple:
         return self.values[attribute]
 
 
+#: ``(columns, selectable_columns, rows)``: the positional form of an answer,
+#: each row ``[tuple_id, values, selectable_values]`` where a part is a list in
+#: header order, or a ``{column: value}`` object when its keys differ from the
+#: header (:mod:`repro.web.jsoncodec` ships exactly this).
+Rows = tuple[Sequence[str], Sequence[str], Sequence[Sequence]]
+
+
+class LazyTupleSequence(Sequence[ReturnedTuple]):
+    """The returned tuples of one response, each built on first read.
+
+    A subclass holds whatever the tuples are built from and supplies
+    :meth:`_build` (the tuple at one position) and :meth:`rows` (the answer
+    in the positional form the JSON encoder ships).  ``len`` and truth use the
+    slot list alone; indexing, slicing and iteration all go through
+    :meth:`_build`, once per position.  Slices return plain tuples.  The
+    sequence compares equal, in both directions, to the tuple it
+    materialises to and to any other lazy sequence listing equal tuples;
+    like that tuple (whose items hold dicts) it is unhashable.
+
+    Thread safety: each built tuple is published into the slot list with one
+    item assignment, without a lock.  Two threads reading the same cold item
+    may both build it; the results are equal and the last assignment wins.
+    """
+
+    __slots__ = ("_slots",)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, size: int) -> None:
+        self._slots: list[ReturnedTuple | None] = [None] * size
+
+    def _build(self, index: int) -> ReturnedTuple:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def rows(self) -> Rows:  # pragma: no cover - abstract
+        """The answer as ``(columns, selectable_columns, rows)``."""
+        raise NotImplementedError
+
+    def __len__(self) -> int:
+        return len(self._slots)
+
+    @overload
+    def __getitem__(self, index: int) -> ReturnedTuple: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> tuple[ReturnedTuple, ...]: ...
+
+    def __getitem__(self, index: int | slice) -> ReturnedTuple | tuple[ReturnedTuple, ...]:
+        if isinstance(index, slice):
+            return tuple(self[position] for position in range(*index.indices(len(self))))
+        built = self._slots[index]  # raises IndexError as the tuple would
+        if built is None:
+            built = self._slots[index] = self._build(index)
+        return built
+
+    def __iter__(self) -> Iterator[ReturnedTuple]:
+        for position in range(len(self)):
+            yield self[position]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (tuple, LazyTupleSequence)):
+            return self[:] == other[:]
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(self[:])
+
+
 @dataclass(frozen=True)
 class InterfaceResponse:
     """Everything a client learns from submitting one query.
 
     ``tuples`` is a read-only sequence of the listed tuples, best-ranked
-    first.  Wire, page and history answers hold a plain tuple; in-process
-    engine and shard answers hold a
-    :class:`~repro.backends.adapters.LazyTuples`, which builds each tuple on
+    first.  Page and history answers hold a plain tuple; engine, shard and
+    wire answers hold a :class:`LazyTupleSequence`
+    (:class:`~repro.backends.adapters.LazyTuples`,
+    :class:`~repro.web.jsoncodec.WireTuples`), which builds each tuple on
     first read and compares equal to the tuple it materialises to.
     """
 

@@ -57,6 +57,7 @@ from repro.web.httpd import (
     DEFAULT_REQUEST_TIMEOUT,
     MAX_BATCH_BODY_BYTES,
     DatabaseEndpoint,
+    fault_headers,
 )
 from repro.web.jsoncodec import error_to_payload
 
@@ -366,14 +367,14 @@ class AsyncHiddenDatabaseHTTPServer(DatabaseEndpoint):
             result = await loop.run_in_executor(self._backend_executor(), work)
             if isinstance(result, tuple):  # health: (status, payload)
                 status, payload = result
-                extra.update(_fault_headers_for(status, payload))
+                extra.update(fault_headers(status, payload))
             elif isinstance(result, str):  # HTML dialect
                 return 200, result.encode("utf-8"), "text/html; charset=utf-8", extra
             else:
                 status, payload = 200, result
         except ReproError as error:
             status, payload = error_to_payload(error)
-            extra.update(_fault_headers_for(status, payload))
+            extra.update(fault_headers(status, payload))
         except Exception as error:  # reprolint: disable=R3 — the same last-resort 500 as the threaded handlers: an untyped fault must come back as a status line, never a dropped connection
             status, payload = error_to_payload(error)
         return status, json.dumps(payload).encode("utf-8"), "application/json", extra
@@ -445,12 +446,3 @@ class AsyncHiddenDatabaseHTTPServer(DatabaseEndpoint):
         where = self.url if self._bound is not None else "unstarted"
         return f"AsyncHiddenDatabaseHTTPServer({where})"
 
-
-def _fault_headers_for(status: int, payload: dict) -> dict:
-    """``Retry-After`` for fault payloads — the threaded handler's policy."""
-    hint = payload.get("retry_after")
-    if isinstance(hint, (int, float)) and not isinstance(hint, bool) and hint >= 0:
-        return {"Retry-After": f"{hint:g}"}
-    if status == 429:
-        return {"Retry-After": "1"}
-    return {}

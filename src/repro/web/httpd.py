@@ -113,6 +113,23 @@ MAX_BATCH_BODY_BYTES = 8 * 1024 * 1024
 DEFAULT_REQUEST_TIMEOUT = 30.0
 
 
+def fault_headers(status: int, payload: dict) -> dict:
+    """The extra headers a fault payload earns, on both HTTP front ends.
+
+    A payload carrying its own ``retry_after`` hint (a 429's throttle
+    window, an open circuit's next-probe time) ships it as the standard
+    ``Retry-After`` header too, so clients that never parse our JSON —
+    proxies, off-the-shelf HTTP libraries — still see the hint; a plain
+    429 keeps the legacy fixed hint of one second.
+    """
+    hint = payload.get("retry_after")
+    if isinstance(hint, (int, float)) and not isinstance(hint, bool) and hint >= 0:
+        return {"Retry-After": f"{hint:g}"}
+    if status == 429:
+        return {"Retry-After": "1"}
+    return {}
+
+
 class _Handler(BaseHTTPRequestHandler):
     """One request: route, answer, map library errors onto status codes."""
 
@@ -120,10 +137,13 @@ class _Handler(BaseHTTPRequestHandler):
     server: "_Server"
 
     protocol_version = "HTTP/1.1"
-    # The handler's write side is unbuffered, so status line, headers and
-    # body leave as separate small segments; with Nagle on, each keep-alive
-    # response stalls ~40 ms behind the peer's delayed ACK — turning it off
-    # is what makes persistent connections actually fast.
+    # A buffered write side: ``_respond`` flushes the status line, headers
+    # and body as one send, as the event-loop server writes them.  A body
+    # larger than the buffer leaves as a second send.
+    wbufsize = 64 * 1024
+    # Any response split over two sends — an oversized body, a 100 Continue
+    # followed by the answer — would stall ~40 ms behind the peer's delayed
+    # ACK with Nagle on; turning it off keeps persistent connections fast.
     disable_nagle_algorithm = True
 
     def setup(self) -> None:
@@ -135,6 +155,13 @@ class _Handler(BaseHTTPRequestHandler):
         # pinning it for the life of the process.
         self.timeout = self.server.endpoint.request_timeout
         super().setup()
+
+    def handle_expect_100(self) -> bool:
+        # An interim ``100 Continue`` must leave at once: the client holds
+        # the request body back until it sees it.
+        accepted = super().handle_expect_100()
+        self.wfile.flush()
+        return accepted
 
     def do_GET(self) -> None:  # noqa: N802 - http.server naming
         # Routing and payload computation are fully resolved to (status,
@@ -167,25 +194,8 @@ class _Handler(BaseHTTPRequestHandler):
     def _error_response(self, error: Exception) -> tuple[int, bytes, str, dict]:
         """Map any fault onto its status-code home (throttling keeps Retry-After)."""
         status, payload = error_to_payload(error)
-        headers = self._fault_headers(status, payload)
+        headers = fault_headers(status, payload)
         return status, json.dumps(payload).encode("utf-8"), "application/json", headers
-
-    @staticmethod
-    def _fault_headers(status: int, payload: dict) -> dict:
-        """The extra headers a fault payload earns.
-
-        A payload carrying its own ``retry_after`` hint (a 429's throttle
-        window, an open circuit's next-probe time) ships it as the standard
-        ``Retry-After`` header too, so clients that never parse our JSON —
-        proxies, off-the-shelf HTTP libraries — still see the hint; a plain
-        429 keeps the legacy fixed hint of one second.
-        """
-        hint = payload.get("retry_after")
-        if isinstance(hint, (int, float)) and not isinstance(hint, bool) and hint >= 0:
-            return {"Retry-After": f"{hint:g}"}
-        if status == 429:
-            return {"Retry-After": "1"}
-        return {}
 
     def _respond(self, status: int, body: bytes, content_type: str, headers: dict) -> None:
         endpoint = self.server.endpoint
@@ -209,6 +219,7 @@ class _Handler(BaseHTTPRequestHandler):
                 self.send_header(name, value)
             self.end_headers()
             self.wfile.write(body)
+            self.wfile.flush()
         except OSError:
             # The client disconnected mid-write; there is nobody to answer.
             self.close_connection = True
@@ -224,7 +235,7 @@ class _Handler(BaseHTTPRequestHandler):
                 status = 200
             elif split.path == API_HEALTH_PATH:
                 status, payload = endpoint.health_payload()
-                headers.update(self._fault_headers(status, payload))
+                headers.update(fault_headers(status, payload))
             elif split.path == API_SUBMIT_PATH:
                 payload = endpoint.submit_payload(split.query, self._request_deadline())
                 status = 200
@@ -236,7 +247,7 @@ class _Handler(BaseHTTPRequestHandler):
             # escaping here is a bug and surfaces through the last-resort
             # 500 handler in do_GET, where it stays visible.
             status, payload = error_to_payload(error)
-            headers.update(self._fault_headers(status, payload))
+            headers.update(fault_headers(status, payload))
         return status, json.dumps(payload).encode("utf-8"), "application/json", headers
 
     def _route_post(self) -> tuple[int, bytes, str, dict]:
@@ -253,7 +264,7 @@ class _Handler(BaseHTTPRequestHandler):
         except ReproError as error:
             # Untyped faults escape to do_POST's last-resort 500 handler.
             status, payload = error_to_payload(error)
-            headers.update(self._fault_headers(status, payload))
+            headers.update(fault_headers(status, payload))
         return status, json.dumps(payload).encode("utf-8"), "application/json", headers
 
     def _request_deadline(self) -> "Deadline | None":
@@ -368,7 +379,7 @@ class DatabaseEndpoint:
         Degraded means a resilience node in the *served* chain (a circuit
         breaker, a failover router with every target open) would refuse a
         submission right now; the payload carries the shortest wait until one
-        would be admitted, which :meth:`_Handler._fault_headers` also ships
+        would be admitted, which :func:`fault_headers` also ships
         as ``Retry-After``.  A chain with no resilience nodes is always ok —
         the probe then simply proves the HTTP endpoint itself answers, which
         is what :class:`~repro.backends.resilience.FailoverRouter` needs from

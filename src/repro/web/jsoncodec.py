@@ -17,6 +17,23 @@ All selectable and displayed values in this repo are JSON scalars (str, int,
 float, bool), so values round-trip natively; the only typed work is
 rebuilding :class:`~repro.database.schema.Domain` objects (bucket edges vs
 value lists) and re-validating the query assignment against the schema.
+
+An answer travels as positional rows under one header (wire version 2)::
+
+    {"version": 2, "query": {...}, "columns": ["make", ..., "title"],
+     "selectable_columns": ["make", ...],
+     "rows": [[tuple_id, [value, ...], [selectable, ...]], ...],
+     "overflow": false, "reported_count": 35, "k": 50}
+
+A tuple whose displayed (or selectable) keys are not exactly the header, in
+header order — a row missing a display column, say — sends that part as a
+``{column: value}`` object instead of a list.  The server encodes a lazy
+answer straight from its rows, building no
+:class:`~repro.database.interface.ReturnedTuple`; the client checks the whole
+payload eagerly, so a malformed answer raises :class:`FormParseError` from
+``submit``, and then builds each tuple only when something reads it
+(:class:`WireTuples`) — most shipped tuples belong to overflowing answers,
+which nothing reads.
 """
 
 from __future__ import annotations
@@ -24,7 +41,7 @@ from __future__ import annotations
 import threading
 from typing import Mapping, Sequence
 
-from repro.database.interface import InterfaceResponse, ReturnedTuple
+from repro.database.interface import InterfaceResponse, LazyTupleSequence, ReturnedTuple, Rows
 from repro.database.query import ConjunctiveQuery
 from repro.database.schema import Attribute, AttributeKind, Domain, NumericBucket, Schema
 from repro.exceptions import (
@@ -43,12 +60,12 @@ from repro.exceptions import (
 
 #: Version tag of the wire format; bumped on incompatible changes so a
 #: mismatched client fails with a clear error instead of a parse error.
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 #: Version tag of the batch envelope (request and response).  Versioned
 #: separately from the per-item payloads: the batch shape can evolve without
 #: invalidating single-query clients, and vice versa.
-BATCH_WIRE_VERSION = 1
+BATCH_WIRE_VERSION = 2
 
 
 # -- schema -----------------------------------------------------------------------
@@ -98,36 +115,135 @@ def schema_from_dict(payload: Mapping) -> tuple[Schema, int]:
 # -- responses --------------------------------------------------------------------
 
 
+class WireTuples(LazyTupleSequence):
+    """The returned tuples of one decoded answer, each built on first read.
+
+    Holds the decoded header and rows of a :func:`response_from_dict`
+    payload, already validated: building a tuple is one ``dict(zip(...))``
+    per part (or one ``dict`` copy of an object part) and cannot fail.
+    :meth:`rows` hands the decoded rows back as they are, so a server that
+    re-serves a remote answer encodes it without building a tuple.
+    """
+
+    __slots__ = ("_columns", "_selectable_columns", "_rows")
+
+    def __init__(
+        self, columns: list[str], selectable_columns: list[str], rows: list[list]
+    ) -> None:
+        self._columns = columns
+        self._selectable_columns = selectable_columns
+        self._rows = rows
+        super().__init__(len(rows))
+
+    def rows(self) -> Rows:
+        return self._columns, self._selectable_columns, self._rows
+
+    def _build(self, index: int) -> ReturnedTuple:
+        tuple_id, values, selectable = self._rows[index]
+        return ReturnedTuple(
+            tuple_id=tuple_id,
+            values=_keyed(values, self._columns),
+            selectable_values=_keyed(selectable, self._selectable_columns),
+        )
+
+
+def _keyed(part: list | dict, header: list[str]) -> dict:
+    return dict(part) if type(part) is dict else dict(zip(header, part))
+
+
+def _positional(part: Mapping, header: list[str]) -> list | dict:
+    """``part`` as a list in header order, or as an object when its keys differ."""
+    return list(part.values()) if list(part) == header else dict(part)
+
+
+def _tuple_rows(tuples: Sequence[ReturnedTuple]) -> Rows:
+    """Plain tuples in positional form, headed by the first tuple's keys."""
+    if not tuples:
+        return [], [], []
+    columns = list(tuples[0].values)
+    selectable_columns = list(tuples[0].selectable_values)
+    rows = [
+        [
+            t.tuple_id,
+            _positional(t.values, columns),
+            _positional(t.selectable_values, selectable_columns),
+        ]
+        for t in tuples
+    ]
+    return columns, selectable_columns, rows
+
+
 def response_to_dict(response: InterfaceResponse) -> dict:
-    """One interface response as JSON-serialisable dicts."""
+    """One interface response as JSON-serialisable dicts.
+
+    A lazy answer (engine, shard, wire) lists its rows without building a
+    tuple; any other sequence goes through the loop over its tuples.
+    """
+    tuples = response.tuples
+    if isinstance(tuples, LazyTupleSequence):
+        columns, selectable_columns, rows = tuples.rows()
+    else:
+        columns, selectable_columns, rows = _tuple_rows(tuples)
     return {
         "version": WIRE_VERSION,
         "query": response.query.assignment(),
-        "tuples": [
-            {
-                "tuple_id": t.tuple_id,
-                "values": dict(t.values),
-                "selectable_values": dict(t.selectable_values),
-            }
-            for t in response.tuples
-        ],
+        "columns": columns,
+        "selectable_columns": selectable_columns,
+        "rows": rows,
         "overflow": response.overflow,
         "reported_count": response.reported_count,
         "k": response.k,
     }
 
 
+def _malformed(message: str) -> FormParseError:
+    return FormParseError(f"response payload is malformed: {message}")
+
+
+def _checked_columns(header: object, field: str) -> list[str]:
+    if type(header) is not list or not all(type(name) is str for name in header):
+        raise _malformed(f"{field!r} must be a list of strings, got {header!r}")
+    return header
+
+
+def _checked_rows(rows: object, width: int, selectable_width: int) -> list[list]:
+    """``rows`` when every row is ``[int, part, part]``, else :class:`FormParseError`.
+
+    A part is a list of its header's length or an object.
+    """
+    if type(rows) is not list:
+        raise _malformed(f"'rows' must be a list, got {type(rows).__name__}")
+    for row in rows:
+        if type(row) is not list or len(row) != 3:
+            raise _malformed(f"row {row!r} is not [tuple_id, values, selectable_values]")
+        tuple_id, values, selectable = row
+        if type(tuple_id) is not int or tuple_id < 0:
+            raise _malformed(f"row tuple id {tuple_id!r} is not a non-negative integer")
+        if not (type(values) is dict or (type(values) is list and len(values) == width)):
+            raise _malformed(f"row {tuple_id} values {values!r} do not fit {width} columns")
+        if not (
+            type(selectable) is dict
+            or (type(selectable) is list and len(selectable) == selectable_width)
+        ):
+            raise _malformed(
+                f"row {tuple_id} selectable values {selectable!r} do not fit "
+                f"{selectable_width} columns"
+            )
+    return rows
+
+
 def response_from_dict(schema: Schema, payload: Mapping) -> InterfaceResponse:
     """Rebuild an :class:`InterfaceResponse` from :func:`response_to_dict` output.
 
-    A half-shaped payload (missing or mis-typed fields) raises a typed
-    :class:`FormParseError`, never an untyped ``KeyError``/``TypeError``
-    mid-sampler: single submits and batch items decode through here alike.
+    The whole payload is checked here, before anything is returned: a
+    half-shaped payload (missing or mis-typed fields, a row of the wrong
+    shape) raises a typed :class:`FormParseError`, never an untyped
+    ``KeyError``/``TypeError`` mid-sampler and never later, when a tuple is
+    read.  Single submits and batch items decode through here alike.  The
+    tuples themselves are built on first read (:class:`WireTuples`).
     """
     if not isinstance(payload, Mapping):
-        raise FormParseError(
-            f"response payload is malformed: a {type(payload).__name__}, expected an object"
-        )
+        raise _malformed(f"a {type(payload).__name__}, expected an object")
     version = payload.get("version")
     if version != WIRE_VERSION:
         raise FormParseError(
@@ -135,26 +251,27 @@ def response_from_dict(schema: Schema, payload: Mapping) -> InterfaceResponse:
         )
     try:
         query = ConjunctiveQuery.from_assignment(schema, payload["query"])
-        tuples = tuple(
-            ReturnedTuple(
-                tuple_id=int(entry["tuple_id"]),
-                values=dict(entry["values"]),
-                selectable_values=dict(entry["selectable_values"]),
-            )
-            for entry in payload["tuples"]
-        )
+        columns = _checked_columns(payload["columns"], "columns")
+        selectable_columns = _checked_columns(payload["selectable_columns"], "selectable_columns")
+        rows = _checked_rows(payload["rows"], len(columns), len(selectable_columns))
+        overflow = payload["overflow"]
+        if type(overflow) is not bool:
+            raise _malformed(f"'overflow' must be a boolean, got {overflow!r}")
         reported = payload["reported_count"]
+        if reported is not None and (type(reported) is not int or reported < 0):
+            raise _malformed(f"'reported_count' must be a non-negative integer, got {reported!r}")
+        k = payload["k"]
+        if type(k) is not int or k < 1:
+            raise _malformed(f"'k' must be a positive integer, got {k!r}")
         return InterfaceResponse(
             query=query,
-            tuples=tuples,
-            overflow=bool(payload["overflow"]),
-            reported_count=int(reported) if reported is not None else None,
-            k=int(payload["k"]),
+            tuples=WireTuples(columns, selectable_columns, rows),
+            overflow=overflow,
+            reported_count=reported,
+            k=k,
         )
     except (KeyError, TypeError, AttributeError, ValueError) as error:
-        raise FormParseError(
-            f"response payload is malformed: {type(error).__name__}: {error}"
-        ) from error
+        raise _malformed(f"{type(error).__name__}: {error}") from error
 
 
 # -- faults -----------------------------------------------------------------------

@@ -94,15 +94,18 @@ def _good_body(backend):
 def _half_shaped_bodies(backend):
     """``(label, body)`` pairs: each a 200 JSON object missing or mis-typing a field."""
     no_values = _good_body(backend)
-    del no_values["tuples"][0]["values"]
-    null_tuples = _good_body(backend)
-    null_tuples["tuples"] = None
+    del no_values["rows"][0][1]
+    null_rows = _good_body(backend)
+    null_rows["rows"] = None
+    short_row = _good_body(backend)
+    short_row["rows"][0][1].pop()
     bad_count = _good_body(backend)
     bad_count["reported_count"] = "many"
     return [
         ("version-only", {"version": WIRE_VERSION}),
-        ("tuple-without-values", no_values),
-        ("null-tuples", null_tuples),
+        ("row-without-values", no_values),
+        ("null-rows", null_rows),
+        ("short-row", short_row),
         ("unparseable-count", bad_count),
     ]
 
