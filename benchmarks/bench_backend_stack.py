@@ -5,6 +5,8 @@ Two questions the composable access path must answer for:
 * **Overhead** — a full ``engine_stack`` (count-mode + budget + statistics
   layers) must cost ≤ 15% wall-clock over the raw ``QueryEngineBackend`` it
   wraps, otherwise the refactor taxed every query to pay for structure.
+  Measured as the median ratio of interleaved raw/stack passes over the
+  same queries, so a change of machine speed does not land on one side.
 * **Savings** — a warm ``HistoryLayer`` on the *web* path must save ≥ 30% of
   page fetches on a workload with repeated / inferable queries, otherwise
   lifting the cache out of the sampler core bought nothing for scraping.
@@ -31,6 +33,7 @@ import random
 import sys
 import time
 from pathlib import Path
+from statistics import median
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -66,15 +69,38 @@ def _random_queries(schema, rng: random.Random, count: int, min_preds: int = 1, 
     return queries
 
 
-def _best_time(action, operands, repeats: int = 3) -> float:
-    """Best-of-``repeats`` wall time of running ``action`` over ``operands``."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for operand in operands:
-            action(operand)
-        best = min(best, time.perf_counter() - start)
-    return best
+#: Interleaved timing windows per comparison (one pass over the queries each).
+ROUNDS = 40
+
+
+def _pass_time(action, operands) -> float:
+    """Wall time of one pass of ``action`` over ``operands``."""
+    start = time.perf_counter()
+    for operand in operands:
+        action(operand)
+    return time.perf_counter() - start
+
+
+def _paired_times(base, other, operands, rounds: int = ROUNDS) -> tuple[float, float, float]:
+    """Median pass times of ``base`` and ``other``, and the median of their ratios.
+
+    The two actions alternate in short windows, one pass each, and the order
+    flips every round, so a change of machine speed lasting longer than a
+    pass hits both sides of a pair alike; the median of the ``rounds`` paired
+    ratios then ignores the pairs a change did split.
+    """
+    base_times, other_times, ratios = [], [], []
+    for round_index in range(rounds):
+        if round_index % 2:
+            other_time = _pass_time(other, operands)
+            base_time = _pass_time(base, operands)
+        else:
+            base_time = _pass_time(base, operands)
+            other_time = _pass_time(other, operands)
+        base_times.append(base_time)
+        other_times.append(other_time)
+        ratios.append(other_time / base_time)
+    return median(base_times), median(other_times), median(ratios)
 
 
 def bench_overhead(table, queries) -> dict:
@@ -88,11 +114,11 @@ def bench_overhead(table, queries) -> dict:
         fast, slow = raw.submit(query), stack.submit(query)
         assert [t.tuple_id for t in fast.tuples] == [t.tuple_id for t in slow.tuples], str(query)
         assert fast.overflow == slow.overflow and slow.reported_count is None
-    raw_time = _best_time(raw.submit, queries)
-    stack_time = _best_time(stack.submit, queries)
-    overhead = stack_time / raw_time - 1.0 if raw_time > 0 else 0.0
+    raw_time, stack_time, ratio = _paired_times(raw.submit, stack.submit, queries)
+    overhead = ratio - 1.0
     return {
         "queries": len(queries),
+        "rounds": ROUNDS,
         "raw_ops_per_sec": round(len(queries) / raw_time, 1),
         "stack_ops_per_sec": round(len(queries) / stack_time, 1),
         "overhead": round(overhead, 4),
@@ -156,13 +182,12 @@ def bench_sharded(table, queries) -> dict:
     sharded = sharded_stack(table, N_SHARDS, k=K, ranking=ranking)
     for query in queries[:20]:
         assert sharded.submit(query) == flat.submit(query), str(query)
-    flat_time = _best_time(flat.submit, queries)
-    sharded_time = _best_time(sharded.submit, queries)
+    flat_time, sharded_time, ratio = _paired_times(flat.submit, sharded.submit, queries)
     return {
         "n_shards": N_SHARDS,
         "flat_ops_per_sec": round(len(queries) / flat_time, 1),
         "sharded_ops_per_sec": round(len(queries) / sharded_time, 1),
-        "scatter_gather_cost": round(sharded_time / flat_time, 2),
+        "scatter_gather_cost": round(ratio, 2),
     }
 
 

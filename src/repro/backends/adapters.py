@@ -22,7 +22,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import TYPE_CHECKING, Sequence
 
-from repro.database.engine import QueryEngine, QueryOutcome, QueryResult
+from repro.database.engine import QueryEngine, QueryResult
 from repro.database.interface import (
     InterfaceResponse,
     LazyTupleSequence,
@@ -51,7 +51,8 @@ def build_returned_tuples(
     read, so an overflowing answer whose tuples are only counted builds none.
     Domain errors stay eager: a row holding a value outside its attribute's
     domain (possible only on ``validate=False`` tables) raises here, exactly
-    as :meth:`Table.selectable_row` and for the first such row listed.
+    as :meth:`Table.selectable_row` and for the first such row listed.  Only
+    on such tables are deferred row ids cut here rather than at first read.
     """
     unbinnable = table.index.unbinnable_rows
     if unbinnable and not unbinnable.isdisjoint(row_ids):
@@ -62,6 +63,28 @@ def build_returned_tuples(
     return LazyTuples(table, row_ids, display_columns)
 
 
+def answer_response(
+    table: Table,
+    query: ConjunctiveQuery,
+    total: int,
+    row_ids: Sequence[int],
+    k: int,
+    display_columns: Sequence[str] = (),
+) -> InterfaceResponse:
+    """The raw response listing ``row_ids`` for ``query`` matching ``total`` rows.
+
+    The one response builder of the engine adapter and the shard backends:
+    exact count, overflow when ``total`` exceeds ``k``, tuples built on read.
+    """
+    return InterfaceResponse(
+        query=query,
+        tuples=build_returned_tuples(table, row_ids, display_columns),
+        overflow=total > k,
+        reported_count=total,
+        k=k,
+    )
+
+
 #: The table's rows and its ``(name, selectable column)`` pairs, the lookups a
 #: :class:`LazyTuples` resolves once, at its first read.
 _Lookups = tuple[tuple[Row, ...], tuple[tuple[str, Sequence[Value]], ...]]
@@ -70,9 +93,11 @@ _Lookups = tuple[tuple[Row, ...], tuple[tuple[str, Sequence[Value]], ...]]
 class LazyTuples(LazyTupleSequence):
     """The returned tuples of one engine or shard answer, each built on first read.
 
-    Holds the table, the listed row ids (best-ranked first) and the display
-    columns; everything else — slots, slicing, equality, unhashability — is
-    the :class:`~repro.database.interface.LazyTupleSequence` base.  The
+    Holds the table, the listed row ids (best-ranked first, taken as given:
+    a :class:`~repro.database.index.TopRowIds` stays uncut until a tuple is
+    read) and the display columns; everything else — slots, slicing,
+    equality, unhashability — is the
+    :class:`~repro.database.interface.LazyTupleSequence` base.  The
     schema names and index columns are resolved once per response, at its
     first read (or :meth:`rows` call), and published with one attribute
     assignment, without a lock, like the slots.
@@ -84,10 +109,10 @@ class LazyTuples(LazyTupleSequence):
         self, table: Table, row_ids: Sequence[int], display_columns: Sequence[str]
     ) -> None:
         self._table = table
-        self._row_ids = tuple(row_ids)
+        self._row_ids = row_ids
         self._display_columns = tuple(display_columns)
         self._lookups: _Lookups | None = None
-        super().__init__(len(self._row_ids))
+        super().__init__(len(row_ids))
 
     def rows(self) -> Rows:
         """The answer straight from the table rows and index columns.
@@ -193,14 +218,13 @@ class QueryEngineBackend:
     # -- internals ------------------------------------------------------------
 
     def _build_response(self, result: QueryResult) -> InterfaceResponse:
-        return InterfaceResponse(
-            query=result.query,
-            tuples=build_returned_tuples(
-                self._table, result.returned_row_ids, self.display_columns
-            ),
-            overflow=result.outcome is QueryOutcome.OVERFLOW,
-            reported_count=result.total_count,
-            k=result.k,
+        return answer_response(
+            self._table,
+            result.query,
+            result.total_count,
+            result.returned_row_ids,
+            result.k,
+            self.display_columns,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -97,12 +97,12 @@ class ConcurrentShardRouter(ShardRouter):
     bounded executor instead of a loop.  ``max_workers`` bounds the pool
     (default: one thread per shard, capped at :data:`DEFAULT_MAX_WORKERS`).
 
-    On the :meth:`over_table` layout the shared match mask is still computed
-    once on the calling thread, and so are the merge and the one rendering
-    of the merged rows; only the per-shard cuts run on the pool.
-    Heterogeneous shards (e.g. remote or latency-wrapped backends) take the
-    independent scatter path, where each ``shard.submit`` — the round-trip —
-    runs on its own worker: the case concurrency was built for.
+    On the :meth:`over_table` layout no work goes to the pool: the router
+    answers from the shared match mask on the calling thread, with one
+    top-``k`` cut of the whole mask.  Heterogeneous shards (e.g. remote or
+    latency-wrapped backends) take the independent scatter path, where each
+    ``shard.submit`` — the round-trip — runs on its own worker: the case
+    concurrency was built for.
     """
 
     def __init__(

@@ -16,10 +16,12 @@ all :class:`TableShardBackend` partitions of a table reuse the table's single
 :class:`~repro.database.index.RankCache`.  A shard's rows are one more
 rank-ordered bitmap there (the *residue* mask of ``row_id % n_shards``), so a
 shard answers a query by ANDing the query's mask with its residue.  On that
-layout a shard hands the router only its exact count and its first ``k`` row
-ids (:meth:`TableShardBackend.cut`); the router merges the ids by rank
-position, cuts to ``k`` and renders the ``k`` survivors once, so no shard
-builds tuples the merge would throw away.
+layout the residues of all shards OR to the whole table, so the merged answer
+is the query's whole mask: the router answers with its ``bit_count()`` and
+its top-``k`` cut, deferred to the first read
+(:meth:`~repro.database.index.RankCache.top`, as the engine answers), and no
+shard is asked at all.
+That is exactly the merge of the per-shard cuts a scatter would gather.
 
 Both classes are raw backends: exact counts, no accounting.  Wrap the router
 in :class:`~repro.backends.stack.BackendStack` layers to get budgets, count
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Sequence, TypeVar, cast
 
-from repro.backends.adapters import build_returned_tuples
+from repro.backends.adapters import answer_response
 from repro.database.index import RankCache
 from repro.database.interface import InterfaceResponse, ReturnedTuple
 from repro.database.query import ConjunctiveQuery
@@ -111,9 +113,6 @@ class TableShardBackend:
 
         ``mask`` is a query's rank-ordered match bitmap over the *whole*
         table; the shard keeps its own rows by ANDing its residue mask.
-        :class:`ShardRouter` uses this to evaluate the conjunctive query once
-        on the shared rank cache and hand every shard the same mask, instead
-        of paying one full evaluation per shard.
         """
         mine = mask & self._rank.residue(self.n_shards, self.shard_index)
         return mine.bit_count(), self._rank.first(mine, self._k)
@@ -122,12 +121,8 @@ class TableShardBackend:
         self, query: ConjunctiveQuery, total: int, row_ids: Sequence[int]
     ) -> InterfaceResponse:
         """The response listing ``row_ids`` for ``query`` matching ``total`` rows."""
-        return InterfaceResponse(
-            query=query,
-            tuples=build_returned_tuples(self._table, row_ids, self.display_columns),
-            overflow=total > self._k,
-            reported_count=total,
-            k=self._k,
+        return answer_response(
+            self._table, query, total, row_ids, self._k, self.display_columns
         )
 
     def rank_position(self, tuple_id: int) -> float:
@@ -184,9 +179,8 @@ class ShardRouter:
         partition one table under one ranking and show the same display
         columns (the :meth:`over_table` layout), else ``None``.
 
-        Only then may the router evaluate each query once, hand every shard
-        the same match mask and render the merged rows itself, rather than
-        scatter a full evaluation to every shard.
+        Only then may the router answer each query from the one whole-table
+        match mask, rather than scatter a full evaluation to every shard.
         """
         n = len(self._shards)
         ranks = getattr(self._shards[0], "_rank", None)
@@ -264,22 +258,15 @@ class ShardRouter:
     def submit(self, query: ConjunctiveQuery) -> InterfaceResponse:
         """Fan ``query`` out, merge the ranked answers, apply the top-``k`` cut.
 
-        On the shared-rank layout the shards return counts and row ids only,
-        and the ``k`` merged rows are rendered once; any other shards answer
+        On the shared-rank layout the answer is the whole match mask's count
+        and its top-``k`` rows, cut on first read; any other shards answer
         full sub-queries, merged by ``merge_key``.
         """
         ranks = self._shared_ranks
         if ranks is None:
             return self._merge(query, self._gather(lambda shard: shard.submit(query)))
-        mask = ranks.mask(query)
-        cuts = self._gather(lambda shard: shard.cut(mask))
-        position = ranks.position
-        merged = sorted(
-            (row_id for _, row_ids in cuts for row_id in row_ids), key=position.__getitem__
-        )
-        del merged[self._k :]
-        total = sum(count for count, _ in cuts)
-        return cast(TableShardBackend, self._shards[0]).response(query, total, merged)
+        total, row_ids = ranks.top(query, self._k)
+        return cast(TableShardBackend, self._shards[0]).response(query, total, row_ids)
 
     def _gather(self, work: Callable[[Any], _T]) -> list[_T]:
         """``work`` applied to every shard, results in shard order.

@@ -10,11 +10,13 @@ Complexity contract: by default the engine evaluates queries on the
 :class:`~repro.database.index.RankCache` of its ranking — the AND of the
 predicates' rank-ordered bitmaps gives the matches, ``int.bit_count()`` the
 total, and the ``min(total, k)`` lowest set bits the displayed rows, already
-in rank order — so one query costs O(|q| · n/64) word operations plus ``k``
-bit scans instead of a full O(rows · |q|) scan with per-comparison rank-key
-recomputation.  Passing ``use_index=False`` restores the naive scan, which
-the property tests use as the oracle the indexed path must match
-result-for-result.
+in rank order — so one query costs O(|q| · n/64) word operations instead of a
+full O(rows · |q|) scan with per-comparison rank-key recomputation.  The
+displayed rows are a :class:`~repro.database.index.TopRowIds`, cut with ``k``
+bit scans the first time one is read: an overflowing answer read only for its
+flag and length never pays the scan.  Passing ``use_index=False`` restores
+the naive scan, which the property tests use as the oracle the indexed path
+must match result-for-result.
 """
 
 from __future__ import annotations
@@ -42,7 +44,10 @@ class QueryResult:
     """What the form interface returns for one query.
 
     ``returned_row_ids`` identifies the (at most ``k``) displayed tuples in
-    ranking order; ``total_count`` is the number of qualifying tuples *before*
+    ranking order, as a read-only sequence: a tuple on the scan path, a
+    :class:`~repro.database.index.TopRowIds` on the indexed path, whose
+    ``len`` needs no scan and whose ids are cut on first read; the two compare
+    equal.  ``total_count`` is the number of qualifying tuples *before*
     the top-``k`` cut, which the engine always knows but the public interface
     may hide or perturb (Google Base's counts are approximate and the paper's
     system ignores them).
@@ -50,7 +55,7 @@ class QueryResult:
 
     query: ConjunctiveQuery
     outcome: QueryOutcome
-    returned_row_ids: tuple[int, ...]
+    returned_row_ids: Sequence[int]
     total_count: int
     k: int
 
@@ -124,11 +129,9 @@ class QueryEngine:
 
     def execute(self, query: ConjunctiveQuery) -> QueryResult:
         """Evaluate ``query`` and apply the top-``k`` display restriction."""
+        returned: Sequence[int]
         if self.use_index:
-            cache = self._ranks()
-            mask = cache.mask(query)
-            total = mask.bit_count()
-            returned = tuple(cache.first(mask, self.k))
+            total, returned = self._ranks().top(query, self.k)
         else:
             matching = self.table.matching_row_ids(query.matches)
             total = len(matching)

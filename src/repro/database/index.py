@@ -36,13 +36,16 @@ build (once per table)           —                               O(n · |schem
 bitmaps (once per attribute)     —                               O(n + V · n/8) bytes
 conjunctive match                O(n · q) bucket re-resolution   O(q · n/64) word ANDs
 ``count(query)``                 O(n · q)                        match + ``bit_count``
-``VALID`` ordering               O(m log m) key recomputation    k bit scans, no sort
-``OVERFLOW`` top-k               O(m log m) key recomputation    k bit scans, no sort
+``VALID`` ordering               O(m log m) key recomputation    k bit scans on first read
+``OVERFLOW`` top-k               O(m log m) key recomputation    k bit scans on first read
 ===============================  ==============================  ===========================
 
 A bit scan converts the mask to bytes once (O(n/8), in C) and then visits
-only its non-zero bytes until ``k`` rows are collected.  Memory is n/8 bytes
-per (attribute, value) bitmap, per ranking in use.
+only its non-zero bytes until ``k`` rows are collected; neither cut needs a
+sort.  An answer's row ids are a :class:`TopRowIds` (:meth:`RankCache.top`):
+its length is known from ``bit_count()``, and the scan runs the first time an
+id is read, so an overflowing answer that is only counted never pays it.
+Memory is n/8 bytes per (attribute, value) bitmap, per ranking in use.
 
 The naive path remains available (``QueryEngine(..., use_index=False)``) both
 as an escape hatch for non-conjunctive predicates and as the oracle the
@@ -53,7 +56,7 @@ from __future__ import annotations
 
 import weakref
 from bisect import bisect_right
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Sequence, overload
 
 from repro.database.ranking import RowIdRanking
 from repro.database.schema import AttributeKind, Value
@@ -158,6 +161,15 @@ class RankCache:
             self._residues[n_shards] = residues
         return residues.get(shard_index, 0)
 
+    def top(self, query: "ConjunctiveQuery", k: int) -> tuple[int, "TopRowIds"]:
+        """``query``'s exact match count and its top-``k`` row ids, cut on first read.
+
+        The one place an indexed answer is counted now and cut later: the
+        engine and the shard router's shared-rank path both answer with it.
+        """
+        total = self.mask(query).bit_count()
+        return total, TopRowIds(self, query, min(total, k))
+
     def first(self, mask: int, k: int) -> list[int]:
         """Row ids of the ``k`` lowest set bits of ``mask``, best-ranked first."""
         data = mask.to_bytes(self._n_bytes, "little")
@@ -176,6 +188,69 @@ class RankCache:
         """Bytes held by the bitmaps built so far (residue masks included)."""
         built = [*self._bitmaps.values(), *self._residues.values()]
         return sum((bitmap.bit_length() + 7) // 8 for bitmaps in built for bitmap in bitmaps.values())
+
+
+class TopRowIds(Sequence[int]):
+    """The best-ranked row ids of one query's answer, cut on first read.
+
+    Holds the rank cache, the query and the answer's size, ``min(total, k)``,
+    which the caller knows from ``bit_count()``: ``len`` and truth need no bit
+    scan.  The first read of an id (indexing, iteration, slicing, equality)
+    rebuilds the query's match mask from the cache's bitmaps, a few word ANDs,
+    and runs :meth:`RankCache.first` once.  Holding the query rather than the
+    mask keeps an n/8-byte int out of every answer a history remembers.
+
+    Compares equal, in both directions, to the tuple of its ids and to any
+    other :class:`TopRowIds` listing the same ids, and hashes like that tuple.
+
+    Thread safety: the ids are published with one attribute assignment,
+    without a lock, like the :class:`RankCache` memos.  Two threads reading a
+    cold instance may both cut; the results are equal and the last
+    assignment wins.
+    """
+
+    __slots__ = ("_ranks", "_query", "_size", "_ids")
+
+    def __init__(self, ranks: RankCache, query: "ConjunctiveQuery", size: int) -> None:
+        self._ranks = ranks
+        self._query = query
+        self._size = size
+        self._ids: tuple[int, ...] | None = None if size else ()
+
+    def _cut(self) -> tuple[int, ...]:
+        ids = self._ids
+        if ids is None:
+            ranks = self._ranks
+            ids = self._ids = tuple(ranks.first(ranks.mask(self._query), self._size))
+        return ids
+
+    def __len__(self) -> int:
+        return self._size
+
+    @overload
+    def __getitem__(self, index: int) -> int: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> tuple[int, ...]: ...
+
+    def __getitem__(self, index: int | slice) -> int | tuple[int, ...]:
+        return self._cut()[index]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._cut())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, TopRowIds):
+            return self._cut() == other._cut()
+        if isinstance(other, tuple):
+            return self._cut() == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._cut())
+
+    def __repr__(self) -> str:
+        return repr(self._cut())
 
 
 class TableIndex:

@@ -150,10 +150,13 @@ class InterfaceResponse:
         """This response reporting ``reported_count`` instead of its own count.
 
         Count shaping does this once per query, so it copies the instance
-        dict rather than re-running the frozen ``__init__`` (half the cost).
+        dict rather than re-running the frozen ``__init__`` (under half the
+        cost).
         """
         shaped = object.__new__(InterfaceResponse)
-        shaped.__dict__.update(self.__dict__, reported_count=reported_count)
+        fields = shaped.__dict__
+        fields.update(self.__dict__)
+        fields["reported_count"] = reported_count
         return shaped
 
     @property

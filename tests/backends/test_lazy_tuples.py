@@ -8,6 +8,7 @@ rows and :meth:`Table.selectable_row`, through the flat backend and every
 router flavour.
 """
 
+import json
 import sys
 import threading
 
@@ -24,7 +25,8 @@ from repro.backends import adapters as adapters_module
 from repro.backends.adapters import LazyTuples
 from repro.backends.base import BackendLayer
 from repro.backends.dispatch import ConcurrentShardRouter
-from repro.database.interface import ReturnedTuple
+from repro.backends.history import JobHistory
+from repro.database.interface import InterfaceResponse, ReturnedTuple
 from repro.database.query import ConjunctiveQuery
 from repro.database.ranking import (
     AttributeWeightedRanking,
@@ -34,6 +36,8 @@ from repro.database.ranking import (
 )
 from repro.database.table import Table
 from repro.exceptions import DomainValueError
+from repro.web.html import render_result_page
+from repro.web.jsoncodec import response_to_dict
 
 RANKINGS = {
     "row_id": RowIdRanking,
@@ -186,11 +190,99 @@ class TestNothingIsBuiltUntilRead:
         assert built["tuples"] == 10
 
 
+class TestNoBitScanUntilRead:
+    @pytest.mark.parametrize("path", ["flat", "history", "router", "concurrent"])
+    def test_a_counted_overflowing_answer_runs_no_bit_scan(
+        self, small_vehicles_table, bit_scans, path
+    ):
+        table = small_vehicles_table
+        schema = table.schema
+        backends = {
+            "flat": lambda: QueryEngineBackend(table, k=50),
+            "history": lambda: StatisticsLayer(HistoryLayer(QueryEngineBackend(table, k=50))),
+            "router": lambda: ShardRouter.over_table(table, 4, k=50),
+            "concurrent": lambda: ConcurrentShardRouter.over_table(table, 4, k=50),
+        }
+        backend = backends[path]()
+        query = ConjunctiveQuery.from_assignment(schema, {"color": "red"})
+        narrower = query.specialise("condition", schema.attribute("condition").domain.values[0])
+        response = backend.submit(query)
+        # A repeat (an exact history hit) and a specialisation (a history
+        # lookup that finds only an overflowing ancestor, then issues).
+        again, deeper = backend.submit(query), backend.submit(narrower)
+        for answer in (response, again, deeper):
+            assert answer.overflow and not answer.valid and not answer.empty
+            assert len(answer.tuples) == 50 and answer.tuples
+        assert bit_scans == []
+        first = response.tuples[0]
+        assert len(bit_scans) == 1
+        assert [t.tuple_id for t in response.tuples][0] == first.tuple_id
+        assert len(bit_scans) == 1
+        if path == "concurrent":
+            backend.close()
+
+
+class TestDeferredAnswersEncodeLikeEagerOnes:
+    """A deferred answer and one cut at submit (as before) ship the same bytes."""
+
+    @pytest.mark.parametrize("ranking_name", sorted(RANKINGS))
+    @pytest.mark.parametrize("path", ["flat", "router"])
+    def test_wire_page_and_history_bytes(self, small_vehicles_table, ranking_name, path):
+        table = small_vehicles_table
+        schema = table.schema
+        ranking = RANKINGS[ranking_name]()
+        ranks = table.index.rank_cache(ranking)
+        options = dict(k=9, ranking=ranking, display_columns=COLUMNS)
+        if path == "flat":
+            backend = QueryEngineBackend(table, **options)
+        else:
+            backend = ShardRouter.over_table(table, 3, **options)
+        for query in _queries(schema):
+            deferred = backend.submit(query)
+            eager = InterfaceResponse(
+                query=query,
+                tuples=build_returned_tuples(
+                    table, tuple(ranks.first(ranks.mask(query), 9)), COLUMNS
+                ),
+                overflow=deferred.overflow,
+                reported_count=deferred.reported_count,
+                k=9,
+            )
+            assert json.dumps(response_to_dict(deferred)) == json.dumps(response_to_dict(eager))
+            assert _page(schema, backend.submit(query)) == _page(schema, eager)
+            assert _remembered(table, backend.submit(query)) == _remembered(table, eager)
+
+
+def _page(schema, response):
+    return render_result_page(
+        schema, response.query, response.tuples, response.overflow,
+        response.reported_count, response.k, display_columns=COLUMNS,
+    )
+
+
+def _remembered(table, response):
+    """The checkpoint text of a history that remembered ``response`` and replayed it."""
+    level = HistoryLayer(QueryEngineBackend(table, k=response.k))
+    level.remember(response)
+    job = JobHistory(level)
+    assert job.submit(response.query) is response
+    assert job.statistics.exact_hits == 1
+    return json.dumps(job.export_entries())
+
+
 class TestConcurrentFirstReads:
-    def test_eight_threads_reading_one_cold_answer_get_equal_tuples(self, small_vehicles_table):
+    @pytest.mark.parametrize("path", ["flat", "router"])
+    def test_eight_threads_reading_one_cold_answer_get_equal_tuples(
+        self, small_vehicles_table, path
+    ):
         table = small_vehicles_table
         ranking = StaticScoreRanking("score")
-        backend = QueryEngineBackend(table, k=100, ranking=ranking, display_columns=COLUMNS)
+        options = dict(k=100, ranking=ranking, display_columns=COLUMNS)
+        if path == "flat":
+            backend = QueryEngineBackend(table, **options)
+        else:
+            backend = ShardRouter.over_table(table, 4, **options)
+        # Cold on both levels: neither the row ids nor any tuple is cut yet.
         tuples = backend.submit(ConjunctiveQuery.empty(table.schema)).tuples
         barrier = threading.Barrier(8)
         seen = [None] * 8
@@ -225,6 +317,17 @@ class TestDomainErrorsStayEager:
             {"make": "Tesla", "color": "red", "price": 15_000.0},
         ]
         return Table(tiny_schema, rows, name="dirty", validate=False)
+
+    @pytest.mark.parametrize("path", ["flat", "router"])
+    def test_an_answer_listing_an_out_of_domain_row_raises_at_submit(self, dirty_table, path):
+        if path == "flat":
+            backend = QueryEngineBackend(dirty_table, k=3)
+        else:
+            backend = ShardRouter.over_table(dirty_table, 2, k=3)
+        with pytest.raises(DomainValueError):
+            backend.submit(ConjunctiveQuery.empty(dirty_table.schema))
+        clean = ConjunctiveQuery.from_assignment(dirty_table.schema, {"price": "0-10000"})
+        assert [t.tuple_id for t in backend.submit(clean).tuples] == [0]
 
     def test_the_first_out_of_domain_row_listed_raises_at_build(self, dirty_table):
         with pytest.raises(DomainValueError) as raised:

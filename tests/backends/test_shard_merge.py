@@ -1,8 +1,9 @@
-"""The sharded router's shared-rank path: shards cut, the router renders once."""
+"""The sharded router's shared-rank path: the router cuts once and renders once."""
 
 import pytest
 
 from repro.backends import QueryEngineBackend, ShardRouter
+from repro.backends import adapters as adapters_module
 from repro.backends import shard as shard_module
 from repro.backends.base import BackendLayer
 from repro.backends.dispatch import ConcurrentShardRouter
@@ -35,15 +36,15 @@ def _queries(schema):
 
 @pytest.fixture()
 def build_calls(monkeypatch):
-    """Row counts of every ``build_returned_tuples`` call the shard module makes."""
+    """Row counts of every ``build_returned_tuples`` call, the one response builder's."""
     calls = []
-    original = shard_module.build_returned_tuples
+    original = adapters_module.build_returned_tuples
 
     def counting(table, row_ids, display_columns=()):
         calls.append(len(row_ids))
         return original(table, row_ids, display_columns)
 
-    monkeypatch.setattr(shard_module, "build_returned_tuples", counting)
+    monkeypatch.setattr(adapters_module, "build_returned_tuples", counting)
     return calls
 
 
@@ -73,6 +74,26 @@ class TestOneBuildPerQuery:
                     response = router.submit(query)
                     assert [t.tuple_id for t in response.tuples] == ranks.first(mask, 7), name
                     assert response.reported_count == mask.bit_count()
+
+    @pytest.mark.parametrize("router_class", [ShardRouter, ConcurrentShardRouter])
+    def test_shared_path_asks_no_shard_and_scans_once_on_read(
+        self, small_vehicles_table, monkeypatch, bit_scans, router_class
+    ):
+        table = small_vehicles_table
+        router = router_class.over_table(table, 4, k=20, ranking=StaticScoreRanking("score"))
+
+        def refuse(*args):
+            raise AssertionError("the shared-rank path cut a shard")
+
+        monkeypatch.setattr(shard_module.TableShardBackend, "cut", refuse)
+        response = router.submit(ConjunctiveQuery.empty(table.schema))
+        assert response.overflow and len(response.tuples) == 20
+        assert bit_scans == []
+        assert response.tuples[5] == response.tuples[:][5]
+        assert bit_scans == [20]
+        if router_class is ConcurrentShardRouter:
+            assert router._pool._pool is None  # no work went to the pool
+            router.close()
 
     def test_cut_returns_the_shards_count_and_first_k(self, tiny_table, tiny_schema):
         router = ShardRouter.over_table(tiny_table, 2, k=2)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.database.index import RankCache
 from repro.database.interface import CountMode, HiddenDatabaseInterface
 from repro.database.ranking import RowIdRanking, StaticScoreRanking
 from repro.database.schema import Attribute, Domain, Schema
@@ -71,3 +72,17 @@ def boolean_table() -> Table:
 def small_vehicles_table() -> Table:
     """A small vehicle catalogue reused across integration tests."""
     return generate_vehicles_table(VehiclesConfig(n_rows=1_500, seed=11))
+
+
+@pytest.fixture()
+def bit_scans(monkeypatch) -> list[int]:
+    """The ``k`` of every :meth:`RankCache.first` bit scan run, in order."""
+    scans: list[int] = []
+    original = RankCache.first
+
+    def counting(self, mask, k):
+        scans.append(k)
+        return original(self, mask, k)
+
+    monkeypatch.setattr(RankCache, "first", counting)
+    return scans

@@ -1,8 +1,12 @@
 """Unit tests for the top-k query engine and ranking functions."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.database.engine import QueryEngine, QueryOutcome
+from repro.database.index import TopRowIds
 from repro.database.query import ConjunctiveQuery
 from repro.database.ranking import (
     AttributeWeightedRanking,
@@ -113,3 +117,103 @@ class TestQueryEngine:
         result = engine.execute(ConjunctiveQuery.empty(tiny_schema))
         assert result.overflow
         assert result.total_count == len(tiny_table)
+
+
+RANKINGS = {
+    "row_id": RowIdRanking,
+    "static_score": lambda: StaticScoreRanking("score"),
+    "attribute_weighted": lambda: AttributeWeightedRanking({"score": 1.0}),
+    "hash": lambda: HashRanking("edges"),
+}
+
+
+class TestDeferredRowIds:
+    def test_an_answer_read_for_its_flag_and_length_runs_no_bit_scan(
+        self, small_vehicles_table, bit_scans
+    ):
+        engine = QueryEngine(small_vehicles_table, k=50)
+        result = engine.execute(ConjunctiveQuery.empty(small_vehicles_table.schema))
+        ids = result.returned_row_ids
+        assert isinstance(ids, TopRowIds)
+        assert result.overflow and not result.empty
+        assert len(ids) == result.returned_count == 50 and ids
+        assert bit_scans == []
+        assert ids[3] == 3
+        assert len(bit_scans) == 1
+        assert list(ids) == list(range(50)) and ids[-1] == 49
+        assert len(bit_scans) == 1
+
+    def test_an_empty_answer_never_scans(self, tiny_table, tiny_schema, bit_scans):
+        query = ConjunctiveQuery.from_assignment(tiny_schema, {"make": "Honda", "price": "0-10000"})
+        ids = QueryEngine(tiny_table, k=2).execute(query).returned_row_ids
+        assert ids == () and not ids and list(ids) == []
+        assert bit_scans == []
+
+    @pytest.mark.parametrize("ranking_name", sorted(RANKINGS))
+    @pytest.mark.parametrize("extra", [0, 1], ids=["total-equals-k", "total-is-k-plus-one"])
+    def test_deferred_ids_equal_the_eager_cut(self, small_vehicles_table, ranking_name, extra):
+        table = small_vehicles_table
+        ranking = RANKINGS[ranking_name]()
+        ranks = table.index.rank_cache(ranking)
+        for attribute in table.schema:
+            for value in attribute.domain.values[:2]:
+                query = ConjunctiveQuery.from_assignment(table.schema, {attribute.name: value})
+                total = ranks.mask(query).bit_count()
+                if total <= extra:
+                    continue
+                k = total - extra
+                fast = QueryEngine(table, k=k, ranking=ranking).execute(query)
+                slow = QueryEngine(table, k=k, ranking=ranking, use_index=False).execute(query)
+                eager = tuple(ranks.first(ranks.mask(query), k))
+                assert fast.outcome is slow.outcome and fast.total_count == slow.total_count
+                ids = fast.returned_row_ids
+                assert ids == slow.returned_row_ids == eager and eager == ids
+                assert len(ids) == len(eager) and hash(ids) == hash(eager)
+                assert ids[1:-1] == eager[1:-1] and type(ids[::2]) is tuple
+                assert repr(ids) == repr(eager) and eager[-1] in ids
+                other = QueryEngine(table, k=k, ranking=ranking).execute(query)
+                assert ids == other.returned_row_ids
+
+    def test_compares_like_the_tuple_it_stands_for(self, tiny_table, tiny_schema):
+        query = ConjunctiveQuery.from_assignment(tiny_schema, {"color": "red"})
+        ids = QueryEngine(tiny_table, k=3).execute(query).returned_row_ids
+        assert ids == (0, 2, 4) and (0, 2, 4) == ids
+        assert ids != (0, 2) and ids != (0, 2, 6)
+        assert ids != [0, 2, 4] and [0, 2, 4] != ids  # as the tuple would
+        assert ids.index(4) == 2 and ids.count(2) == 1
+
+    def test_eight_threads_reading_one_cold_answer_get_equal_ids(self, small_vehicles_table):
+        ranking = StaticScoreRanking("score")
+        engine = QueryEngine(small_vehicles_table, k=200, ranking=ranking)
+        ids = engine.execute(ConjunctiveQuery.empty(small_vehicles_table.schema)).returned_row_ids
+        barrier = threading.Barrier(8)
+        seen = [None] * 8
+
+        def read(slot):
+            barrier.wait()
+            seen[slot] = [ids[position] for position in range(len(ids))]
+
+        threads = [threading.Thread(target=read, args=(slot,)) for slot in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        expected = small_vehicles_table.index.rank_cache(ranking).by_rank[:200]
+        assert all(reads == expected for reads in seen)
+
+    def test_holds_the_query_not_the_match_mask(self, small_vehicles_table):
+        result = QueryEngine(small_vehicles_table, k=10).execute(
+            ConjunctiveQuery.empty(small_vehicles_table.schema)
+        )
+        ids = result.returned_row_ids
+        held = [getattr(ids, name) for name in type(ids).__slots__]
+        assert not any(isinstance(value, int) and value.bit_length() > 64 for value in held)
+        list(ids)
+        held = [getattr(ids, name) for name in type(ids).__slots__]
+        assert not any(isinstance(value, int) and value.bit_length() > 64 for value in held)
