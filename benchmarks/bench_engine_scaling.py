@@ -4,9 +4,10 @@ Times ``QueryEngine.execute`` plus a read of the returned row ids, with and
 without the index, at 1k/10k/50k/200k rows, reports what the rank-ordered
 bitmaps of one ranking cost to build (seconds and bytes), and times
 warm-history ``HistoryLayer.submit`` with subset-key inference vs the linear
-history scan, then writes the machine-readable ``BENCH_engine.json`` (ops/sec
-and speedup ratios) so the repo's performance trajectory is recorded run over
-run.
+history scan, on hits (answers inferred from an ancestor) and on misses (no
+usable ancestor, so the query reaches the engine), then writes the
+machine-readable ``BENCH_engine.json`` (ops/sec and speedup ratios) so the
+repo's performance trajectory is recorded run over run.
 
 Unlike the pytest-benchmark experiments (E1–E12), this file is a standalone
 script so CI can run it as a smoke check:
@@ -113,12 +114,41 @@ def bench_execute(table, queries) -> dict:
     }
 
 
+def _misses(schema, cache: HistoryLayer, rng: random.Random, count: int):
+    """Width 1–5 queries the warm ``cache`` can neither replay nor infer.
+
+    No query has a usable (empty or non-overflowing) ancestor in the cache,
+    and none subsumes another, so each stays a miss when timed in turn: the
+    ``local_walk`` shape, where almost every ancestor search finds nothing.
+    """
+    usable = [set(key) for key in cache.valid_keys() | cache.empty_keys()]
+    chosen: list[set] = []
+    misses = []
+    for _ in range(count * 50):
+        if len(misses) == count:
+            break
+        query = _random_queries(schema, rng, 1, 1, 5)[0]
+        key = query.canonical_key()
+        if cache.cached(key) is not None:
+            continue
+        pairs = set(key)
+        if any(pairs >= other for other in usable) or any(
+            pairs >= other or pairs <= other for other in chosen
+        ):
+            continue
+        chosen.append(pairs)
+        misses.append(query)
+    return misses
+
+
 def bench_warm_history(table, rng: random.Random, n_warm: int, n_timed: int) -> dict:
     """Warm-cache ``submit()`` with subset-key inference vs the linear scan.
 
-    Both caches are warmed with the same (mostly valid/empty, deep) queries;
-    the timed queries are one-step specialisations, i.e. answerable purely by
-    inference, so the measurement isolates the ancestor-lookup strategy.
+    Both caches are warmed with the same (mostly valid/empty, deep) queries.
+    The timed hits are one-step specialisations, i.e. answerable purely by
+    inference, so that measurement isolates the ancestor-lookup strategy.
+    The timed misses have no usable ancestor, so each pays a fruitless
+    ancestor search plus the engine.
     """
     schema = table.schema
     warm = _random_queries(schema, rng, n_warm, 3, 4)
@@ -130,10 +160,11 @@ def bench_warm_history(table, rng: random.Random, n_warm: int, n_timed: int) -> 
             query = query.specialise(attribute, value)
         timed.append(query)
 
+    caches = {}
     results = {}
     for mode in ("indexed", "scan"):
         interface = HiddenDatabaseInterface(table, k=K, ranking=default_vehicles_ranking(), seed=0)
-        cache = HistoryLayer(interface, inference=mode)
+        cache = caches[mode] = HistoryLayer(interface, inference=mode)
         for query in warm:
             cache.submit(query)
         results[mode] = {
@@ -141,14 +172,25 @@ def bench_warm_history(table, rng: random.Random, n_warm: int, n_timed: int) -> 
             "history_entries": len(cache),
             "saving_ratio": cache.statistics.saving_ratio,
         }
+    misses = _misses(schema, caches["indexed"], rng, n_timed)
+    for mode, cache in caches.items():
+        issued = cache.statistics.issued_to_interface
+        results[mode]["miss_ops_per_sec"] = _time_ops(cache.submit, misses)
+        assert cache.statistics.issued_to_interface - issued == len(misses), mode
     indexed_ops = results["indexed"]["ops_per_sec"]
     scan_ops = results["scan"]["ops_per_sec"]
+    indexed_miss_ops = results["indexed"]["miss_ops_per_sec"]
+    scan_miss_ops = results["scan"]["miss_ops_per_sec"]
     return {
         "warm_entries": results["indexed"]["history_entries"],
         "timed_submissions": n_timed,
         "indexed_ops_per_sec": round(indexed_ops, 1),
         "scan_ops_per_sec": round(scan_ops, 1),
         "speedup": round(indexed_ops / scan_ops, 2),
+        "miss_timed_submissions": len(misses),
+        "miss_indexed_ops_per_sec": round(indexed_miss_ops, 1),
+        "miss_scan_ops_per_sec": round(scan_miss_ops, 1),
+        "miss_speedup": round(indexed_miss_ops / scan_miss_ops, 2),
     }
 
 
@@ -169,6 +211,8 @@ def run(sizes, n_queries: int, n_warm: int, n_timed: int) -> dict:
             f"{execute['scan_ops_per_sec']:>7.1f} q/s ({execute['speedup']:.1f}x)   "
             f"warm submit: {history['indexed_ops_per_sec']:>8.1f} vs "
             f"{history['scan_ops_per_sec']:>7.1f} q/s ({history['speedup']:.1f}x)   "
+            f"warm miss: {history['miss_indexed_ops_per_sec']:>8.1f} vs "
+            f"{history['miss_scan_ops_per_sec']:>7.1f} q/s ({history['miss_speedup']:.1f}x)   "
             f"bitmaps: {bitmaps['bitmap_build_s']:.3f} s, "
             f"{bitmaps['bitmap_bytes'] / 1e6:.2f} MB"
         )

@@ -31,13 +31,23 @@ Thread-safety contract: the layer is **lock-striped** so it can legally sit
 *under* a :class:`~repro.backends.dispatch.DispatchLayer` or serve concurrent
 HTTP clients.  The canonical-key space is partitioned over ``stripes``
 independent stripes, each holding its own insertion-ordered dicts behind its
-own lock; statistics update under their own dedicated lock; and a **per-key
-in-flight guard** ensures that when several threads miss on the same
-canonical query simultaneously, exactly one issues it to the inner backend —
-the rest wait and replay the cached answer (the cache never double-pays a
-round-trip for the same bytes).  One deliberate exception: a *bounded* cache
-(``max_entries``) collapses to a single stripe, preserving the exact global
-oldest-first eviction order of the serial implementation.
+own lock.  Beside them sits one dict of the *usable* entries (those that are
+empty or did not overflow: the only ones an ancestor search can use) behind
+its own lock; every write to a stripe's responses updates it in the same
+critical section, taking the stripe lock first and the usable-dict lock
+second, never the reverse.  Statistics update under a third lock, each
+answered submission counted together with its outcome in one section, so a
+:meth:`HistoryLayer.snapshot` never sees a submission without its outcome
+(an issue that raises counts its submission alone).  A **per-key in-flight
+guard** ensures that when several threads miss on the same canonical query
+simultaneously, exactly one issues it to the inner backend — the rest wait
+and replay the cached answer (the cache never double-pays a round-trip for
+the same bytes).  The guard records the owner without allocating anything;
+the first thread that actually has to wait creates the wake-up event under
+the stripe lock, and the owner sets it on release only if it exists.  One
+deliberate exception to the striping: a *bounded* cache (``max_entries``)
+collapses to a single stripe, preserving the exact global oldest-first
+eviction order of the serial implementation.
 
 Batch submissions (:meth:`HistoryLayer.submit_many`) answer every hit and
 inferable item locally, deduplicate repeated canonical keys *within* the
@@ -48,16 +58,14 @@ over a remote endpoint pays one small POST instead of many GETs.
 
 Complexity contract: a subsuming ancestor's canonical key is, by definition,
 a subset of the query's canonical key, so the default ``inference="indexed"``
-mode answers a miss by enumerating the ≤ 2^|q| predicate subsets of the
-query and probing the response dictionaries once per subset — O(2^|q|) dict
-probes, independent of history size — instead of the O(history) linear
-subsumption scan of ``inference="scan"`` (kept as the property-test oracle;
-the indexed mode also falls back to scanning automatically while the history
-is still smaller than the subset count, and for very wide queries).  An
-entry is a usable ancestor when it is empty or did not overflow, so one pass
-finds emptiness and subset inference alike.  Bookkeeping uses insertion-
-ordered dicts throughout, so remembering and evicting an entry are O(1) per
-stripe.
+mode answers a miss with one acquire of the usable-dict lock, inside which
+it probes the dict with the ≤ 2^|q| predicate subsets of the query — or,
+while the usable dict holds fewer than 2^|q| keys, checks those keys
+instead — so a miss costs O(min(2^|q|, usable entries)) dict operations and
+never touches a stripe lock.  ``inference="scan"`` checks every stored
+response for subsumption, stripe by stripe; it ignores the usable dict and is
+kept as the property-test oracle for it.  Bookkeeping uses insertion-ordered
+dicts throughout, so remembering and evicting an entry are O(1).
 """
 
 from __future__ import annotations
@@ -65,6 +73,7 @@ from __future__ import annotations
 import enum
 import threading
 from dataclasses import dataclass, replace
+from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 from repro.database.interface import HiddenDatabase, InterfaceResponse, ReturnedTuple
@@ -83,6 +92,13 @@ class CachedResponseSource(enum.Enum):
     INTERFACE = "interface"    #: actually issued to the hidden database
     EXACT_HIT = "exact_hit"    #: replayed verbatim from the cache
     INFERRED = "inferred"      #: computed from a subsuming valid/empty query
+
+
+# Module-level aliases: a global read instead of an attribute lookup on the
+# enum class on every submission.
+_INTERFACE = CachedResponseSource.INTERFACE
+_EXACT_HIT = CachedResponseSource.EXACT_HIT
+_INFERRED = CachedResponseSource.INFERRED
 
 
 @dataclass
@@ -134,31 +150,29 @@ class _Stripe:
         self.lock = threading.Lock()
         #: key -> cached response, in insertion order (O(1) oldest eviction).
         self.responses: dict[tuple, InterfaceResponse] = {}
-        #: key -> event of the thread currently issuing that key.
-        self.in_flight: dict[tuple, threading.Event] = {}
+        #: key -> ``None`` while one thread issues that key, or the event the
+        #: issuer sets on release once another thread has come to wait for it.
+        self.in_flight: dict[tuple, threading.Event | None] = {}
 
 
 class HistoryLayer:
     """A caching / inferring middleware layer over any hidden-database backend.
 
     ``inference`` selects how subsuming ancestors are found: ``"indexed"``
-    (default) probes the key dictionaries with the ≤ 2^|q| predicate subsets
-    of the submitted query; ``"scan"`` linearly scans the history, serving as
-    the equivalence oracle.  Both modes return identical responses.
+    (default) looks them up in the dict of usable entries, by the ≤ 2^|q|
+    predicate subsets of the submitted query; ``"scan"`` linearly scans the
+    history, serving as the equivalence oracle.  Both modes return identical
+    responses.
 
     ``stripes`` bounds the lock striping (see the module docstring); a cache
     bounded by ``max_entries`` always uses one stripe so eviction order stays
     exactly the serial oldest-first order.
     """
 
-    #: Queries wider than this fall back to the linear scan even in indexed
-    #: mode — 2^|q| subset enumeration stops paying off long before that.
-    _MAX_SUBSET_PREDICATES = 20
-
     #: Machine-checked by reprolint R1 (guarded-state): the savings counters
-    #: are only mutated under the dedicated statistics lock (stripe dicts are
-    #: declared on :class:`_Stripe` itself).
-    _guarded_by = {"statistics": "_stats_lock"}
+    #: are only mutated under the dedicated statistics lock, the usable dict
+    #: under its own lock (stripe dicts are declared on :class:`_Stripe`).
+    _guarded_by = {"statistics": "_stats_lock", "_usable": "_usable_lock"}
 
     def __init__(
         self,
@@ -184,9 +198,14 @@ class HistoryLayer:
             # checkpoint/test configuration, not the concurrent hot path.
             stripes = 1
         self._stripe_list = tuple(_Stripe() for _ in range(stripes))
+        #: key -> response for every stored entry that is empty or did not
+        #: overflow, the candidates of an ancestor search.  Written only
+        #: while the key's stripe lock is held as well (stripe lock first).
+        self._usable_lock = threading.Lock()
+        self._usable: dict[tuple, InterfaceResponse] = {}
         #: Statistics update under their own lock so counter maintenance never
         #: contends with (or deadlocks against) stripe bookkeeping.  The lock
-        #: is global — every submission touches it twice — but each critical
+        #: is global — every submission touches it once — but each critical
         #: section is a couple of integer increments (~100 ns); against the
         #: microsecond-to-millisecond engine/network work a submission fronts,
         #: it is noise, so per-stripe counter sharding is not worth its
@@ -224,35 +243,31 @@ class HistoryLayer:
         thread issues, the others wait on its in-flight event and replay the
         remembered answer (counted as exact hits — they paid nothing).
         """
-        with self._stats_lock:
-            self.statistics.submissions += 1
         key = query.canonical_key()
         stripe = self._stripe_for(key)
         while True:
             answered = self._answer_locally(key, stripe, query)
             if answered is not None:
+                self._count(1, answered[1])
                 return answered
             claim = self._claim(key, stripe)
-            if claim is None:
-                # The key got cached between lookup and claim; re-read it.
-                continue
-            kind, event = claim
-            if kind == "wait":
-                event.wait()
-                continue
-            break  # we own the in-flight slot for this key
+            if claim is True:
+                break  # we own the in-flight slot for this key
+            if isinstance(claim, threading.Event):
+                claim.wait()
+            # Otherwise the key got cached between lookup and claim: re-read it.
         try:
             response = self.inner.submit(query)
         except BaseException:
             # Waiters re-run their own lookup (and may issue themselves);
             # a failed issue must never leave them parked forever.
-            self._release(key, stripe, event)
+            self._release(key, stripe)
+            self._count(1)
             raise
-        with self._stats_lock:
-            self.statistics.issued_to_interface += 1
         self._remember(key, response)
-        self._release(key, stripe, event)
-        return response, CachedResponseSource.INTERFACE
+        self._release(key, stripe)
+        self._count(1, _INTERFACE)
+        return response, _INTERFACE
 
     def submit_many(
         self, queries: Sequence[ConjunctiveQuery]
@@ -270,11 +285,10 @@ class HistoryLayer:
         ride along in the same single round-trip instead.
         """
         queries = list(queries)
-        with self._stats_lock:
-            self.statistics.submissions += len(queries)
         results: list[InterfaceResponse | None] = [None] * len(queries)
         owned: dict[tuple, list[int]] = {}      # key -> positions we must issue
         events: list[tuple[int, threading.Event]] = []  # positions awaiting another thread
+        hits = inferred = 0
         for index, query in enumerate(queries):
             key = query.canonical_key()
             stripe = self._stripe_for(key)
@@ -288,16 +302,19 @@ class HistoryLayer:
                 answered = self._answer_locally(key, stripe, query)
                 if answered is not None:
                     results[index] = answered[0]
+                    if answered[1] is _EXACT_HIT:
+                        hits += 1
+                    else:
+                        inferred += 1
                     break
                 claim = self._claim(key, stripe)
-                if claim is None:
-                    continue
-                kind, event = claim
-                if kind == "wait":
-                    events.append((index, event))
-                else:
+                if claim is True:
                     owned[key] = [index]
-                break
+                    break
+                if isinstance(claim, threading.Event):
+                    events.append((index, claim))
+                    break
+        self._count_batch(hits + inferred, exact_hits=hits, inferred=inferred)
         first_error: Exception | None = None
         first_error_index = len(queries)
         if owned:
@@ -307,11 +324,9 @@ class HistoryLayer:
                 outcomes = self._forward_many(forward)
             except BaseException:
                 for key in keys:
-                    stripe = self._stripe_for(key)
-                    with stripe.lock:
-                        event = stripe.in_flight.pop(key, None)
-                    if event is not None:
-                        event.set()
+                    self._release(key, self._stripe_for(key))
+                # Every item not answered locally still counts as submitted.
+                self._count_batch(len(queries) - hits - inferred)
                 raise
             issued = 0
             extra_hits = 0
@@ -321,10 +336,7 @@ class HistoryLayer:
                     # This item failed, but its siblings' answers were still
                     # paid for and are remembered below — only the failing
                     # key's waiters are released to fend for themselves.
-                    with stripe.lock:
-                        event = stripe.in_flight.pop(key, None)
-                    if event is not None:
-                        event.set()
+                    self._release(key, stripe)
                     index = min(owned[key])
                     if index < first_error_index:
                         first_error, first_error_index = outcome, index
@@ -334,31 +346,31 @@ class HistoryLayer:
                 # an exact hit: the serial loop would have replayed it.
                 extra_hits += len(owned[key]) - 1
                 self._remember(key, outcome)
-                with stripe.lock:
-                    event = stripe.in_flight.pop(key, None)
-                if event is not None:
-                    event.set()
+                self._release(key, stripe)
                 for index in owned[key]:
                     results[index] = outcome
-            with self._stats_lock:
-                self.statistics.issued_to_interface += issued
-                self.statistics.exact_hits += extra_hits
+            self._count_batch(
+                sum(len(positions) for positions in owned.values()),
+                issued=issued,
+                exact_hits=extra_hits,
+            )
         if first_error is not None:
             # Mirror submit_many contracts below: the first input-order error
             # surfaces — but everything answered is already in the cache, so
             # a retried batch re-pays only the failed items.
+            self._count_batch(len(events))
             raise first_error
         for index, event in events:
             # Another thread owned these keys; its answer is cached by now
-            # (or it failed, in which case submit() re-guards and issues).
+            # (or it failed, in which case lookup() re-guards and issues).
             event.wait()
             query = queries[index]
             key = query.canonical_key()
             answered = self._answer_locally(key, self._stripe_for(key), query)
             if answered is None:
-                with self._stats_lock:
-                    self.statistics.submissions -= 1  # submit() recounts it
-                answered = self.lookup(query)
+                answered = self.lookup(query)  # counts the submission itself
+            else:
+                self._count(1, answered[1])
             results[index] = answered[0]
         return results  # type: ignore[return-value] - every slot is filled
 
@@ -370,44 +382,69 @@ class HistoryLayer:
     def _answer_locally(
         self, key: tuple, stripe: _Stripe, query: ConjunctiveQuery
     ) -> tuple[InterfaceResponse, CachedResponseSource] | None:
-        """An exact hit or inferred answer, with statistics; ``None`` on miss."""
+        """An exact hit or inferred answer, ``None`` on miss; the caller counts it."""
         with stripe.lock:
             cached = stripe.responses.get(key)
         if cached is not None:
-            with self._stats_lock:
-                self.statistics.exact_hits += 1
-            return cached, CachedResponseSource.EXACT_HIT
+            return cached, _EXACT_HIT
         inferred = self._infer(query)
         if inferred is not None:
-            with self._stats_lock:
-                self.statistics.inferred += 1
             self._remember(key, inferred)
-            return inferred, CachedResponseSource.INFERRED
+            return inferred, _INFERRED
         return None
 
-    def _claim(
-        self, key: tuple, stripe: _Stripe
-    ) -> tuple[str, threading.Event] | None:
+    def _count(self, submissions: int, source: CachedResponseSource | None = None) -> None:
+        """Count submissions and the source that answered them, in one section.
+
+        ``source`` is ``None`` for submissions that got no answer (the issue
+        raised).
+        """
+        with self._stats_lock:
+            self.statistics.submissions += submissions
+            if source is _INTERFACE:
+                self.statistics.issued_to_interface += submissions
+            elif source is _EXACT_HIT:
+                self.statistics.exact_hits += submissions
+            elif source is _INFERRED:
+                self.statistics.inferred += submissions
+
+    def _count_batch(
+        self, submissions: int, issued: int = 0, exact_hits: int = 0, inferred: int = 0
+    ) -> None:
+        """Count a batch's submissions together with their outcomes."""
+        if not submissions:
+            return
+        with self._stats_lock:
+            self.statistics.submissions += submissions
+            self.statistics.issued_to_interface += issued
+            self.statistics.exact_hits += exact_hits
+            self.statistics.inferred += inferred
+
+    def _claim(self, key: tuple, stripe: _Stripe) -> threading.Event | bool:
         """Try to become the issuer of ``key``.
 
-        Returns ``("own", event)`` when this thread must issue, ``("wait",
-        event)`` when another thread already is, and ``None`` when the key got
-        cached in the meantime (caller re-reads).
+        Returns ``True`` when this thread must issue, the event to wait on
+        when another thread already is, and ``False`` when the key got cached
+        in the meantime (caller re-reads).  The owner is recorded as ``None``:
+        the event exists only once some thread has to wait for it.
         """
         with stripe.lock:
             if key in stripe.responses:
-                return None
-            event = stripe.in_flight.get(key)
-            if event is not None:
-                return "wait", event
-            event = threading.Event()
-            stripe.in_flight[key] = event
-            return "own", event
+                return False
+            if key not in stripe.in_flight:
+                stripe.in_flight[key] = None
+                return True
+            event = stripe.in_flight[key]
+            if event is None:
+                event = stripe.in_flight[key] = threading.Event()
+            return event
 
-    def _release(self, key: tuple, stripe: _Stripe, event: threading.Event) -> None:
+    def _release(self, key: tuple, stripe: _Stripe) -> None:
+        """Give up the in-flight slot of ``key``, waking its waiters if any."""
         with stripe.lock:
-            stripe.in_flight.pop(key, None)
-        event.set()
+            event = stripe.in_flight.pop(key, None)
+        if event is not None:
+            event.set()
 
     def _forward_many(
         self, queries: list[ConjunctiveQuery]
@@ -457,37 +494,37 @@ class HistoryLayer:
         Any such ancestor yields the same inferred answer (an empty ancestor
         proves emptiness outright; a valid ancestor holds the complete result
         set, whose filtered-by-``query`` subset is the same rows in the same
-        rank order whichever ancestor is used), so the two lookup strategies
-        — and the stripe visit order — are interchangeable.
+        rank order whichever ancestor is used), so the lookup strategies —
+        and the order they visit candidates in — are interchangeable.
         """
-        # Unlocked size probe: the count only steers the strategy choice, and
-        # either strategy is correct.
-        total_keys = len(self)
-        if total_keys == 0:
-            return None
-        key = query.canonical_key()
-        n_predicates = len(key)
-        # Subset enumeration costs 2^|q| probes regardless of history size;
-        # scanning costs one subsumption check per stored key.  Pick whichever
-        # is cheaper, and always scan when asked to (the oracle mode).
-        if (
-            self._inference == "scan"
-            or n_predicates > self._MAX_SUBSET_PREDICATES
-            or total_keys < (1 << n_predicates)
-        ):
+        if self._inference == "scan":
             for stripe in self._stripe_list:
                 with stripe.lock:
                     for cached in stripe.responses.values():
                         if (cached.empty or not cached.overflow) and cached.query.subsumes(query):
                             return cached
             return None
-        for mask in range(1 << n_predicates):
-            subset = tuple(key[i] for i in range(n_predicates) if mask >> i & 1)
-            stripe = self._stripe_for(subset)
-            with stripe.lock:
-                cached = stripe.responses.get(subset)
-            if cached is not None and (cached.empty or not cached.overflow):
-                return cached
+        key = query.canonical_key()
+        n_predicates = len(key)
+        with self._usable_lock:
+            usable = self._usable
+            if len(usable) < 1 << n_predicates:
+                # Fewer usable keys than predicate subsets (a young history,
+                # or a very wide query): check each usable key instead.
+                if usable:
+                    pairs = set(key)
+                    for subset, cached in usable.items():
+                        if pairs.issuperset(subset):
+                            return cached
+                return None
+            get = usable.get
+            for size in range(n_predicates + 1):
+                # combinations() keeps the sorted order of the canonical key,
+                # so each subset is itself a canonical key.
+                for subset in combinations(key, size):
+                    cached = get(subset)
+                    if cached is not None:
+                        return cached
         return None
 
     @staticmethod
@@ -500,8 +537,10 @@ class HistoryLayer:
     # -- cache maintenance ----------------------------------------------------------------
 
     def _remember(self, key: tuple, response: InterfaceResponse) -> None:
+        usable = response.empty or not response.overflow
         stripe = self._stripe_for(key)
         with stripe.lock:
+            evicted = None
             if key not in stripe.responses:
                 # Only a genuinely new key can push the cache over its limit;
                 # overwriting in place (e.g. re-importing a checkpoint) must
@@ -510,8 +549,18 @@ class HistoryLayer:
                 # evicted entry is the globally oldest one.
                 if self._max_entries is not None and len(stripe.responses) >= self._max_entries:
                     # The stripe's least recently *inserted* entry goes.
-                    del stripe.responses[next(iter(stripe.responses))]
+                    evicted = next(iter(stripe.responses))
+                    del stripe.responses[evicted]
             stripe.responses[key] = response
+            # Lock order: stripe, then usable dict — never the reverse.
+            with self._usable_lock:
+                if evicted is not None:
+                    self._usable.pop(evicted, None)
+                if usable:
+                    self._usable[key] = response
+                else:
+                    # Overwritten with an overflowing answer: no longer usable.
+                    self._usable.pop(key, None)
 
     def snapshot(self) -> HistoryStatistics:
         """A point-in-time copy of the savings counters, taken under the lock.
@@ -527,6 +576,9 @@ class HistoryLayer:
         """Forget every cached response (statistics are kept)."""
         for stripe in self._stripe_list:
             with stripe.lock:
+                with self._usable_lock:
+                    for key in stripe.responses:
+                        self._usable.pop(key, None)
                 stripe.responses.clear()
 
     def _entries(self) -> list[tuple[tuple, InterfaceResponse]]:
@@ -592,9 +644,9 @@ class JobHistory:
         self._keys[query.canonical_key()] = None  # re-assigning keeps the first position
         statistics = self.statistics
         statistics.submissions += 1
-        if source is CachedResponseSource.INTERFACE:
+        if source is _INTERFACE:
             statistics.issued_to_interface += 1
-        elif source is CachedResponseSource.EXACT_HIT:
+        elif source is _EXACT_HIT:
             statistics.exact_hits += 1
         else:
             statistics.inferred += 1

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from repro.database.interface import HiddenDatabase, InterfaceResponse
-from repro.database.query import ConjunctiveQuery
+from repro.database.query import ConjunctiveQuery, Predicate
 from repro.database.schema import Schema, Value
 from repro.exceptions import ConfigurationError
 
@@ -62,6 +62,11 @@ class ScopedDatabase:
         if not selected:
             raise ConfigurationError("at least one attribute must remain selectable after scoping")
         self._schema = full_schema.project(selected, name=f"{full_schema.name}.scoped")
+        #: The bindings as predicates, built once: every forwarded query
+        #: starts with them, in binding order.
+        self._binding_predicates = tuple(
+            Predicate(name, value) for name, value in self._bindings.items()
+        )
 
     # -- HiddenDatabase contract --------------------------------------------------
 
@@ -104,7 +109,10 @@ class ScopedDatabase:
         return self._database
 
     def to_full_query(self, query: ConjunctiveQuery) -> ConjunctiveQuery:
-        """``query`` over the wrapped schema, the fixed bindings merged in."""
-        assignment: dict[str, Value] = dict(self._bindings)
-        assignment.update(query.assignment())
-        return ConjunctiveQuery.from_assignment(self._database.schema, assignment)
+        """``query`` over the wrapped schema, the fixed bindings first.
+
+        The constructor validates the combined predicates against the wrapped
+        schema; a scoped query cannot constrain a bound attribute, which the
+        projected schema does not have.
+        """
+        return ConjunctiveQuery(self._database.schema, self._binding_predicates + query.predicates)

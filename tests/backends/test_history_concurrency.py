@@ -12,6 +12,7 @@ import random
 import sys
 import threading
 import time
+import types
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backends import HistoryLayer, QueryEngineBackend
-from repro.backends.history import JobHistory
+from repro.backends.history import CachedResponseSource, JobHistory
 from repro.database.interface import HiddenDatabaseInterface
 from repro.exceptions import ConfigurationError
 from repro.database.query import ConjunctiveQuery
@@ -243,6 +244,126 @@ class TestInFlightGuard:
         answers = [o for o in outcomes if not isinstance(o, Exception)]
         assert len(answers) >= 1
         assert all(a == answers[0] for a in answers)
+
+
+class GatedBackend:
+    """Parks every submit on ``gate`` after signalling ``entered``."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.entered = threading.Event()
+        self.gate = threading.Event()
+        self.calls = 0
+
+    @property
+    def schema(self):
+        return self.inner.schema
+
+    @property
+    def k(self):
+        return self.inner.k
+
+    def submit(self, query):
+        self.calls += 1
+        self.entered.set()
+        assert self.gate.wait(timeout=10), "the test never opened the gate"
+        return self.inner.submit(query)
+
+
+class TestCountsAndEvents:
+    def test_snapshot_during_an_issue_keeps_counts_consistent(self, tiny_schema, tiny_table):
+        """A snapshot taken while another thread is parked inside an issue
+        never shows a submission without its outcome."""
+        backend = GatedBackend(QueryEngineBackend(tiny_table, k=2, ranking=StaticScoreRanking()))
+        layer = HistoryLayer(backend)
+        warm = ConjunctiveQuery.from_assignment(tiny_schema, {"make": "Ford"})
+        backend.gate.set()
+        layer.submit(warm)
+        layer.submit(warm)  # one issue, one exact hit
+        backend.gate.clear()
+        backend.entered.clear()
+        parked = threading.Thread(
+            target=layer.submit,
+            args=(ConjunctiveQuery.from_assignment(tiny_schema, {"make": "Honda"}),),
+        )
+        parked.start()
+        try:
+            assert backend.entered.wait(timeout=10)
+            during = layer.snapshot()
+        finally:
+            backend.gate.set()
+            parked.join(timeout=10)
+        assert during.issued_to_interface + during.saved == during.submissions == 2
+        after = layer.snapshot()
+        assert after.issued_to_interface + after.saved == after.submissions == 3
+
+    def test_failed_issue_still_counts_its_submission(self, tiny_schema, tiny_interface):
+        from repro.exceptions import TransientBackendError
+
+        class Fails:
+            schema = tiny_interface.schema
+            k = tiny_interface.k
+
+            def submit(self, query):
+                raise TransientBackendError("down")
+
+        layer = HistoryLayer(Fails())
+        with pytest.raises(TransientBackendError):
+            layer.submit(ConjunctiveQuery.from_assignment(tiny_schema, {"make": "Ford"}))
+        stats = layer.snapshot()
+        assert (stats.submissions, stats.issued_to_interface, stats.saved) == (1, 0, 0)
+
+    def test_in_flight_event_is_created_only_for_a_waiter(
+        self, tiny_schema, tiny_table, monkeypatch
+    ):
+        """An uncontended miss constructs no event; a thread that arrives
+        while the owner is issuing creates one, parks on it and wakes."""
+        from repro.backends import history
+
+        created = []
+
+        class CountingEvent(threading.Event):
+            def __init__(self):
+                super().__init__()
+                created.append(self)
+
+        monkeypatch.setattr(
+            history, "threading", types.SimpleNamespace(Lock=threading.Lock, Event=CountingEvent)
+        )
+        backend = GatedBackend(QueryEngineBackend(tiny_table, k=2, ranking=StaticScoreRanking()))
+        layer = HistoryLayer(backend)
+        backend.gate.set()
+        layer.submit(ConjunctiveQuery.from_assignment(tiny_schema, {"make": "Ford"}))
+        assert created == []
+
+        backend.gate.clear()
+        backend.entered.clear()
+        contended = ConjunctiveQuery.from_assignment(tiny_schema, {"make": "Honda"})
+        outcomes = {}
+
+        def run(role):
+            outcomes[role] = layer.lookup(contended)
+
+        owner = threading.Thread(target=run, args=("owner",))
+        waiter = threading.Thread(target=run, args=("waiter",))
+        owner.start()
+        assert backend.entered.wait(timeout=10)
+        waiter.start()
+        try:
+            deadline = time.monotonic() + 10
+            while not created and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert len(created) == 1, "the waiter did not park on an event"
+        finally:
+            backend.gate.set()
+            owner.join(timeout=10)
+            waiter.join(timeout=10)
+        assert not owner.is_alive() and not waiter.is_alive()
+        assert backend.calls == 2
+        assert outcomes["owner"][1] is CachedResponseSource.INTERFACE
+        assert outcomes["waiter"][1] is CachedResponseSource.EXACT_HIT
+        assert outcomes["waiter"][0] is outcomes["owner"][0]
+        assert len(created) == 1
 
 
 class TestBatchSemantics:

@@ -248,34 +248,75 @@ class TestIndexedScanEquivalence:
         k=st.integers(min_value=1, max_value=8),
         seed=st.integers(0, 1000),
         max_entries=st.one_of(st.none(), st.integers(min_value=1, max_value=6)),
+        root=st.sampled_from(["drawn", "valid", "empty"]),
     )
     @settings(max_examples=40, deadline=None)
-    def test_history_inference_modes_are_equivalent(self, data, k, seed, max_entries):
+    def test_history_inference_modes_are_equivalent(self, data, k, seed, max_entries, root):
         """Subset-key probing and the linear scan infer identical answers,
-        including under ``max_entries`` eviction pressure."""
+        including under ``max_entries`` eviction pressure, along drill-down
+        prefix chains, across ``remember()`` overwrites that flip an entry
+        between usable and overflowing, across ``clear()``, and when the root
+        query is answered valid or empty."""
         schema, table, _ = data
+        if root == "valid":
+            table = Table(schema, table.rows[:k], name="prop")  # SELECT * fits one page
+        elif root == "empty":
+            table = Table(schema, [], name="prop")
+
+        def interface(page_size):
+            return HiddenDatabaseInterface(
+                table, k=page_size, ranking=HashRanking("x"), count_mode=CountMode.EXACT
+            )
+
         rng = random.Random(seed)
-        indexed_cache = HistoryLayer(
-            HiddenDatabaseInterface(table, k=k, ranking=HashRanking("x"), count_mode=CountMode.EXACT),
-            max_entries=max_entries,
-            inference="indexed",
-        )
-        scan_cache = HistoryLayer(
-            HiddenDatabaseInterface(table, k=k, ranking=HashRanking("x"), count_mode=CountMode.EXACT),
-            max_entries=max_entries,
-            inference="scan",
-        )
-        for query in _random_query_sequence(schema, rng, 8):
-            via_indexed, indexed_source = indexed_cache.lookup(query)
-            via_scan, scan_source = scan_cache.lookup(query)
-            assert via_indexed.overflow == via_scan.overflow
-            assert via_indexed.reported_count == via_scan.reported_count
-            assert [t.tuple_id for t in via_indexed.tuples] == [t.tuple_id for t in via_scan.tuples]
-            assert indexed_source is scan_source
+        indexed_cache = HistoryLayer(interface(k), max_entries=max_entries, inference="indexed")
+        scan_cache = HistoryLayer(interface(k), max_entries=max_entries, inference="scan")
+        # True answers of either kind for the overwrites: one row per page
+        # overflows as soon as two rows match; a page as large as the table
+        # never overflows.
+        narrow, complete = interface(1), interface(len(table) + 1)
+        for operation, query in _history_operations(schema, rng):
+            if operation == "clear":
+                indexed_cache.clear()
+                scan_cache.clear()
+            elif operation == "overwrite":
+                stored = indexed_cache.cached(query.canonical_key())
+                answer = complete.submit(query)
+                if stored is not None and (stored.empty or not stored.overflow):
+                    answer = narrow.submit(query)  # usable -> overflowing when it can
+                indexed_cache.remember(answer)
+                scan_cache.remember(answer)
+            else:
+                via_indexed, indexed_source = indexed_cache.lookup(query)
+                via_scan, scan_source = scan_cache.lookup(query)
+                assert via_indexed.overflow == via_scan.overflow
+                assert via_indexed.reported_count == via_scan.reported_count
+                assert [t.tuple_id for t in via_indexed.tuples] == [t.tuple_id for t in via_scan.tuples]
+                assert indexed_source is scan_source
             assert len(indexed_cache) == len(scan_cache)
             if max_entries is not None:
                 assert len(indexed_cache) <= max_entries
+            # The usable dict mirrors the stored entries after every step.
+            assert set(indexed_cache._usable) == indexed_cache.valid_keys() | indexed_cache.empty_keys()
         assert indexed_cache.statistics.as_dict() == scan_cache.statistics.as_dict()
+
+
+def _history_operations(schema: Schema, rng: random.Random) -> list[tuple[str, ConjunctiveQuery | None]]:
+    """Lookups of random queries and of drill-down prefix chains from the
+    root (the sampler's shape), with overwrites and one ``clear`` mixed in."""
+    chains = []
+    for _ in range(2):
+        query = ConjunctiveQuery.empty(schema)
+        chains.append(query)
+        for attribute in rng.sample(schema.attribute_names, len(schema)):
+            query = query.specialise(attribute, rng.choice(schema.attribute(attribute).domain.values))
+            chains.append(query)
+    lookups = chains + _random_query_sequence(schema, rng, 8) + chains
+    operations: list[tuple[str, ConjunctiveQuery | None]] = [("lookup", q) for q in lookups]
+    for _ in range(3):
+        operations.insert(rng.randrange(len(operations) + 1), ("overwrite", rng.choice(lookups)))
+    operations.insert(rng.randrange(len(operations) + 1), ("clear", None))
+    return operations
 
 
 # --------------------------------------------------------------------------------------
