@@ -13,23 +13,19 @@ interface, so every sampler runs unchanged over either path.
 When a real socket is wanted, :class:`~repro.web.httpd.HiddenDatabaseHTTPServer`
 serves the same backend over TCP — the HTML pages plus a JSON API
 (:mod:`repro.web.jsoncodec`) consumed by
-:class:`repro.backends.remote.RemoteBackend`; its event-loop sibling
-:class:`~repro.web.aiohttpd.AsyncHiddenDatabaseHTTPServer` serves the
-identical endpoint from a single thread for high connection counts (see
-``docs/architecture.md``), and :mod:`repro.web.compress` defines the gzip
-wire-compression policy both share with the remote client.
+:class:`repro.backends.remote.RemoteBackend`, and :mod:`repro.web.compress`
+defines the gzip wire-compression policy it shares with that client (see
+``docs/architecture.md``).
 """
 
 from repro.web.urlcodec import decode_query, encode_query
 from repro.web.html import render_form_page, render_result_page
 from repro.web.server import HiddenWebSite
 from repro.web.httpd import HiddenDatabaseHTTPServer
-from repro.web.aiohttpd import AsyncHiddenDatabaseHTTPServer
 from repro.web.form_parser import FormDescription, parse_form_page, parse_result_page
 from repro.web.client import WebFormClient
 
 __all__ = [
-    "AsyncHiddenDatabaseHTTPServer",
     "FormDescription",
     "HiddenDatabaseHTTPServer",
     "HiddenWebSite",

@@ -7,14 +7,13 @@ trade is a clear win: a few tens of microseconds of CPU buys back most of the
 bytes a large batch puts on the socket.  Below the threshold the gzip header
 and CPU cost outweigh the savings, so small payloads travel as-is.
 
-This module is the **single definition** of that policy, shared by all
-three wire endpoints — the threaded :mod:`repro.web.httpd` server, the
-asyncio :mod:`repro.web.aiohttpd` server and the pooled
+This module is the **single definition** of that policy, shared by both
+wire ends — the :mod:`repro.web.httpd` server and the pooled
 :class:`~repro.backends.remote.RemoteBackend` client — so both directions
-negotiate identically against either server:
+negotiate identically:
 
 * **requests** carry ``Content-Encoding: gzip`` when the client compressed
-  the body (the servers always understand it);
+  the body (the server always understands it);
 * **responses** are compressed only when the request advertised
   ``Accept-Encoding: gzip`` (the client always does) *and* the body clears
   the threshold — an off-the-shelf client that never sends the header gets
@@ -99,8 +98,8 @@ def decompress(body: bytes, content_encoding: str | None, max_bytes: int) -> byt
     ``None``).  A coding this repo does not speak, a corrupt gzip stream, and
     a payload inflating past ``max_bytes`` (a compressed body must not
     sidestep the server's body-size cap) are all the *sender's* fault and
-    raise the typed :class:`~repro.exceptions.FormParseError` the servers
-    answer as HTTP 400.
+    raise the typed :class:`~repro.exceptions.FormParseError` the server
+    answers as HTTP 400.
     """
     coding = (content_encoding or "").strip().lower()
     if coding in ("", "identity"):
@@ -128,7 +127,7 @@ class CompressionCounters:
 
     The acceptance contract for wire compression is behavioural — engaged
     above the threshold, skipped below it — so the remote client keeps these
-    counters (the servers report theirs in ``wire_statistics()``) and the
+    counters (the server reports its own in ``wire_statistics()``) and the
     wire tests assert them instead of guessing from sizes.
     """
 

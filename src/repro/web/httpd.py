@@ -30,9 +30,12 @@ maps these back onto the same exceptions, so an
 :class:`~repro.backends.layers.UnreliableLayer` above it retries *real*
 network faults exactly as it retries injected ones.
 
-The server is threaded (``ThreadingHTTPServer``) and handlers speak
-HTTP/1.1 keep-alive, so a pooled :class:`~repro.backends.remote.RemoteBackend`
-reuses one TCP connection across many requests.  Batch items are answered
+The server is threaded (``ThreadingHTTPServer``, one handler thread per
+connection) and handlers speak HTTP/1.1 keep-alive, so a pooled
+:class:`~repro.backends.remote.RemoteBackend` reuses one TCP connection
+across many requests.  The listening socket keeps a backlog of
+:attr:`_Server.request_queue_size` pending connections, so a wave of clients
+arriving at once is accepted rather than dropped.  Batch items are answered
 concurrently over a bounded worker pool: every layer in the served chain —
 including the lock-striped :class:`~repro.backends.history.HistoryLayer` —
 is thread-safe, so nothing needs the serialising submit-lock earlier
@@ -41,14 +44,11 @@ socket read/write timeout (``request_timeout``), so a stalled client — half a
 request line, then silence — costs one handler thread for a bounded interval
 instead of forever.
 
-Everything about the endpoint that is *not* the thread-per-connection
-front end — the payload logic behind the four API routes, the request
-counters, the batch worker pool, deadline shedding and the gzip wire
-compression policy (:mod:`repro.web.compress`) — lives in
-:class:`DatabaseEndpoint`, which the event-loop front end
-(:class:`repro.web.aiohttpd.AsyncHiddenDatabaseHTTPServer`) shares, so the
-two servers cannot drift semantically: same fault mapping, same compression
-negotiation, same counters.
+Everything about the endpoint that is *not* the socket — the payload logic
+behind the four API routes, the request counters, the batch worker pool,
+deadline shedding and the gzip wire compression policy
+(:mod:`repro.web.compress`) — lives in :class:`DatabaseEndpoint`, which
+:class:`HiddenDatabaseHTTPServer` extends with the socket half.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ DEFAULT_REQUEST_TIMEOUT = 30.0
 
 
 def fault_headers(status: int, payload: dict) -> dict:
-    """The extra headers a fault payload earns, on both HTTP front ends.
+    """The extra headers a fault payload earns.
 
     A payload carrying its own ``retry_after`` hint (a 429's throttle
     window, an open circuit's next-probe time) ships it as the standard
@@ -138,8 +138,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     # A buffered write side: ``_respond`` flushes the status line, headers
-    # and body as one send, as the event-loop server writes them.  A body
-    # larger than the buffer leaves as a second send.
+    # and body as one send.  A body larger than the buffer leaves as a
+    # second send.
     wbufsize = 64 * 1024
     # Any response split over two sends — an oversized body, a 100 Continue
     # followed by the answer — would stall ~40 ms behind the peer's delayed
@@ -303,20 +303,23 @@ class _Server(ThreadingHTTPServer):
     """ThreadingHTTPServer that knows its owning endpoint."""
 
     daemon_threads = True
+    # The listen backlog.  The stdlib default of 5 drops the SYNs of a wave
+    # of clients arriving at once, and each dropped client then waits out
+    # the kernel's retransmit timer (a second or more); 128 queues the 64-
+    # client wave of ``benchmarks/bench_dispatch.py`` with room to spare.
+    request_queue_size = 128
     endpoint: "HiddenDatabaseHTTPServer"
 
 
 class DatabaseEndpoint:
-    """Everything both HTTP front ends share: payloads, counters, policy.
+    """The transport-free half of a served endpoint: payloads, counters, policy.
 
-    One instance is the semantic half of a served endpoint — the payload
-    logic behind the four API routes, the HTML dialect, the batch worker
-    pool, deadline shedding, the gzip compression policy, and the request
-    counters — with the transport half supplied by a subclass: the
-    thread-per-connection :class:`HiddenDatabaseHTTPServer` below, or the
-    event-loop :class:`repro.web.aiohttpd.AsyncHiddenDatabaseHTTPServer`.
-    Keeping this class transport-free is what guarantees the two servers
-    answer byte-identically (the wire tests drive both through it).
+    One instance holds the payload logic behind the four API routes, the
+    HTML dialect, the batch worker pool, deadline shedding, the gzip
+    compression policy, and the request counters.
+    :class:`HiddenDatabaseHTTPServer` below adds the socket.  Nothing here
+    touches a socket, so tests can drive an endpoint without one, and
+    profilers can time payload work apart from request parsing.
     """
 
     #: Machine-checked by reprolint R1 (guarded-state): the request counters
@@ -527,8 +530,8 @@ class DatabaseEndpoint:
             }
 
     def close_pools(self) -> None:
-        """Shut down the lazily-created batch worker pool (front ends call
-        this from their own ``stop``)."""
+        """Shut down the lazily-created batch worker pool (the server calls
+        this from its ``stop``)."""
         with self._batch_pool_lock:
             pool, self._batch_pool = self._batch_pool, None
         if pool is not None:
@@ -556,8 +559,8 @@ class HiddenDatabaseHTTPServer(DatabaseEndpoint):
     serially).  ``request_timeout`` bounds how long one connection may stall
     between (or inside) requests before its handler thread is reclaimed.
     The server binds at construction time but only answers once
-    :meth:`start` spawns the serving thread (or :meth:`serve_forever` takes
-    over the calling thread).
+    :meth:`start` spawns the serving thread; connections that arrive before
+    that wait in the listen backlog.
 
     Used as a context manager it starts on enter and stops on exit::
 
@@ -606,18 +609,18 @@ class HiddenDatabaseHTTPServer(DatabaseEndpoint):
             self._thread.start()
         return self
 
-    def serve_forever(self) -> None:  # pragma: no cover - interactive use
-        """Serve on the calling thread until interrupted (CLI deployments)."""
-        self._server.serve_forever()
-
     def stop(self) -> None:
-        """Stop serving and release the socket (and the batch worker pool)."""
-        self._server.shutdown()
-        self._server.server_close()
-        self.close_pools()
+        """Stop serving and release the socket (and the batch worker pool).
+
+        Safe on a server that was never started: ``shutdown()`` waits for a
+        serving loop to exit, so it is only called when one was started.
+        """
         if self._thread is not None:
+            self._server.shutdown()
             self._thread.join(timeout=5)
             self._thread = None
+        self._server.server_close()
+        self.close_pools()
 
     def __enter__(self) -> "HiddenDatabaseHTTPServer":
         return self.start()

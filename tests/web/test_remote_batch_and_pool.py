@@ -93,6 +93,7 @@ class TestConnectionPool:
         stats = remote.pool_statistics
         assert stats["opened"] == len(queries) + 1  # one per submit + the schema fetch
         assert stats["reused"] == 0
+        assert stats["idle"] == 0  # nothing is kept alive
 
     def test_concurrent_submits_share_the_bounded_pool(self, server, tiny_schema, tiny_backend):
         from concurrent.futures import ThreadPoolExecutor

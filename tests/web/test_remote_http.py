@@ -11,13 +11,19 @@ real HTTP requests through the stdlib stack — no mocking.  The contract:
   ``UnreliableLayer`` above the remote adapter recovers *real* network
   faults — the whole point of the reliability-layer bug batch;
 * a full sampling run through ``SamplingService`` over the socket yields
-  exactly the samples a local run yields.
+  exactly the samples a local run yields;
+* many client threads multiplex over a small keep-alive pool, a stalled
+  client is reclaimed by ``request_timeout`` without disturbing others, and
+  a reclaimed keep-alive connection is replaced transparently.
 """
 
 import json
 import random
+import socket
+import time
 import urllib.error
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -42,6 +48,7 @@ from repro.datasets.vehicles import (
     generate_vehicles_table,
 )
 from repro.exceptions import (
+    CircuitOpenError,
     ConfigurationError,
     FormParseError,
     QueryBudgetExceededError,
@@ -118,6 +125,14 @@ class TestRemoteRoundTrip:
             server.url + "/results?make=Honda", timeout=5
         ).read().decode()
         assert "Honda" in results
+
+    def test_pages_can_be_disabled(self, tiny_backend):
+        with HiddenDatabaseHTTPServer(tiny_backend, serve_pages=False) as endpoint:
+            with pytest.raises(urllib.error.HTTPError) as info:
+                urllib.request.urlopen(endpoint.url + "/search", timeout=5)
+            assert info.value.code == 404
+            with urllib.request.urlopen(endpoint.url + "/api/schema", timeout=5) as response:
+                assert response.status == 200
 
     def test_unknown_path_is_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as info:
@@ -421,6 +436,24 @@ class TestRemoteStackAndService:
         ]
         assert remote_result.queries_issued == local_result.queries_issued
 
+    def test_full_sampling_run_identical_batched_dispatched_and_compressed(self):
+        # Same seeds, same samples, whether the run went plainly over the
+        # socket or batched, concurrent and gzip-compressed.
+        table = generate_vehicles_table(VehiclesConfig(n_rows=600, seed=9))
+        ranking = default_vehicles_ranking()
+        config = HDSamplerConfig(n_samples=6, seed=4)
+        served = engine_stack(table, 30, ranking=ranking, statistics=False)
+        with HiddenDatabaseHTTPServer(served) as endpoint:
+            plain_result = SamplingService(endpoint.url).submit(config).run()
+        with HiddenDatabaseHTTPServer(served, compress_threshold=1) as endpoint:
+            stack = remote_stack(endpoint.url, parallel=4, batch=8)
+            batched_result = SamplingService(stack).submit(config).run()
+            assert stack.raw.compression_statistics["responses_decompressed"] >= 1
+        assert [s.tuple_id for s in batched_result.samples] == [
+            s.tuple_id for s in plain_result.samples
+        ]
+        assert batched_result.queries_issued == plain_result.queries_issued
+
     def test_mixed_local_and_remote_backends_in_one_service(self, server, tiny_table):
         service = SamplingService(
             {
@@ -432,3 +465,81 @@ class TestRemoteStackAndService:
         job = service.submit(HDSamplerConfig(n_samples=2, seed=1), backend="remote")
         result = job.run()
         assert result.sample_count == 2
+
+
+class TestConcurrentClients:
+    def test_hundreds_in_flight_multiplex_over_a_small_pool(
+        self, server, tiny_backend, tiny_schema
+    ):
+        rng = random.Random(2)
+        queries = [ConjunctiveQuery.empty(tiny_schema)]
+        for _ in range(25):
+            assignment = {
+                a.name: rng.choice(a.domain.values) for a in tiny_schema if rng.random() < 0.5
+            }
+            queries.append(ConjunctiveQuery.from_assignment(tiny_schema, assignment))
+        queries *= 8  # 208 submissions
+        expected = [tiny_backend.submit(q) for q in queries]
+        with RemoteBackend(server.url, pool_size=8) as backend:
+            with ThreadPoolExecutor(max_workers=8) as workers:
+                responses = list(workers.map(backend.submit, queries))
+            pool = backend.pool_statistics
+        assert responses == expected
+        # At most one connection per worker thread: the 208 submissions
+        # multiplexed over kept-alive sockets, not stampeded.
+        assert pool["opened"] <= 8
+        assert pool["reused"] >= len(queries) - 8
+
+
+class TestSlowClientReclaim:
+    def test_stalled_connection_is_closed_and_service_continues(self, tiny_backend):
+        # A client that opens a connection and sends half a request line must
+        # not pin a handler thread forever: the per-connection timeout
+        # reclaims it, and well-behaved clients are still served.
+        with HiddenDatabaseHTTPServer(tiny_backend, request_timeout=0.3) as endpoint:
+            port = int(endpoint.url.rsplit(":", 1)[1])
+            with socket.create_connection(("127.0.0.1", port), timeout=5) as stalled:
+                stalled.sendall(b"GET /api/sch")  # ...and never finishes
+                stalled.settimeout(5)
+                assert stalled.recv(4096) == b""  # server closed on us
+            with urllib.request.urlopen(endpoint.url + "/api/schema", timeout=5) as response:
+                assert response.status == 200
+
+
+class TestClientConnectionLifecycle:
+    def test_idle_reclaimed_keep_alive_reconnects_transparently(
+        self, tiny_backend, tiny_schema
+    ):
+        # The server reclaims the idle connection after 0.3s; the next submit
+        # must notice the clean pre-response EOF on the reused socket and
+        # re-send on a fresh connection instead of surfacing an error.
+        with HiddenDatabaseHTTPServer(tiny_backend, request_timeout=0.3) as endpoint:
+            with RemoteBackend(endpoint.url) as remote:
+                query = ConjunctiveQuery.empty(tiny_schema)
+                expected = remote.submit(query)
+                time.sleep(0.8)
+                assert remote.submit(query) == expected
+                assert remote.pool_statistics["stale_reconnects"] >= 1
+
+    def test_open_breaker_fast_fails_without_touching_the_wire(self, tiny_table, tiny_schema):
+        flaky = BackendStack(
+            engine_stack(
+                tiny_table, k=2, ranking=StaticScoreRanking(), statistics=False
+            ).top,
+            [lambda inner: UnreliableLayer(inner, max_retries=0, schedule=["transient"])],
+        )
+        query = ConjunctiveQuery.empty(tiny_schema)
+        with HiddenDatabaseHTTPServer(flaky) as endpoint:
+            stack = remote_stack(
+                endpoint.url,
+                max_retries=0,
+                breaker=CircuitBreakerPolicy(
+                    window=4, failure_threshold=1, reset_timeout=60.0
+                ),
+            )
+            with pytest.raises(TransientBackendError):
+                stack.submit(query)  # a real 503 over the wire
+            served_after_failure = endpoint.requests_served
+            with pytest.raises(CircuitOpenError):
+                stack.submit(query)  # the circuit is open: no round trip at all
+            assert endpoint.requests_served == served_after_failure
