@@ -2,9 +2,9 @@
 
 Two questions the composable access path must answer for:
 
-* **Overhead** — a full ``engine_stack`` (count-mode + budget + statistics
-  layers) must cost ≤ 15% wall-clock over the raw ``QueryEngineBackend`` it
-  wraps, otherwise the refactor taxed every query to pay for structure.
+* **Overhead** — a full ``engine_stack`` (the accounting layer, with count
+  shaping inside the adapter) must cost ≤ 15% wall-clock over the raw
+  ``QueryEngineBackend`` it wraps, otherwise the refactor taxed every query to pay for structure.
   Measured as the median ratio of interleaved raw/stack passes over the
   same queries, so a change of machine speed does not land on one side.
 * **Savings** — a warm ``HistoryLayer`` on the *web* path must save ≥ 30% of

@@ -24,8 +24,9 @@ from repro.web import HiddenWebSite, WebFormClient, parse_form_page
 
 def main() -> None:
     # The data provider's side: database + web server rendering HTML pages.
-    # Served from a backend stack *without* a statistics layer — the client's
-    # own StatisticsLayer is then the one counter of issued queries.
+    # Served from a backend stack whose accounting layer does not count —
+    # the client's own AccountingLayer is then the one counter of issued
+    # queries.
     table = generate_vehicles_table(VehiclesConfig(n_rows=4_000, seed=9))
     backend = engine_stack(
         table, k=100, ranking=default_vehicles_ranking(),

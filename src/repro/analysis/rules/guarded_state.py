@@ -1,6 +1,6 @@
 """R1 guarded-state: declared shared state is only mutated under its lock.
 
-Motivating bug class (PR 4): ``StatisticsLayer`` and ``BudgetLayer`` carried
+Motivating bug class (PR 4): the budget and statistics layers carried
 plain counters that a ``DispatchLayer`` suddenly mutated from many threads —
 increments interleaved and counts were silently lost until a review caught
 it.  The thread-safety table in ``docs/architecture.md`` said which fields
@@ -8,8 +8,8 @@ needed which lock, but nothing checked the code against the table.
 
 The contract is now declared *in the class itself*::
 
-    class StatisticsLayer(BackendLayer):
-        _guarded_by = {"statistics": "_lock"}
+    class AccountingLayer(BackendLayer):
+        _guarded_by = {"budget": "_lock", "statistics": "_lock"}
 
 and this rule verifies, at parse time, that every mutation of a guarded
 attribute happens inside a ``with <holder>.<lock>:`` block:

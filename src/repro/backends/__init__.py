@@ -11,9 +11,8 @@ The package separates *what answers conjunctive queries* (raw backends) from
   :class:`~repro.backends.shard.TableShardBackend` for partitioned
   catalogues sharing one :class:`~repro.database.index.TableIndex` and the
   thread-pooled :class:`~repro.backends.dispatch.ConcurrentShardRouter`;
-* layers — :class:`~repro.backends.layers.BudgetLayer`,
-  :class:`~repro.backends.layers.StatisticsLayer`,
-  :class:`~repro.backends.layers.CountModeLayer`,
+* layers — :class:`~repro.backends.layers.AccountingLayer` (budget and
+  statistics in one node),
   :class:`~repro.backends.layers.UnreliableLayer`,
   :class:`~repro.backends.dispatch.DispatchLayer` and
   :class:`~repro.backends.history.HistoryLayer`;
@@ -23,23 +22,24 @@ The package separates *what answers conjunctive queries* (raw backends) from
   :func:`~repro.backends.stack.sharded_stack` and
   :func:`~repro.backends.stack.remote_stack` (one URL, or a list of them
   behind a :class:`~repro.backends.resilience.FailoverRouter`), all
-  composed in the one :data:`~repro.backends.stack.LAYER_ORDER`.
+  composed in the one :data:`~repro.backends.stack.LAYER_ORDER`;
+* count shaping — :class:`~repro.backends.adapters.CountPolicy`, applied by
+  the engine adapter and the shard router where each answer is built.
 
 ``HiddenDatabaseInterface`` and ``WebFormClient`` are now thin facades over
 these stacks; see ``docs/architecture.md`` for the full picture.
 """
 
-from repro.backends.adapters import QueryEngineBackend, WebPageBackend, build_returned_tuples
+from repro.backends.adapters import (
+    CountPolicy,
+    QueryEngineBackend,
+    WebPageBackend,
+    build_returned_tuples,
+)
 from repro.backends.base import BackendLayer, RawBackend, iter_chain
 from repro.backends.dispatch import ConcurrentShardRouter, DispatchLayer
 from repro.backends.history import CachedResponseSource, HistoryLayer, HistoryStatistics
-from repro.backends.layers import (
-    BudgetLayer,
-    CountModeLayer,
-    StatisticsLayer,
-    UnreliableLayer,
-    UnreliableStatistics,
-)
+from repro.backends.layers import AccountingLayer, UnreliableLayer, UnreliableStatistics
 from repro.backends.remote import RemoteBackend
 from repro.backends.resilience import (
     BreakerState,
@@ -64,16 +64,16 @@ from repro.backends.stack import (
 )
 
 __all__ = [
+    "AccountingLayer",
     "BackendLayer",
     "BackendStack",
     "BreakerState",
-    "BudgetLayer",
     "CachedResponseSource",
     "CircuitBreaker",
     "CircuitBreakerLayer",
     "CircuitBreakerPolicy",
     "ConcurrentShardRouter",
-    "CountModeLayer",
+    "CountPolicy",
     "Deadline",
     "DispatchLayer",
     "FailoverRouter",
@@ -85,7 +85,6 @@ __all__ = [
     "RawBackend",
     "RemoteBackend",
     "ShardRouter",
-    "StatisticsLayer",
     "TableShardBackend",
     "UnreliableLayer",
     "UnreliableStatistics",

@@ -9,21 +9,25 @@
   result page and parse the listed tuples back out of the HTML.
 
 Both adapters answer the bare conjunctive-query contract and nothing else:
-no budget, no statistics, no count shaping, no caching — those are layers
-(:mod:`repro.backends.layers`, :mod:`repro.backends.history`).  The engine
-adapter therefore always reports the *exact* match count
-(:class:`~repro.backends.layers.CountModeLayer` decides what the client may
-see); the web adapter reports whatever count the page displays, because on
-the scraping path count shaping already happened server-side.
+no budget, no statistics, no caching — those are layers
+(:mod:`repro.backends.layers`, :mod:`repro.backends.history`).  What count
+the client sees is decided where the answer is built: the engine adapter
+(and the shard router) shape their exact total through a
+:class:`CountPolicy` — exact unless told otherwise — while the web adapter
+reports whatever count the page displays, because on the scraping path
+count shaping already happened server-side.
 """
 
 from __future__ import annotations
 
+import random
 from operator import itemgetter
 from typing import TYPE_CHECKING, Sequence
 
+from repro._rng import resolve_rng
 from repro.database.engine import QueryEngine, QueryResult
 from repro.database.interface import (
+    CountMode,
     InterfaceResponse,
     LazyTupleSequence,
     ReturnedTuple,
@@ -33,7 +37,7 @@ from repro.database.query import ConjunctiveQuery
 from repro.database.ranking import RankingFunction
 from repro.database.schema import Attribute, AttributeKind, Schema, Value
 from repro.database.table import Row, Table
-from repro.exceptions import DomainValueError, FormParseError, WebFormError
+from repro.exceptions import DomainValueError, FormParseError, InterfaceError, WebFormError
 from repro.web.form_parser import FormDescription, ParsedResultRow, parse_form_page, parse_result_page
 from repro.web.html import format_value
 from repro.web.urlcodec import result_page_path
@@ -63,24 +67,66 @@ def build_returned_tuples(
     return LazyTuples(table, row_ids, display_columns)
 
 
+class CountPolicy:
+    """What the client may see of an answer's exact match count.
+
+    ``NONE`` hides it, ``EXACT`` reports it, ``NOISY`` perturbs it uniformly
+    within ``±noise`` relative error — the "some proprietary algorithm" of
+    Google Base that the paper's system deliberately ignores.  The answer
+    builders apply it to their exact total, so a ``NOISY`` policy draws once
+    per non-empty answer, in answer order.  Concurrent answers share its one
+    generator: safe, but the draws then follow thread scheduling.
+    """
+
+    __slots__ = ("mode", "noise", "_rng")
+
+    def __init__(
+        self,
+        mode: CountMode = CountMode.EXACT,
+        noise: float = 0.3,
+        seed: int | random.Random | None = 0,
+    ) -> None:
+        if noise < 0:
+            raise InterfaceError("count_noise must be non-negative")
+        self.mode = mode
+        self.noise = noise
+        self._rng = resolve_rng(seed)
+
+    def shape(self, true_count: int) -> int | None:
+        """The count reported for an answer matching ``true_count`` rows."""
+        if self.mode is CountMode.NONE:
+            return None
+        if self.mode is CountMode.EXACT:
+            return true_count
+        if true_count == 0:
+            return 0
+        spread = self.noise * true_count
+        noisy = true_count + self._rng.uniform(-spread, spread)
+        # Never round a non-empty result down to 0: count-leveraging samplers
+        # treat a reported 0 as "provably empty" and would prune live subtrees.
+        return max(1, int(round(noisy)))
+
+
 def answer_response(
     table: Table,
     query: ConjunctiveQuery,
     total: int,
+    reported_count: int | None,
     row_ids: Sequence[int],
     k: int,
     display_columns: Sequence[str] = (),
 ) -> InterfaceResponse:
-    """The raw response listing ``row_ids`` for ``query`` matching ``total`` rows.
+    """The response listing ``row_ids`` for ``query`` matching ``total`` rows.
 
     The one response builder of the engine adapter and the shard backends:
-    exact count, overflow when ``total`` exceeds ``k``, tuples built on read.
+    ``reported_count`` as the caller's :class:`CountPolicy` shaped it,
+    overflow when ``total`` exceeds ``k``, tuples built on read.
     """
     return InterfaceResponse(
         query=query,
         tuples=build_returned_tuples(table, row_ids, display_columns),
         overflow=total > k,
-        reported_count=total,
+        reported_count=reported_count,
         k=k,
     )
 
@@ -174,6 +220,7 @@ class QueryEngineBackend:
     limit, the proprietary ``ranking`` and the extra non-searchable
     ``display_columns`` shown on result pages.  ``use_index=False`` forces
     the naive full-scan evaluation (the equivalence oracle in tests).
+    ``counts`` shapes the reported count; without one it is exact.
     """
 
     def __init__(
@@ -183,10 +230,12 @@ class QueryEngineBackend:
         ranking: RankingFunction | None = None,
         display_columns: Sequence[str] = (),
         use_index: bool = True,
+        counts: CountPolicy | None = None,
     ) -> None:
         self._engine = QueryEngine(table, k=k, ranking=ranking, use_index=use_index)
         self._table = table
         self.display_columns = tuple(display_columns)
+        self._counts = counts if counts is not None else CountPolicy()
 
     # -- RawBackend contract -------------------------------------------------
 
@@ -201,7 +250,7 @@ class QueryEngineBackend:
         return self._engine.k
 
     def submit(self, query: ConjunctiveQuery) -> InterfaceResponse:
-        """Evaluate ``query``; the reported count is always exact here."""
+        """Evaluate ``query``; the count is reported as the policy shapes it."""
         return self._build_response(self._engine.execute(query))
 
     # -- operator-side helpers (not available to samplers) --------------------
@@ -222,6 +271,7 @@ class QueryEngineBackend:
             self._table,
             result.query,
             result.total_count,
+            self._counts.shape(result.total_count),
             result.returned_row_ids,
             result.k,
             self.display_columns,

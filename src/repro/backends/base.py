@@ -7,12 +7,13 @@ existed, each access path also hand-rolled its own budget charging,
 statistics bookkeeping and count-mode shaping.  :mod:`repro.backends`
 separates the two concerns:
 
-* a **raw backend** answers conjunctive queries and nothing else — it always
-  reports the *exact* match count and never counts, charges or caches
-  (:class:`RawBackend` is the structural protocol; the concrete adapters live
-  in :mod:`repro.backends.adapters` and :mod:`repro.backends.shard`);
-* a **layer** wraps any backend (raw or already-layered) and adds exactly one
-  client-visible concern — budget, statistics, count mode, history
+* a **raw backend** answers conjunctive queries and nothing else — it
+  reports its match count as its count policy shapes it (exact by default)
+  and never counts, charges or caches (:class:`RawBackend` is the
+  structural protocol; the concrete adapters live in
+  :mod:`repro.backends.adapters` and :mod:`repro.backends.shard`);
+* a **layer** wraps any backend (raw or already-layered) and adds one
+  client-visible concern — accounting (budget and statistics), history
   dedup/inference, injected unreliability (:mod:`repro.backends.layers`,
   :mod:`repro.backends.history`).
 
@@ -81,7 +82,8 @@ class RawBackend(Protocol):
     deliberately so: samplers written against the old protocol run unchanged
     over a bare adapter, a single layer, or a whole stack.  The *semantic*
     contract of a raw (unlayered) backend is stricter: ``submit`` reports the
-    exact match count and performs no accounting.
+    match count as built (exact unless the backend was given a count
+    policy) and performs no accounting.
     """
 
     @property
@@ -123,9 +125,9 @@ class BackendLayer:
 
     def submit_many(self, queries: Sequence[ConjunctiveQuery]) -> list[InterfaceResponse]:
         """Forward a batch, reaching the inner backend's batch path when it
-        has one.  Subclasses whose concern is per-submission (budget,
-        statistics, count shaping, history, retries) override this so a batch
-        is accounted exactly like the equivalent sequence of single submits.
+        has one.  Subclasses whose concern is per-submission (accounting,
+        history, retries) override this so a batch is accounted exactly
+        like the equivalent sequence of single submits.
         """
         return forward_many(self.inner, queries)
 

@@ -21,8 +21,8 @@ byte of any answer:
   ``batch_size`` chunk when a wire-level batch path sits beneath — results
   returned in input order.  Single ``submit`` calls pass straight through.
   Everything beneath the layer must be thread-safe — see
-  ``docs/architecture.md``: :class:`~repro.backends.layers.StatisticsLayer`
-  and :class:`~repro.backends.layers.BudgetLayer` lock their counters, and
+  ``docs/architecture.md``: :class:`~repro.backends.layers.AccountingLayer`
+  locks its budget and counters, and
   :class:`~repro.backends.history.HistoryLayer` is lock-striped, so history
   legally sits *under* a dispatch layer and deduplicates concurrent
   submissions of the same canonical query.
@@ -43,6 +43,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Sequence, TypeVar
 
+from repro.backends.adapters import CountPolicy
 from repro.backends.base import BackendLayer, RawBackend
 from repro.backends.resilience import scoped_to_current_deadline
 from repro.backends.shard import MergeKey, ShardRouter
@@ -110,8 +111,9 @@ class ConcurrentShardRouter(ShardRouter):
         shards: Sequence[object],
         merge_key: MergeKey | None = None,
         max_workers: int | None = None,
+        counts: CountPolicy | None = None,
     ) -> None:
-        super().__init__(shards, merge_key=merge_key)
+        super().__init__(shards, merge_key=merge_key, counts=counts)
         if max_workers is None:
             max_workers = min(len(self._shards), DEFAULT_MAX_WORKERS)
         self._pool = _LazyPool(max_workers, thread_name_prefix="shard-dispatch")
@@ -174,7 +176,7 @@ class DispatchLayer(BackendLayer):
     the stacks that carry it (``web_stack(parallel=N)``, ``remote_stack(...,
     parallel=N, batch=M)``): the layers beneath see exactly the same calls
     they would see from ``N`` independent clients, which is why their
-    counters lock (see :class:`~repro.backends.layers.StatisticsLayer`).
+    counters lock (see :class:`~repro.backends.layers.AccountingLayer`).
     """
 
     def __init__(

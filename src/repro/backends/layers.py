@@ -1,18 +1,19 @@
 """Composable middleware layers: one client-visible concern per layer.
 
 Each layer wraps any backend (raw adapter, another layer, or a whole stack)
-and adds exactly one of the realities the old monolithic access paths
-hand-rolled:
+and adds one of the realities the old monolithic access paths hand-rolled:
 
-* :class:`BudgetLayer` — per-client query limits (paper Section 1: providers
-  "limit the maximum number of queries that can be issued by an IP address");
-* :class:`StatisticsLayer` — the interaction bookkeeping every experiment
-  reports; by design the *only* place queries are counted on an access path;
-* :class:`CountModeLayer` — whether the client sees no count, the exact
-  count, or a noisy count (the Google Base situation), lifted out of the
-  interface so any backend — including a shard router — gets it for free;
+* :class:`AccountingLayer` — the per-client query budget (paper Section 1:
+  providers "limit the maximum number of queries that can be issued by an
+  IP address") and the interaction bookkeeping every experiment reports,
+  charged and counted in one node under one lock; by design the *only*
+  place queries are counted on an access path;
 * :class:`UnreliableLayer` — injectable rate-limit and transient-failure
   scenarios with retries, for exercising workloads against flaky sources.
+
+Whether the client sees no count, the exact count or a noisy one (the
+Google Base situation) is not a layer: the answer builders shape it through
+a :class:`~repro.backends.adapters.CountPolicy`.
 
 Layer order matters and is part of the contract: the curated compositions in
 :mod:`repro.backends.stack` reproduce the legacy interface and web client
@@ -36,7 +37,7 @@ from repro.backends.resilience import (
     backoff_delay,
     current_deadline,
 )
-from repro.database.interface import CountMode, InterfaceResponse, InterfaceStatistics
+from repro.database.interface import InterfaceResponse, InterfaceStatistics
 from repro.database.limits import QueryBudget
 from repro.database.query import ConjunctiveQuery
 from repro.exceptions import (
@@ -48,119 +49,101 @@ from repro.exceptions import (
 )
 
 
-class BudgetLayer(BackendLayer):
-    """Charges a :class:`~repro.database.limits.QueryBudget` per forwarded query.
+class AccountingLayer(BackendLayer):
+    """Charges a :class:`~repro.database.limits.QueryBudget` and counts answers.
 
     The charge happens *before* the inner backend is touched — a budget
     violation raises and leaves the hidden database unqueried, exactly like a
-    site that starts refusing requests.
+    site that starts refusing requests.  Only answers the client actually
+    received are counted in :attr:`statistics`: a submission that raises
+    below this layer (transient failure that exhausted its retries) counts
+    nothing, matching the legacy interface bookkeeping.
+
+    ``statistics=False`` charges only (``statistics`` is then ``None``): the
+    right choice for a stack served to remote or scraping *clients* that own
+    the counting.  A counting layer is the single source of truth for query
+    accounting on its access path; :class:`repro.backends.stack.BackendStack`
+    enforces that a composed chain never contains two of them, which is what
+    used to let a wrapped web client double-count issued queries.
     """
 
-    #: Machine-checked by reprolint R1 (guarded-state): ``budget`` is only
-    #: charged while ``_lock`` is held.
-    _guarded_by = {"budget": "_lock"}
+    #: Machine-checked by reprolint R1 (guarded-state): the budget is only
+    #: charged, and the counters only recorded/replaced, while ``_lock`` is
+    #: held; read the counters via :meth:`snapshot`.
+    _guarded_by = {"budget": "_lock", "statistics": "_lock"}
 
-    def __init__(self, inner: RawBackend, budget: QueryBudget | None = None) -> None:
+    def __init__(
+        self, inner: RawBackend, budget: QueryBudget | None = None, statistics: bool = True
+    ) -> None:
         super().__init__(inner)
         self.budget = budget if budget is not None else QueryBudget()
-        # Charging is a read-check-increment on a shared counter; the lock
-        # keeps it atomic when a DispatchLayer fans submissions out over
-        # threads, so a nearly-exhausted budget can never be overspent.
+        self.statistics = InterfaceStatistics() if statistics else None
+        # Charging is a read-check-increment and record() five read-modify-
+        # write updates on shared counters; the lock keeps both exact when a
+        # DispatchLayer fans submissions out over threads, so a nearly-
+        # exhausted budget is never overspent and no count is lost.  It is
+        # never held across the inner backend.  Whether ``statistics`` is
+        # None is fixed here, so the submit paths test it without the lock.
         self._lock = threading.Lock()
 
     def submit(self, query: ConjunctiveQuery) -> InterfaceResponse:
         with self._lock:
             self.budget.charge(1)
-        return self.inner.submit(query)
-
-    def submit_many(self, queries: Sequence[ConjunctiveQuery]) -> list[InterfaceResponse]:
-        """Charge the whole batch up front, atomically — all or nothing.
-
-        A batch the budget cannot afford raises before a single query is
-        issued, exactly as a site that stops answering does; it never
-        half-spends a nearly-exhausted budget on a partial batch.
-        """
-        queries = list(queries)
-        with self._lock:
-            self.budget.charge(len(queries))
-        return forward_many(self.inner, queries)
-
-    def submit_outcomes(
-        self, queries: Sequence[ConjunctiveQuery]
-    ) -> list[InterfaceResponse | Exception]:
-        """Per-item outcomes, the batch charged up front like :meth:`submit_many`."""
-        queries = list(queries)
-        with self._lock:
-            self.budget.charge(len(queries))
-        return forward_outcomes(self.inner, queries)
-
-
-class StatisticsLayer(BackendLayer):
-    """Counts every answered query in one :class:`InterfaceStatistics`.
-
-    A submission that raises below this layer (budget exhausted, transient
-    failure that exhausted its retries) is *not* counted — only answers the
-    client actually received are, matching the legacy interface bookkeeping.
-
-    This layer is the single source of truth for query accounting on its
-    access path; :class:`repro.backends.stack.BackendStack` enforces that a
-    composed chain never contains two of them, which is what used to let a
-    wrapped web client double-count issued queries.
-    """
-
-    #: Machine-checked by reprolint R1 (guarded-state): the counters are only
-    #: recorded/replaced while ``_lock`` is held; read via :meth:`snapshot`.
-    _guarded_by = {"statistics": "_lock"}
-
-    def __init__(self, inner: RawBackend, statistics: InterfaceStatistics | None = None) -> None:
-        super().__init__(inner)
-        self.statistics = statistics if statistics is not None else InterfaceStatistics()
-        # record() is five read-modify-write counter updates; without the lock
-        # concurrent submissions through a DispatchLayer would lose counts.
-        self._lock = threading.Lock()
-
-    def submit(self, query: ConjunctiveQuery) -> InterfaceResponse:
         response = self.inner.submit(query)
-        with self._lock:
-            self.statistics.record(response)
+        if self.statistics is not None:
+            with self._lock:
+                self.statistics.record(response)
         return response
 
     def submit_many(self, queries: Sequence[ConjunctiveQuery]) -> list[InterfaceResponse]:
-        """Forward the batch, then record every *answered* response.
+        """Charge the whole batch up front, all or nothing; count its answers.
 
-        Mirrors the single-submit contract: a batch that raises below this
-        layer counts nothing — only answers the client actually received are
-        recorded.
+        A batch the budget cannot afford raises before a single query is
+        issued, exactly as a site that stops answering does; it never
+        half-spends a nearly-exhausted budget on a partial batch.  A batch
+        that raises below this layer counts nothing.
         """
-        responses = forward_many(self.inner, queries)
+        queries = list(queries)
         with self._lock:
-            for response in responses:
-                self.statistics.record(response)
+            self.budget.charge(len(queries))
+        responses = forward_many(self.inner, queries)
+        if self.statistics is not None:
+            with self._lock:
+                for response in responses:
+                    self.statistics.record(response)
         return responses
 
     def submit_outcomes(
         self, queries: Sequence[ConjunctiveQuery]
     ) -> list[InterfaceResponse | Exception]:
-        """Per-item outcomes; only *answered* items are recorded, as ever."""
-        outcomes = forward_outcomes(self.inner, queries)
+        """Per-item outcomes, the batch charged up front like :meth:`submit_many`;
+        only *answered* items are counted."""
+        queries = list(queries)
         with self._lock:
-            for outcome in outcomes:
-                if not isinstance(outcome, Exception):
-                    self.statistics.record(outcome)
+            self.budget.charge(len(queries))
+        outcomes = forward_outcomes(self.inner, queries)
+        if self.statistics is not None:
+            with self._lock:
+                for outcome in outcomes:
+                    if not isinstance(outcome, Exception):
+                        self.statistics.record(outcome)
         return outcomes
 
     def reset(self) -> None:
-        """Clear the counters (a fresh experiment over a warm backend).
+        """Clear the counters (a fresh experiment over a warm backend); the
+        budget is left untouched.
 
         Swapping the statistics object races against in-flight ``record``
         calls: without the lock a submission concurrent with the reset could
         record into the discarded object and vanish.
         """
         with self._lock:
-            self.statistics = InterfaceStatistics()
+            if self.statistics is not None:
+                self.statistics = InterfaceStatistics()
 
-    def snapshot(self) -> InterfaceStatistics:
-        """A point-in-time copy of the counters, consistent under concurrency.
+    def snapshot(self) -> InterfaceStatistics | None:
+        """A point-in-time copy of the counters, consistent under concurrency
+        (``None`` when the layer does not count).
 
         Dashboards and service endpoints read counters while submissions are
         in flight; reading field-by-field off the live object can observe a
@@ -168,72 +151,9 @@ class StatisticsLayer(BackendLayer):
         caller gets one coherent point in time.
         """
         with self._lock:
+            if self.statistics is None:
+                return None
             return dataclasses.replace(self.statistics)
-
-
-class CountModeLayer(BackendLayer):
-    """Shapes the reported count: hide it, pass it through, or perturb it.
-
-    The inner backend is expected to report the exact count (raw adapters
-    do).  ``NONE`` hides it, ``EXACT`` passes it through, ``NOISY`` perturbs
-    it uniformly within ``±noise`` relative error — the "some proprietary
-    algorithm" of Google Base that the paper's system deliberately ignores.
-    """
-
-    def __init__(
-        self,
-        inner: RawBackend,
-        mode: CountMode = CountMode.NONE,
-        noise: float = 0.3,
-        seed: int | random.Random | None = 0,
-    ) -> None:
-        if noise < 0:
-            raise InterfaceError("count_noise must be non-negative")
-        super().__init__(inner)
-        self.mode = mode
-        self.noise = noise
-        self._rng = resolve_rng(seed)
-
-    def submit(self, query: ConjunctiveQuery) -> InterfaceResponse:
-        return self._shaped(self.inner.submit(query))
-
-    def submit_many(self, queries: Sequence[ConjunctiveQuery]) -> list[InterfaceResponse]:
-        """Forward the batch and shape every reported count."""
-        return [self._shaped(response) for response in forward_many(self.inner, queries)]
-
-    def submit_outcomes(
-        self, queries: Sequence[ConjunctiveQuery]
-    ) -> list[InterfaceResponse | Exception]:
-        """Per-item outcomes, the answered ones count-shaped."""
-        return [
-            outcome if isinstance(outcome, Exception) else self._shaped(outcome)
-            for outcome in forward_outcomes(self.inner, queries)
-        ]
-
-    def _shaped(self, response: InterfaceResponse) -> InterfaceResponse:
-        """``response`` with its count shaped; the same (immutable) object
-        when shaping leaves the count as it was."""
-        count = self._shape(response.reported_count)
-        if count == response.reported_count:
-            return response
-        return response.with_reported_count(count)
-
-    def _shape(self, true_count: int | None) -> int | None:
-        if self.mode is CountMode.NONE:
-            return None
-        if true_count is None:
-            raise InterfaceError(
-                "CountModeLayer needs an exact count from the backend beneath it"
-            )
-        if self.mode is CountMode.EXACT:
-            return true_count
-        if true_count == 0:
-            return 0
-        spread = self.noise * true_count
-        noisy = true_count + self._rng.uniform(-spread, spread)
-        # Never round a non-empty result down to 0: count-leveraging samplers
-        # treat a reported 0 as "provably empty" and would prune live subtrees.
-        return max(1, int(round(noisy)))
 
 
 @dataclasses.dataclass
@@ -524,7 +444,7 @@ class UnreliableLayer(BackendLayer):
             return [error] * len(queries)
 
     def snapshot(self) -> UnreliableStatistics:
-        """A point-in-time copy of the chaos counters (see ``StatisticsLayer``)."""
+        """A point-in-time copy of the chaos counters (see ``AccountingLayer``)."""
         with self._lock:
             return dataclasses.replace(self.statistics)
 

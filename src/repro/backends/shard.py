@@ -23,16 +23,19 @@ its top-``k`` cut, deferred to the first read
 shard is asked at all.
 That is exactly the merge of the per-shard cuts a scatter would gather.
 
-Both classes are raw backends: exact counts, no accounting.  Wrap the router
-in :class:`~repro.backends.stack.BackendStack` layers to get budgets, count
-modes and history over the whole sharded catalogue at once.
+Both classes are raw backends: no accounting.  Shards always report exact
+counts; the router shapes its merged total through a
+:class:`~repro.backends.adapters.CountPolicy` (exact unless told otherwise),
+so a noisy or hidden count is decided once, over the whole catalogue.  Wrap
+the router in :class:`~repro.backends.stack.BackendStack` layers to get
+budgets, statistics and history over the whole sharded catalogue at once.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Sequence, TypeVar, cast
 
-from repro.backends.adapters import answer_response
+from repro.backends.adapters import CountPolicy, answer_response
 from repro.database.index import RankCache
 from repro.database.interface import InterfaceResponse, ReturnedTuple
 from repro.database.query import ConjunctiveQuery
@@ -106,7 +109,7 @@ class TableShardBackend:
     def respond(self, query: ConjunctiveQuery, mask: int) -> InterfaceResponse:
         """Cut and render this shard's rows of ``mask``, the query's match mask."""
         total, row_ids = self.cut(mask)
-        return self.response(query, total, row_ids)
+        return self.response(query, total, total, row_ids)
 
     def cut(self, mask: int) -> tuple[int, list[int]]:
         """This shard's exact match count and best-ranked ``k`` row ids.
@@ -118,11 +121,15 @@ class TableShardBackend:
         return mine.bit_count(), self._rank.first(mine, self._k)
 
     def response(
-        self, query: ConjunctiveQuery, total: int, row_ids: Sequence[int]
+        self,
+        query: ConjunctiveQuery,
+        total: int,
+        reported_count: int | None,
+        row_ids: Sequence[int],
     ) -> InterfaceResponse:
         """The response listing ``row_ids`` for ``query`` matching ``total`` rows."""
         return answer_response(
-            self._table, query, total, row_ids, self._k, self.display_columns
+            self._table, query, total, reported_count, row_ids, self._k, self.display_columns
         )
 
     def rank_position(self, tuple_id: int) -> float:
@@ -145,15 +152,17 @@ class ShardRouter:
     Without one, tuples merge in ``tuple_id`` order, which is only correct
     for row-id ranking.
 
-    The router is a raw backend: it reports the exact total count (shard
-    counts are additive over the disjoint partition) and does no accounting
-    of its own — wrap it in layers for that.
+    The router is a raw backend: it sums the shards' exact counts (additive
+    over the disjoint partition), reports the total as ``counts`` shapes it
+    (exact without one) and does no accounting of its own — wrap it in
+    layers for that.
     """
 
     def __init__(
         self,
         shards: Sequence[object],
         merge_key: MergeKey | None = None,
+        counts: CountPolicy | None = None,
     ) -> None:
         if not shards:
             raise InterfaceError("a shard router needs at least one shard")
@@ -166,6 +175,7 @@ class ShardRouter:
         self._shards = tuple(shards)
         self._k: int = ks.pop()
         self._merge_key = merge_key if merge_key is not None else _by_tuple_id
+        self._counts = counts if counts is not None else CountPolicy()
         #: Display columns travel with the shards; the router advertises them
         #: so a HiddenWebSite served from a sharded stack renders the same
         #: extra columns as one served from the flat engine backend.
@@ -205,6 +215,7 @@ class ShardRouter:
         ranking: RankingFunction | None = None,
         display_columns: Sequence[str] = (),
         shard_layer: Callable[[object], object] | None = None,
+        counts: CountPolicy | None = None,
     ) -> "ShardRouter":
         """Partition ``table`` into ``n_shards`` backends sharing one index.
 
@@ -231,12 +242,14 @@ class ShardRouter:
         ]
         merge_key = lambda t: shards[0].rank_position(t.tuple_id)  # noqa: E731
         if shard_layer is not None:
-            router = cls([shard_layer(shard) for shard in shards], merge_key=merge_key)
+            router = cls(
+                [shard_layer(shard) for shard in shards], merge_key=merge_key, counts=counts
+            )
             # Layers do not forward ``display_columns``; re-advertise what the
             # bare shards would have exposed.
             router.display_columns = tuple(display_columns)
             return router
-        return cls(shards, merge_key=merge_key)
+        return cls(shards, merge_key=merge_key, counts=counts)
 
     # -- RawBackend contract -------------------------------------------------
 
@@ -266,7 +279,9 @@ class ShardRouter:
         if ranks is None:
             return self._merge(query, self._gather(lambda shard: shard.submit(query)))
         total, row_ids = ranks.top(query, self._k)
-        return cast(TableShardBackend, self._shards[0]).response(query, total, row_ids)
+        return cast(TableShardBackend, self._shards[0]).response(
+            query, total, self._counts.shape(total), row_ids
+        )
 
     def _gather(self, work: Callable[[Any], _T]) -> list[_T]:
         """``work`` applied to every shard, results in shard order.
@@ -287,8 +302,8 @@ class ShardRouter:
         for response in responses:
             if response.reported_count is None:
                 raise InterfaceError(
-                    "ShardRouter needs exact counts from its shards; put count-mode "
-                    "shaping above the router, not below it"
+                    "ShardRouter needs exact counts from its shards; shape counts "
+                    "at the router, not at its shards"
                 )
             total += response.reported_count
         merged = sorted(
@@ -298,7 +313,7 @@ class ShardRouter:
             query=query,
             tuples=tuple(merged[: self._k]),
             overflow=total > self._k,
-            reported_count=total,
+            reported_count=self._counts.shape(total),
             k=self._k,
         )
 

@@ -2,17 +2,19 @@
 
 :class:`BackendStack` turns a raw backend plus a list of layer factories into
 one composed access path, keeps handles to every layer for introspection, and
-enforces the accounting invariant that a chain contains at most one
-:class:`~repro.backends.layers.StatisticsLayer` — the bug class where a
+enforces the accounting invariant that a chain contains at most one counting
+:class:`~repro.backends.layers.AccountingLayer` — the bug class where a
 wrapped client double-counted issued queries is now a construction error.
 
 Two builders encode the legacy access paths bit for bit:
 
 * :func:`engine_stack` — what :class:`HiddenDatabaseInterface` always was:
-  ``StatisticsLayer(BudgetLayer(CountModeLayer(QueryEngineBackend)))``;
+  ``AccountingLayer(QueryEngineBackend)``, the engine adapter shaping its
+  exact count through the requested
+  :class:`~repro.backends.adapters.CountPolicy`;
 * :func:`web_stack` — what :class:`WebFormClient` always was:
-  ``StatisticsLayer(WebPageBackend)``, optionally under a budget and a
-  history layer so the scraping path deduplicates page fetches.
+  ``AccountingLayer(WebPageBackend)``, optionally under a history layer so
+  the scraping path deduplicates page fetches.
 
 Both accept ``history=True`` to slot a
 :class:`~repro.backends.history.HistoryLayer` on top, and the raw backend can
@@ -32,12 +34,12 @@ URLs, over a :class:`~repro.backends.resilience.FailoverRouter` of them.
 Every builder takes its layer order from one table, :data:`LAYER_ORDER`
 (innermost first)::
 
-    CountMode < CircuitBreaker < Unreliable < Budget < Statistics < History < Dispatch
+    CircuitBreaker < Unreliable < Accounting < History < Dispatch
 
 and :class:`BackendStack` refuses, at construction, any stack whose ranked
-layers break it.  Retries below budget and statistics mean a submission that
-needed three attempts is charged and counted once; the breaker below the
-retry layer sees every attempt and, once open, its fast-fail passes through
+layers break it.  Retries below accounting mean a submission that needed
+three attempts is charged and counted once; the breaker below the retry
+layer sees every attempt and, once open, its fast-fail passes through
 unretried.
 """
 
@@ -46,11 +48,11 @@ from __future__ import annotations
 import random
 from typing import Callable, Mapping, Sequence
 
-from repro.backends.adapters import QueryEngineBackend, WebPageBackend
+from repro.backends.adapters import CountPolicy, QueryEngineBackend, WebPageBackend
 from repro.backends.base import RawBackend, iter_chain
 from repro.backends.dispatch import ConcurrentShardRouter, DispatchLayer
 from repro.backends.history import HistoryLayer
-from repro.backends.layers import BudgetLayer, CountModeLayer, StatisticsLayer, UnreliableLayer
+from repro.backends.layers import AccountingLayer, UnreliableLayer
 from repro.backends.resilience import (
     CircuitBreakerLayer,
     CircuitBreakerPolicy,
@@ -74,11 +76,9 @@ LayerFactory = Callable[[RawBackend], RawBackend]
 #: stack may omit any of these, and layers of other types are unranked, but
 #: the ranked layers a :class:`BackendStack` builds must follow this order.
 LAYER_ORDER: tuple[type, ...] = (
-    CountModeLayer,
     CircuitBreakerLayer,
     UnreliableLayer,
-    BudgetLayer,
-    StatisticsLayer,
+    AccountingLayer,
     HistoryLayer,
     DispatchLayer,
 )
@@ -98,7 +98,8 @@ class BackendStack:
     ``layers`` are factories applied bottom-up: ``BackendStack(raw, [a, b])``
     builds ``b(a(raw))``, so the *last* factory sees every submission first.
     Layers whose kind appears in :data:`LAYER_ORDER` must come in that order,
-    and at most one :class:`StatisticsLayer` may sit anywhere in the chain;
+    and at most one counting :class:`AccountingLayer` may sit anywhere in
+    the chain;
     either violation is a :class:`ConfigurationError`.  Only the layers built
     here are ranked, so wrapping a finished stack's ``top`` in one more layer
     (e.g. a fault injector over a clean stack) stays legal.  The stack
@@ -124,12 +125,16 @@ class BackendStack:
                     "stack layers go innermost-first as "
                     + " < ".join(kind.__name__ for kind in LAYER_ORDER)
                 )
-        counters = [node for node in iter_chain(self.top) if isinstance(node, StatisticsLayer)]
+        counters = [
+            node
+            for node in iter_chain(self.top)
+            if isinstance(node, AccountingLayer) and node.statistics is not None
+        ]
         if len(counters) > 1:
             raise ConfigurationError(
-                "a backend stack must contain at most one StatisticsLayer — a second "
-                "counter double-counts every issued query; reuse the existing layer "
-                f"(found {len(counters)} in the chain)"
+                "a backend stack must contain at most one counting AccountingLayer — a "
+                "second counter double-counts every issued query; reuse the existing "
+                f"layer (found {len(counters)} in the chain)"
             )
 
     # -- backend protocol ------------------------------------------------------
@@ -183,35 +188,30 @@ class BackendStack:
 
     @property
     def statistics(self) -> InterfaceStatistics | None:
-        """The single statistics counter of this access path, if layered in."""
-        layer = self.layer(StatisticsLayer)
+        """The single statistics counter of this access path, if it counts."""
+        layer = self.layer(AccountingLayer)
         return layer.statistics if layer is not None else None
 
     def statistics_snapshot(self) -> InterfaceStatistics | None:
-        """A locked point-in-time copy of the counters (``None`` when unlayered).
+        """A locked point-in-time copy of the counters (``None`` when uncounted).
 
-        Concurrent submissions mutate the live object under the statistics
+        Concurrent submissions mutate the live object under the accounting
         layer's lock; observers (dashboard, service endpoints) read this
         copy so they never see a half-applied update.
         """
-        layer = self.layer(StatisticsLayer)
+        layer = self.layer(AccountingLayer)
         return layer.snapshot() if layer is not None else None
 
     @property
     def budget(self) -> QueryBudget | None:
         """The query budget of this access path, if layered in."""
-        layer = self.layer(BudgetLayer)
+        layer = self.layer(AccountingLayer)
         return layer.budget if layer is not None else None
 
     @property
     def history(self) -> HistoryLayer | None:
         """The history/dedup layer of this access path, if layered in."""
         return self.layer(HistoryLayer)  # type: ignore[return-value]
-
-    @property
-    def count_mode_layer(self) -> CountModeLayer | None:
-        """The count-shaping layer of this access path, if layered in."""
-        return self.layer(CountModeLayer)  # type: ignore[return-value]
 
     def describe(self) -> str:
         """The chain as text, outermost first — e.g. for the CLI and docs."""
@@ -295,25 +295,26 @@ def engine_stack(
 ) -> BackendStack:
     """The direct in-process access path as a stack.
 
-    Layer order (inside out): count shaping on the engine's exact counts,
-    then the budget (charged before anything executes), then the single
-    statistics counter, then — optionally — the history layer, whose hits
-    never charge the budget nor count as issued queries.  This is exactly the
-    legacy :class:`HiddenDatabaseInterface` behaviour, which is now built on
-    this function.
+    The engine adapter shapes its exact counts as ``count_mode`` asks (one
+    ``NOISY`` generator seeded by ``seed``, shared by every thread that
+    submits through the stack).  Above it the accounting layer charges the
+    budget before anything executes and counts the answers, then —
+    optionally — the history layer, whose hits never charge the budget nor
+    count as issued queries.  This is exactly the legacy
+    :class:`HiddenDatabaseInterface` behaviour, which is now built on this
+    function.
 
-    ``statistics=False`` omits the counter — the right choice when the stack
-    serves a :class:`~repro.web.server.HiddenWebSite` whose *clients* own the
-    accounting, keeping one counter per end-to-end access path.
+    ``statistics=False`` makes the accounting layer charge only — the right
+    choice when the stack serves a :class:`~repro.web.server.HiddenWebSite`
+    whose *clients* own the counting, keeping one counter per end-to-end
+    access path.
     """
     raw = QueryEngineBackend(
-        table, k, ranking=ranking, display_columns=display_columns, use_index=use_index
+        table, k, ranking=ranking, display_columns=display_columns, use_index=use_index,
+        counts=CountPolicy(count_mode, count_noise, seed),
     )
     return _compose(
         raw,
-        count_mode=count_mode,
-        count_noise=count_noise,
-        seed=seed,
         budget=budget,
         history=history,
         max_history_entries=max_history_entries,
@@ -332,11 +333,11 @@ def web_stack(
 ) -> BackendStack:
     """The HTML-scraping access path as a stack.
 
-    No count-mode layer: on this path count shaping already happened on the
-    server, the client sees only what the page displays.  The statistics
-    layer sits directly on the page fetcher, so with ``history=True`` the
-    counters report *actual page fetches* — every history hit is a whole
-    round-trip saved, which ``benchmarks/bench_backend_stack.py`` measures.
+    No count shaping: on this path it already happened on the server, the
+    client sees only what the page displays.  The accounting layer sits
+    directly on the page fetcher, so with ``history=True`` the counters
+    report *actual page fetches* — every history hit is a whole round-trip
+    saved, which ``benchmarks/bench_backend_stack.py`` measures.
 
     ``parallel=N`` puts a :class:`~repro.backends.dispatch.DispatchLayer` on
     top, so ``stack.submit_many(queries)`` fetches up to ``N`` pages
@@ -348,7 +349,6 @@ def web_stack(
     raw = WebPageBackend(site, schema, display_columns=display_columns)
     return _compose(
         raw,
-        count_mode=None,
         budget=budget,
         history=history,
         max_history_entries=max_history_entries,
@@ -376,7 +376,9 @@ def sharded_stack(
     The raw backend is a :class:`~repro.backends.shard.ShardRouter` over
     ``n_shards`` partitions sharing one :class:`TableIndex`; everything the
     client sees (counts, budget, statistics, history) is identical to
-    :func:`engine_stack` over the unsharded table.
+    :func:`engine_stack` over the unsharded table.  The router shapes the
+    merged count, drawing ``NOISY`` counts from one generator seeded by
+    ``seed`` exactly as the flat engine adapter does.
 
     ``parallel=N`` swaps in a
     :class:`~repro.backends.dispatch.ConcurrentShardRouter` that scatters
@@ -386,20 +388,19 @@ def sharded_stack(
     """
     if parallel is not None and parallel < 1:
         raise ConfigurationError("parallel must be at least 1 when given")
+    counts = CountPolicy(count_mode, count_noise, seed)
     if parallel is not None and parallel > 1:
         raw: RawBackend = ConcurrentShardRouter.over_table(
             table, n_shards, k, ranking=ranking, display_columns=display_columns,
-            max_workers=parallel,
+            max_workers=parallel, counts=counts,
         )
     else:
         raw = ShardRouter.over_table(
-            table, n_shards, k, ranking=ranking, display_columns=display_columns
+            table, n_shards, k, ranking=ranking, display_columns=display_columns,
+            counts=counts,
         )
     return _compose(
         raw,
-        count_mode=count_mode,
-        count_noise=count_noise,
-        seed=seed,
         budget=budget,
         history=history,
         max_history_entries=max_history_entries,
@@ -433,7 +434,7 @@ def remote_stack(
     the stack.  Directly above the adapter sits a pure-retry
     :class:`~repro.backends.layers.UnreliableLayer` (no injection) so real
     429s and 5xxs self-heal with exponential backoff — set ``max_retries=0``
-    to surface every network fault to the caller.  No count-mode layer: like
+    to surface every network fault to the caller.  No count shaping: like
     the scraping path, whatever count the server reports was already shaped
     server-side.
 
@@ -447,8 +448,8 @@ def remote_stack(
     dispatch layer and strips every hit and inferable item out of the wire
     batches.
 
-    Retries sit *below* the budget and statistics layers: a submission that
-    needed three attempts still charges one budgeted query and counts once —
+    Retries sit *below* the accounting layer: a submission that needed
+    three attempts still charges one budgeted query and counts once —
     the client asked once; the weather is the retry layer's business (its
     ``statistics`` records it).  Backoff sleeps are capped at ``max_backoff``
     and fully jittered, prefer a server ``Retry-After`` hint, and respect the
@@ -499,7 +500,6 @@ def remote_stack(
         raw = FailoverRouter(targets[0], targets[1:], policy=policy)
     return _compose(
         raw,
-        count_mode=None,
         budget=budget,
         history=history,
         max_history_entries=max_history_entries,
@@ -512,9 +512,6 @@ def remote_stack(
 
 def _compose(
     raw: RawBackend,
-    count_mode: CountMode | None,
-    count_noise: float = 0.3,
-    seed: int | random.Random | None = 0,
     budget: QueryBudget | None = None,
     history: bool = False,
     max_history_entries: int | None = None,
@@ -533,13 +530,9 @@ def _compose(
     if batch is not None and batch < 1:
         raise ConfigurationError("batch must be at least 1 when given")
     factories: dict[type, LayerFactory] = dict(layers or {})
-    if count_mode is not None:
-        factories[CountModeLayer] = lambda inner: CountModeLayer(
-            inner, mode=count_mode, noise=count_noise, seed=seed
-        )
-    factories[BudgetLayer] = lambda inner: BudgetLayer(inner, budget=budget)
-    if statistics:
-        factories[StatisticsLayer] = StatisticsLayer
+    factories[AccountingLayer] = lambda inner: AccountingLayer(
+        inner, budget=budget, statistics=statistics
+    )
     if history:
         # The lock-striped HistoryLayer is thread-safe, so it legally sits
         # *under* the dispatch layer: concurrent batch fan-out and the §3.2

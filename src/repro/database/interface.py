@@ -146,19 +146,6 @@ class InterfaceResponse:
     reported_count: int | None
     k: int
 
-    def with_reported_count(self, reported_count: int | None) -> "InterfaceResponse":
-        """This response reporting ``reported_count`` instead of its own count.
-
-        Count shaping does this once per query, so it copies the instance
-        dict rather than re-running the frozen ``__init__`` (under half the
-        cost).
-        """
-        shaped = object.__new__(InterfaceResponse)
-        fields = shaped.__dict__
-        fields.update(self.__dict__)
-        fields["reported_count"] = reported_count
-        return shaped
-
     @property
     def empty(self) -> bool:
         """True when the result page listed no tuples."""
@@ -229,12 +216,12 @@ class HiddenDatabaseInterface:
 
     Since the backend-stack refactor this class is a thin facade over the
     composable access path of :mod:`repro.backends`: a
-    :class:`~repro.backends.adapters.QueryEngineBackend` under a
-    :class:`~repro.backends.layers.CountModeLayer`, a
-    :class:`~repro.backends.layers.BudgetLayer` and the single
-    :class:`~repro.backends.layers.StatisticsLayer` of the path.  Its public
-    contract — constructor signature, ``submit`` semantics, ``statistics``,
-    ``budget``, count modes, operator-side helpers — is unchanged.
+    :class:`~repro.backends.adapters.QueryEngineBackend`, shaping its counts
+    as ``count_mode`` asks, under the one
+    :class:`~repro.backends.layers.AccountingLayer` of the path.  Its public
+    contract — constructor signature (count modes included), ``submit``
+    semantics, ``statistics``, ``budget``, operator-side helpers — is
+    unchanged.
 
     Parameters
     ----------
@@ -302,7 +289,7 @@ class HiddenDatabaseInterface:
     def submit(self, query: ConjunctiveQuery) -> InterfaceResponse:
         """Submit one conjunctive query and return the visible result page.
 
-        The budget layer charges before the engine executes; a budget
+        The accounting layer charges before the engine executes; a budget
         violation leaves the database untouched and raises.
         """
         return self.stack.submit(query)
@@ -311,7 +298,7 @@ class HiddenDatabaseInterface:
 
     @property
     def statistics(self) -> InterfaceStatistics:
-        """Counters of the path's single statistics layer."""
+        """Counters of the path's single accounting layer."""
         statistics = self.stack.statistics
         assert statistics is not None
         return statistics
@@ -324,29 +311,9 @@ class HiddenDatabaseInterface:
         return budget
 
     @property
-    def count_mode(self) -> CountMode:
-        """How (and whether) result counts are reported."""
-        return self._count_layer.mode
-
-    @count_mode.setter
-    def count_mode(self, mode: CountMode) -> None:
-        self._count_layer.mode = mode
-
-    @property
-    def count_noise(self) -> float:
-        """Relative noise magnitude used by :attr:`CountMode.NOISY`."""
-        return self._count_layer.noise
-
-    @property
     def display_columns(self) -> tuple[str, ...]:
         """Extra non-searchable columns shown on result pages."""
         return self.stack.raw.display_columns  # type: ignore[attr-defined]
-
-    @property
-    def _count_layer(self):
-        layer = self.stack.count_mode_layer
-        assert layer is not None
-        return layer
 
     # -- operator-side helpers (not available to samplers) ----------------------
 
@@ -361,8 +328,8 @@ class HiddenDatabaseInterface:
 
     def reset_statistics(self) -> None:
         """Clear interaction counters (budget is left untouched)."""
-        from repro.backends.layers import StatisticsLayer
+        from repro.backends.layers import AccountingLayer
 
-        layer = self.stack.layer(StatisticsLayer)
+        layer = self.stack.layer(AccountingLayer)
         assert layer is not None
         layer.reset()

@@ -123,8 +123,8 @@ def _build_backend(args: argparse.Namespace) -> BackendStack:
 
     With ``--shards N`` the raw backend is a shard router over N partitions
     sharing one table index; adding ``--parallel M`` scatters the sub-queries
-    over M worker threads.  The layer stack above (count mode, budget,
-    statistics) is identical either way, as are the sampled results.  With
+    over M worker threads.  The count mode and the accounting layer above
+    are identical either way, as are the sampled results.  With
     ``--remote URL`` nothing is simulated: the stack talks JSON-over-HTTP to
     the named endpoint over pooled keep-alive connections, retrying real
     429s/5xxs; ``--batch M`` ships up to M queries per round-trip and

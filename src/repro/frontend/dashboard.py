@@ -98,8 +98,8 @@ class Dashboard:
         """One-line view of the attached access path's layer statistics.
 
         Works with anything statistics-shaped: a
-        :class:`~repro.backends.stack.BackendStack` (statistics + optional
-        budget and history layers), a classic interface, a
+        :class:`~repro.backends.stack.BackendStack` (accounting + optional
+        history layer), a classic interface, a
         :class:`~repro.service.SamplingService` (whose per-backend report
         additionally carries the cross-job shared-history savings), or
         nothing — in which case a placeholder is returned.

@@ -95,7 +95,7 @@ class SamplingJob:
 
         An answer another job on the same history level already paid for
         costs this job nothing, so the jobs of one backend sum to what its
-        statistics layer counted.
+        accounting layer counted.
         """
         return self.session.generator.interface_queries_issued()
 

@@ -54,7 +54,7 @@ def _resolve_backend(backend: "HiddenDatabase | str | Sequence[str]") -> HiddenD
     """Accept a backend object as-is; resolve URL strings to remote stacks.
 
     A single URL becomes a :func:`~repro.backends.stack.remote_stack` — remote
-    adapter under retry, budget and statistics layers — so the service's
+    adapter under retry and accounting layers — so the service's
     accounting and job machinery work identically over the socket.  A *list*
     of URLs becomes the same builder's failover form: the first URL is the
     primary, the rest are replicas behind health-checked circuit breakers,
@@ -409,7 +409,7 @@ class SamplingService:
         or the thin facades over one) this surfaces the access path's single
         statistics counter plus, when layered in, budget usage and
         history-cache savings — the numbers an operator watches on a shared
-        deployment.  Backends without a statistics layer report ``None``
+        deployment.  Backends whose access path does not count report ``None``
         counters rather than guessing.  ``shared_history`` reports the
         cross-job savings of the history level every job of this backend
         submits through.

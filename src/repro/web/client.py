@@ -13,7 +13,7 @@ Since the backend-stack refactor the client is a thin facade over
 :func:`repro.backends.stack.web_stack`: the page scraping itself lives in
 :class:`~repro.backends.adapters.WebPageBackend`, and the client's
 bookkeeping is the stack's single
-:class:`~repro.backends.layers.StatisticsLayer` — the only counter on this
+:class:`~repro.backends.layers.AccountingLayer` — the only counter on this
 access path, so issued queries are never double-counted however the client
 is further wrapped.  Passing ``history=True`` slots a
 :class:`~repro.backends.history.HistoryLayer` on top, so repeated and

@@ -55,6 +55,7 @@ from repro.exceptions import (
     QueryError,
     RateLimitedError,
     TransientBackendError,
+    UnknownAttributeError,
     WebFormError,
 )
 
@@ -418,8 +419,10 @@ def batch_request_to_dict(queries: Sequence[ConjunctiveQuery]) -> dict:
 def batch_request_from_dict(schema: Schema, payload: Mapping) -> list[ConjunctiveQuery]:
     """Rebuild the queries of a :func:`batch_request_to_dict` envelope.
 
-    An unknown envelope version is a clear typed error (the server answers
-    400 with this message), not a ``KeyError`` deep in decoding.
+    An unknown envelope version, an item that is not an object and an item
+    naming an attribute the schema lacks are clear typed errors (the server
+    answers 400 with the message, as for a bad ``GET /api/submit``), not a
+    ``KeyError`` deep in decoding.
     """
     version = payload.get("version")
     if version != BATCH_WIRE_VERSION:
@@ -430,7 +433,15 @@ def batch_request_from_dict(schema: Schema, payload: Mapping) -> list[Conjunctiv
     entries = payload.get("queries")
     if not isinstance(entries, list):
         raise FormParseError("batch request carries no 'queries' list")
-    return [ConjunctiveQuery.from_assignment(schema, entry) for entry in entries]
+    queries = []
+    for entry in entries:
+        if not isinstance(entry, Mapping):
+            raise FormParseError(f"batch request item {entry!r} is not an object")
+        try:
+            queries.append(ConjunctiveQuery.from_assignment(schema, entry))
+        except UnknownAttributeError as error:
+            raise FormParseError(f"batch request item names {error}") from error
+    return queries
 
 
 def batch_response_to_dict(

@@ -31,9 +31,9 @@ class HiddenWebSite:
     :class:`~repro.database.interface.HiddenDatabaseInterface`, a raw
     :class:`~repro.backends.adapters.QueryEngineBackend`, or a whole
     :class:`~repro.backends.stack.BackendStack` (including a sharded one).
-    Serving from a stack *without* a statistics layer leaves the web client's
-    own :class:`~repro.backends.layers.StatisticsLayer` as the one counter of
-    issued queries end to end.
+    Serving from a stack that does not count (``statistics=False``) leaves
+    the web client's own :class:`~repro.backends.layers.AccountingLayer` as
+    the one counter of issued queries end to end.
     """
 
     #: Path of the search form page.

@@ -83,22 +83,22 @@ def _mutate(tmp_path, transformer: ast.NodeTransformer) -> Path:
 
 class TestMutationsStayRed:
     def test_unlocking_a_guarded_write_trips_r1(self, tmp_path):
-        transformer = _StripWith("StatisticsLayer", "reset")
+        transformer = _StripWith("AccountingLayer", "reset")
         target = _mutate(tmp_path, transformer)
         assert transformer.stripped >= 1, "fixture drift: reset no longer uses a with block"
         findings = run_analysis([target], rules=[GuardedStateRule()])
         assert findings
         assert all(f.rule == "R1" for f in findings)
         assert any(
-            "self.statistics" in f.message and "StatisticsLayer.reset" in f.message
+            "self.statistics" in f.message and "AccountingLayer.reset" in f.message
             for f in findings
         )
 
     def test_deleting_a_batch_method_trips_r2(self, tmp_path):
-        transformer = _DropMethod("BudgetLayer", "submit_many")
+        transformer = _DropMethod("AccountingLayer", "submit_many")
         target = _mutate(tmp_path, transformer)
-        assert transformer.dropped == 1, "fixture drift: BudgetLayer.submit_many not found"
+        assert transformer.dropped == 1, "fixture drift: AccountingLayer.submit_many not found"
         findings = run_analysis([target], rules=[LayerContractRule()])
         assert findings
         assert all(f.rule == "R2" for f in findings)
-        assert any("BudgetLayer" in f.message for f in findings)
+        assert any("AccountingLayer" in f.message for f in findings)

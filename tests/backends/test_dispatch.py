@@ -20,7 +20,6 @@ from repro.backends import (
     DispatchLayer,
     QueryEngineBackend,
     ShardRouter,
-    StatisticsLayer,
     TableShardBackend,
     UnreliableLayer,
     engine_stack,
@@ -223,7 +222,7 @@ class TestDispatchLayer:
         site = HiddenWebSite(QueryEngineBackend(tiny_table, k=2, ranking=StaticScoreRanking()))
         stack = web_stack(site, tiny_schema, history=True, parallel=4)
         assert stack.describe() == (
-            "DispatchLayer → HistoryLayer → StatisticsLayer → BudgetLayer → WebPageBackend"
+            "DispatchLayer → HistoryLayer → AccountingLayer → WebPageBackend"
         )
         queries = _random_queries(tiny_schema, random.Random(9), 12)
         oracle = web_stack(

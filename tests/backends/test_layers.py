@@ -3,17 +3,18 @@
 import pytest
 
 from repro.backends import (
+    AccountingLayer,
     BackendStack,
-    BudgetLayer,
     CircuitBreakerLayer,
-    CountModeLayer,
+    CountPolicy,
     HistoryLayer,
     QueryEngineBackend,
-    StatisticsLayer,
+    ShardRouter,
     UnreliableLayer,
     engine_stack,
     web_stack,
 )
+from repro.backends.stack import LAYER_ORDER
 from repro.database.interface import CountMode, HiddenDatabaseInterface
 from repro.database.limits import QueryBudget
 from repro.database.query import ConjunctiveQuery
@@ -50,24 +51,46 @@ class TestRawAdapters:
         assert not hasattr(raw, "statistics")
 
 
-class TestBudgetLayer:
+class TestAccountingLayer:
+    """Budget charging and query counting, in one node under one lock."""
+
+    # -- charging (the budget half) ------------------------------------------
+
     def test_charges_before_touching_the_backend(self, raw, tiny_schema):
-        layer = BudgetLayer(raw, budget=QueryBudget(limit=1))
+        layer = AccountingLayer(raw, budget=QueryBudget(limit=1))
         layer.submit(ConjunctiveQuery.empty(tiny_schema))
         with pytest.raises(QueryBudgetExceededError):
             layer.submit(ConjunctiveQuery.empty(tiny_schema))
         assert layer.budget.issued == 1
 
     def test_defaults_to_unlimited(self, raw, any_query):
-        layer = BudgetLayer(raw)
+        layer = AccountingLayer(raw)
         for _ in range(5):
             layer.submit(any_query)
         assert layer.budget.issued == 5 and layer.budget.remaining is None
 
+    def test_a_batch_is_charged_all_or_nothing(self, raw, tiny_schema, any_query):
+        layer = AccountingLayer(raw, budget=QueryBudget(limit=2))
+        for submit in (layer.submit_many, layer.submit_outcomes):
+            with pytest.raises(QueryBudgetExceededError):
+                submit([any_query] * 3)
+        assert layer.budget.issued == 0 and layer.statistics.queries_issued == 0
+        layer.submit_many([any_query] * 2)
+        assert layer.budget.issued == 2 and layer.statistics.queries_issued == 2
 
-class TestStatisticsLayer:
+    def test_statistics_false_charges_only(self, raw, any_query):
+        layer = AccountingLayer(raw, budget=QueryBudget(limit=3), statistics=False)
+        layer.submit(any_query)
+        layer.submit_many([any_query])
+        layer.submit_outcomes([any_query])
+        layer.reset()
+        assert layer.budget.issued == 3
+        assert layer.statistics is None and layer.snapshot() is None
+
+    # -- counting (the statistics half) --------------------------------------
+
     def test_counts_answered_queries_by_outcome(self, raw, tiny_schema):
-        layer = StatisticsLayer(raw)
+        layer = AccountingLayer(raw)
         layer.submit(ConjunctiveQuery.empty(tiny_schema))                       # overflow
         layer.submit(ConjunctiveQuery.from_assignment(tiny_schema, {"make": "Honda"}))  # valid
         layer.submit(ConjunctiveQuery.from_assignment(
@@ -77,10 +100,29 @@ class TestStatisticsLayer:
         assert stats["overflow_results"] == stats["valid_results"] == stats["empty_results"] == 1
 
     def test_failed_submissions_are_not_counted(self, raw, tiny_schema):
-        layer = StatisticsLayer(BudgetLayer(raw, budget=QueryBudget(limit=0)))
+        layer = AccountingLayer(raw, budget=QueryBudget(limit=0))
         with pytest.raises(QueryBudgetExceededError):
             layer.submit(ConjunctiveQuery.empty(tiny_schema))
         assert layer.statistics.queries_issued == 0
+        # A submission that fails *below* the layer is charged, not counted.
+        failing = AccountingLayer(UnreliableLayer(raw, rate_limit_every=1, max_retries=0))
+        with pytest.raises(RateLimitedError):
+            failing.submit(ConjunctiveQuery.empty(tiny_schema))
+        assert failing.budget.issued == 1 and failing.statistics.queries_issued == 0
+
+    def test_outcomes_count_only_the_answered_items(self, raw, any_query):
+        layer = AccountingLayer(UnreliableLayer(raw, rate_limit_every=2, max_retries=0))
+        outcomes = layer.submit_outcomes([any_query] * 4)
+        assert [isinstance(o, RateLimitedError) for o in outcomes] == [False, True] * 2
+        assert layer.budget.issued == 4 and layer.statistics.queries_issued == 2
+
+    def test_reset_clears_the_counters_and_keeps_the_budget(self, raw, any_query):
+        layer = AccountingLayer(raw)
+        layer.submit(any_query)
+        before = layer.snapshot()
+        layer.reset()
+        assert before.queries_issued == 1 and layer.snapshot().queries_issued == 0
+        assert layer.budget.issued == 1
 
 
 class TestSingleCounterInvariant:
@@ -88,42 +130,54 @@ class TestSingleCounterInvariant:
 
     def test_two_statistics_layers_in_one_stack_raise(self, raw):
         with pytest.raises(ConfigurationError):
-            BackendStack(raw, [StatisticsLayer, BudgetLayer, StatisticsLayer])
+            BackendStack(raw, [AccountingLayer, AccountingLayer])
 
     def test_wrapping_a_web_client_with_another_counter_raises(self, tiny_table, tiny_schema):
-        # A WebFormClient already owns the single StatisticsLayer of its
-        # access path; composing a second counter around it used to silently
-        # double-count every issued query and is now a construction error.
+        # A WebFormClient already owns the single counting AccountingLayer of
+        # its access path; composing a second counter around it used to
+        # silently double-count every issued query and is now a construction
+        # error.
         site = HiddenWebSite(QueryEngineBackend(tiny_table, k=2, ranking=StaticScoreRanking()))
         client = WebFormClient(site, tiny_schema)
         with pytest.raises(ConfigurationError):
-            BackendStack(client, [StatisticsLayer])
+            BackendStack(client, [AccountingLayer])
 
     def test_wrapping_the_classic_interface_with_another_counter_raises(self, tiny_interface):
         with pytest.raises(ConfigurationError):
-            BackendStack(tiny_interface, [StatisticsLayer])
+            BackendStack(tiny_interface, [AccountingLayer])
 
     def test_one_query_is_counted_exactly_once_end_to_end(self, tiny_table, tiny_schema, any_query):
         # Serve the site from a raw (counter-free) backend: the client's own
         # layer is then the only statistics counter on the whole path.
         site = HiddenWebSite(QueryEngineBackend(tiny_table, k=2, ranking=StaticScoreRanking()))
         client = WebFormClient(site, tiny_schema)
-        stack = BackendStack(client, [BudgetLayer])  # extra layers stay legal
+        # An extra charge-only accounting layer stays legal.
+        stack = BackendStack(client, [lambda inner: AccountingLayer(inner, statistics=False)])
         stack.submit(any_query)
         assert client.statistics.queries_issued == 1
+        assert stack.budget.issued == 1
 
 
 class TestLayerOrder:
     """Ranked layers a stack builds follow ``LAYER_ORDER``, innermost first."""
 
+    def test_the_order_table(self):
+        assert [kind.__name__ for kind in LAYER_ORDER] == [
+            "CircuitBreakerLayer",
+            "UnreliableLayer",
+            "AccountingLayer",
+            "HistoryLayer",
+            "DispatchLayer",
+        ]
+
     @pytest.mark.parametrize(
         "below, above",
         [
-            (StatisticsLayer, UnreliableLayer),
+            (AccountingLayer, UnreliableLayer),
             (UnreliableLayer, CircuitBreakerLayer),
-            (HistoryLayer, BudgetLayer),
+            (HistoryLayer, AccountingLayer),
         ],
-        ids=["retry-above-statistics", "breaker-above-retry", "budget-above-history"],
+        ids=["retry-above-accounting", "breaker-above-retry", "accounting-above-history"],
     )
     def test_mis_ordered_layers_are_refused(self, raw, below, above):
         with pytest.raises(
@@ -141,36 +195,38 @@ class TestLayerOrder:
             def submit(self, query):
                 return self.inner.submit(query)
 
-        stack = BackendStack(raw, [Passthrough, BudgetLayer, Passthrough, StatisticsLayer])
+        stack = BackendStack(raw, [Passthrough, AccountingLayer, Passthrough, HistoryLayer])
         assert stack.submit(any_query).valid
 
 
-class TestCountModeLayer:
-    def test_none_hides_the_exact_count(self, raw, any_query):
-        layer = CountModeLayer(raw, mode=CountMode.NONE)
-        assert layer.submit(any_query).reported_count is None
+class TestCountPolicy:
+    """Count shaping where the answer is built: engine adapter and shard router."""
 
-    def test_exact_passes_the_count_through(self, raw, tiny_schema):
-        layer = CountModeLayer(raw, mode=CountMode.EXACT)
-        assert layer.submit(ConjunctiveQuery.empty(tiny_schema)).reported_count == 8
+    def test_none_hides_the_exact_count(self, tiny_table, any_query):
+        raw = QueryEngineBackend(tiny_table, k=2, counts=CountPolicy(CountMode.NONE))
+        assert raw.submit(any_query).reported_count is None
+
+    def test_exact_passes_the_count_through(self, tiny_table, tiny_schema):
+        raw = QueryEngineBackend(tiny_table, k=2, counts=CountPolicy(CountMode.EXACT))
+        assert raw.submit(ConjunctiveQuery.empty(tiny_schema)).reported_count == 8
 
     def test_noisy_is_bounded_and_deterministic_per_seed(self, tiny_table, tiny_schema):
         query = ConjunctiveQuery.from_assignment(tiny_schema, {"make": "Toyota"})
 
         def build():
-            return CountModeLayer(
-                QueryEngineBackend(tiny_table, k=2, ranking=StaticScoreRanking()),
-                mode=CountMode.NOISY, noise=0.5, seed=42,
+            return QueryEngineBackend(
+                tiny_table, k=2, ranking=StaticScoreRanking(),
+                counts=CountPolicy(CountMode.NOISY, noise=0.5, seed=42),
             )
 
         reported = build().submit(query).reported_count
         assert 2 <= reported <= 6  # 4 ± 50%
         assert build().submit(query).reported_count == reported
 
-    def test_noisy_zero_stays_zero(self, raw, tiny_schema):
-        layer = CountModeLayer(raw, mode=CountMode.NOISY, seed=1)
+    def test_noisy_zero_stays_zero(self, tiny_table, tiny_schema):
+        raw = QueryEngineBackend(tiny_table, k=2, counts=CountPolicy(CountMode.NOISY, seed=1))
         query = ConjunctiveQuery.from_assignment(tiny_schema, {"make": "Honda", "price": "0-10000"})
-        assert layer.submit(query).reported_count == 0
+        assert raw.submit(query).reported_count == 0
 
     def test_noisy_never_rounds_a_nonempty_count_to_zero(self, tiny_table, tiny_schema):
         # Regression: with large relative noise a true count of 1 used to
@@ -180,22 +236,28 @@ class TestCountModeLayer:
         query = ConjunctiveQuery.from_assignment(
             tiny_schema, {"make": "Ford", "price": "20000-40000"})  # exactly one match
         for seed in range(50):
-            layer = CountModeLayer(
-                QueryEngineBackend(tiny_table, k=2, ranking=StaticScoreRanking()),
-                mode=CountMode.NOISY, noise=0.99, seed=seed,
+            raw = QueryEngineBackend(
+                tiny_table, k=2, ranking=StaticScoreRanking(),
+                counts=CountPolicy(CountMode.NOISY, noise=0.99, seed=seed),
             )
-            reported = layer.submit(query).reported_count
+            reported = raw.submit(query).reported_count
             assert reported >= 1, f"seed {seed} reported {reported} for a non-empty result"
 
-    def test_needs_an_exact_count_beneath_it(self, raw, any_query):
-        hidden = CountModeLayer(raw, mode=CountMode.NONE)
-        shaped = CountModeLayer(hidden, mode=CountMode.EXACT)
-        with pytest.raises(InterfaceError):
-            shaped.submit(any_query)
+    def test_needs_an_exact_count_beneath_it(self, tiny_table, any_query):
+        # The router shapes its merged total itself; shards that hide their
+        # counts leave it nothing to sum.
+        hidden = [
+            QueryEngineBackend(tiny_table, k=2, counts=CountPolicy(CountMode.NONE))
+            for _ in range(2)
+        ]
+        with pytest.raises(InterfaceError, match="exact counts from its shards"):
+            ShardRouter(hidden, counts=CountPolicy(CountMode.EXACT)).submit(any_query)
 
-    def test_negative_noise_rejected(self, raw):
+    def test_negative_noise_rejected(self, tiny_table):
         with pytest.raises(InterfaceError):
-            CountModeLayer(raw, noise=-0.1)
+            CountPolicy(noise=-0.1)
+        with pytest.raises(InterfaceError):
+            engine_stack(tiny_table, k=2, count_noise=-0.1)
 
 
 class TestUnreliableLayer:
@@ -303,10 +365,8 @@ class TestUnreliableLayerRetriesRealFaults:
             layer.submit(any_query)
 
     def test_non_transient_errors_are_never_retried(self, tiny_table, tiny_schema, any_query):
-        from repro.backends import BudgetLayer
-
         raw = QueryEngineBackend(tiny_table, k=2, ranking=StaticScoreRanking())
-        exhausted = BudgetLayer(raw, budget=QueryBudget(limit=0))
+        exhausted = AccountingLayer(raw, budget=QueryBudget(limit=0))
         layer = UnreliableLayer(exhausted, max_retries=5)
         with pytest.raises(QueryBudgetExceededError):
             layer.submit(any_query)
@@ -375,10 +435,9 @@ class TestBackendStack:
             count_mode=CountMode.EXACT, budget=QueryBudget(limit=10), history=True,
         )
         assert stack.statistics is not None and stack.budget is not None
-        assert stack.history is not None and stack.count_mode_layer is not None
-        assert stack.describe() == (
-            "HistoryLayer → StatisticsLayer → BudgetLayer → CountModeLayer → QueryEngineBackend"
-        )
+        assert stack.history is not None
+        assert stack.describe() == "HistoryLayer → AccountingLayer → QueryEngineBackend"
+        assert engine_stack(tiny_table, k=2).describe() == "AccountingLayer → QueryEngineBackend"
 
     def test_history_hits_charge_no_budget_and_count_no_queries(self, tiny_table, tiny_schema):
         stack = engine_stack(

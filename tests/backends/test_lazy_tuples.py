@@ -15,10 +15,10 @@ import threading
 import pytest
 
 from repro.backends import (
+    AccountingLayer,
     HistoryLayer,
     QueryEngineBackend,
     ShardRouter,
-    StatisticsLayer,
     build_returned_tuples,
 )
 from repro.backends import adapters as adapters_module
@@ -170,7 +170,7 @@ class TestNothingIsBuiltUntilRead:
         query = ConjunctiveQuery.empty(table.schema)
         stacks = [
             QueryEngineBackend(table, k=50),
-            StatisticsLayer(HistoryLayer(QueryEngineBackend(table, k=50))),
+            AccountingLayer(HistoryLayer(QueryEngineBackend(table, k=50))),
             ShardRouter.over_table(table, 4, k=50),
         ]
         for backend in stacks:
@@ -199,7 +199,7 @@ class TestNoBitScanUntilRead:
         schema = table.schema
         backends = {
             "flat": lambda: QueryEngineBackend(table, k=50),
-            "history": lambda: StatisticsLayer(HistoryLayer(QueryEngineBackend(table, k=50))),
+            "history": lambda: AccountingLayer(HistoryLayer(QueryEngineBackend(table, k=50))),
             "router": lambda: ShardRouter.over_table(table, 4, k=50),
             "concurrent": lambda: ConcurrentShardRouter.over_table(table, 4, k=50),
         }

@@ -169,17 +169,25 @@ class TestStackMatchesLegacyOracle:
         facade = HiddenDatabaseInterface(
             small_vehicles_table, ranking=RANKINGS[ranking_name](), **build
         )
-        stack = engine_stack(
-            small_vehicles_table, ranking=RANKINGS[ranking_name](), **build
-        )
+        stacks = [
+            engine_stack(small_vehicles_table, ranking=RANKINGS[ranking_name](), **build),
+            # The shard router draws its NOISY counts itself: same seed, same
+            # stream, whether the shards answer serially or from a pool.
+            sharded_stack(small_vehicles_table, 4, ranking=RANKINGS[ranking_name](), **build),
+            sharded_stack(
+                small_vehicles_table, 4, ranking=RANKINGS[ranking_name](), parallel=4, **build
+            ),
+        ]
         rng = random.Random(4)
         for query in _random_queries(small_vehicles_table.schema, rng, 40):
             expected = oracle.submit(query)
             assert facade.submit(query) == expected
-            assert stack.submit(query) == expected
+            for stack in stacks:
+                assert stack.submit(query) == expected, stack.describe()
         assert facade.statistics.as_dict() == oracle.statistics.as_dict()
-        assert stack.statistics.as_dict() == oracle.statistics.as_dict()
-        assert stack.budget.issued == oracle.budget.issued
+        for stack in stacks:
+            assert stack.statistics.as_dict() == oracle.statistics.as_dict()
+            assert stack.budget.issued == oracle.budget.issued
 
     def test_budget_violation_identical(self, tiny_table, tiny_schema):
         oracle = LegacyInterfaceOracle(tiny_table, k=2, budget=QueryBudget(limit=1))

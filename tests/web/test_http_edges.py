@@ -211,6 +211,22 @@ class TestBatchBodyValidation:
             (_post_batch(b"\xff\xfe{}"), 400, True),
             (_post_batch(b"[1, 2]"), 400, True),
             (_post_batch(json.dumps({"version": BATCH_WIRE_VERSION}).encode()), 400, True),
+            # A malformed item is the client's fault (400), not a transient
+            # server fault (500) a retry layer would re-send.
+            (
+                _post_batch(
+                    json.dumps(
+                        {"version": BATCH_WIRE_VERSION, "queries": [{"color": "red"}, {"nope": "x"}]}
+                    ).encode()
+                ),
+                400,
+                True,
+            ),
+            (
+                _post_batch(json.dumps({"version": BATCH_WIRE_VERSION, "queries": [1]}).encode()),
+                400,
+                True,
+            ),
         ],
         ids=[
             "unreadable-length",
@@ -221,6 +237,8 @@ class TestBatchBodyValidation:
             "not-utf8",
             "not-an-object",
             "no-queries-list",
+            "item-names-an-unknown-attribute",
+            "item-not-an-object",
         ],
     )
     def test_a_bad_batch_request_is_refused(

@@ -233,7 +233,7 @@ class TestBatchWire:
     def test_remote_stack_with_parallel_batch_and_history(self, server, tiny_schema, tiny_backend):
         stack = remote_stack(server.url, parallel=4, batch=4, history=True)
         assert stack.describe() == (
-            "DispatchLayer → HistoryLayer → StatisticsLayer → BudgetLayer → "
+            "DispatchLayer → HistoryLayer → AccountingLayer → "
             "UnreliableLayer → RemoteBackend"
         )
         queries = _random_queries(tiny_schema, 9, 20)

@@ -355,13 +355,13 @@ class TestRemoteStackAndService:
     def test_remote_stack_layers(self, server):
         stack = remote_stack(server.url, history=True)
         assert stack.describe() == (
-            "HistoryLayer → StatisticsLayer → BudgetLayer → UnreliableLayer → RemoteBackend"
+            "HistoryLayer → AccountingLayer → UnreliableLayer → RemoteBackend"
         )
 
     def test_breaker_sits_below_the_retry_layer(self, server):
         stack = remote_stack(server.url, parallel=2, breaker=True)
         assert stack.describe() == (
-            "DispatchLayer → StatisticsLayer → BudgetLayer → UnreliableLayer "
+            "DispatchLayer → AccountingLayer → UnreliableLayer "
             "→ CircuitBreakerLayer → RemoteBackend"
         )
 
@@ -372,7 +372,7 @@ class TestRemoteStackAndService:
         ) as replica:
             stack = remote_stack([primary.url, replica.url], history=True, breaker=policy)
             assert stack.describe() == (
-                "HistoryLayer → StatisticsLayer → BudgetLayer → UnreliableLayer → FailoverRouter"
+                "HistoryLayer → AccountingLayer → UnreliableLayer → FailoverRouter"
             )
             router = stack.raw
             assert isinstance(router, FailoverRouter)
