@@ -9,8 +9,8 @@ Rules (see ``docs/architecture.md`` § Invariants for the full rationale):
 =====  ==================  =====================================================
 R1     guarded-state       ``_guarded_by``-declared attributes mutate only
                            under their declared lock
-R2     layer-contract      ``BackendLayer`` subclasses define both batch
-                           halves (``submit_many`` and ``submit_outcomes``)
+R2     layer-contract      ``BackendLayer`` subclasses overriding submission
+                           define ``submit`` and ``submit_outcomes`` both
 R3     exception-taxonomy  broad excepts are allowlisted or re-raise; layer
                            packages raise only :mod:`repro.exceptions` types
 R4     deterministic-rng   all randomness flows through ``repro/_rng.py``

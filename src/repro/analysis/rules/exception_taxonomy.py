@@ -39,7 +39,7 @@ from repro.analysis.engine import Finding, ModuleSource, Rule
 #: per-item outcome capture turns any exception into that item's outcome.
 BROAD_EXCEPT_ALLOWLIST = frozenset(
     {
-        ("repro/backends/base.py", "forward_outcomes"),
+        ("repro/backends/base.py", "outcome_of"),
         ("repro/web/httpd.py", "submit_batch_payload"),
     }
 )

@@ -1,24 +1,22 @@
-"""R2 layer-contract: every layer handles both halves of the batch protocol.
+"""R2 layer-contract: every layer handles both halves of the submission protocol.
 
 Motivating bug class (PR 5): the batched wire path was added and several
-``BackendLayer`` subclasses kept their inherited pass-through ``submit_many``
-— so a batch *bypassed* the very concern the layer existed to add (budgets
+``BackendLayer`` subclasses kept an inherited pass-through batch method — so
+a batch *bypassed* the very concern the layer existed to add (budgets
 uncharged, statistics unrecorded, counts unshaped) until a review pass closed
 each gap by hand.  The same gap re-opens every time someone writes a new
-layer and forgets one of the batch entry points.
+layer and forgets the batch entry point.
 
-The rule: a ``BackendLayer`` subclass that overrides any of the submission
-entry points (``submit``, ``submit_many``, ``submit_outcomes``) must define
-**both** batch halves, ``submit_many`` *and* ``submit_outcomes``.  Overriding
-``submit`` alone means single submissions get the layer's concern while
-batches sneak past it through the inherited forwarding; overriding one batch
-half but not the other splits the semantics between two code paths the layer
-does not control.
+The rule: a ``BackendLayer`` subclass that overrides either submission entry
+point — ``submit`` or ``submit_outcomes``, the protocol's one batch method —
+must define **both**.  Overriding ``submit`` alone means single submissions
+get the layer's concern while batches sneak past it through the inherited
+forwarding; overriding ``submit_outcomes`` alone does the same to single
+submissions.
 
-A subclass that overrides none of the three (a pure schema/introspection
-wrapper) inherits the base class's forwarding for all of them consistently
-and is fine.  The base class itself is exempt — its forwarding *is* the
-protocol.
+A subclass that overrides neither (a pure schema/introspection wrapper)
+inherits the base class's forwarding for both consistently and is fine.  The
+base class itself is exempt — its forwarding *is* the protocol.
 """
 
 from __future__ import annotations
@@ -31,18 +29,17 @@ from repro.analysis.rules._ast_helpers import base_names, class_functions, modul
 #: Names that mark a class as a middleware layer when they appear in bases.
 LAYER_BASES = frozenset({"BackendLayer"})
 
-_SUBMIT_METHODS = ("submit", "submit_many", "submit_outcomes")
-_BATCH_METHODS = ("submit_many", "submit_outcomes")
+_SUBMIT_METHODS = ("submit", "submit_outcomes")
 
 
 class LayerContractRule(Rule):
-    """R2: layers overriding submission must define both batch halves."""
+    """R2: layers overriding submission define ``submit`` and ``submit_outcomes``."""
 
     rule_id = "R2"
     name = "layer-contract"
     rationale = (
         "PR 5's missing-batch-half bug class: a layer whose concern applies "
-        "per submission must apply it on submit_many and submit_outcomes too"
+        "per submission must apply it on submit and submit_outcomes alike"
     )
 
     def check_module(self, module: ModuleSource) -> Iterable[Finding]:
@@ -56,7 +53,7 @@ class LayerContractRule(Rule):
             overridden = defined & set(_SUBMIT_METHODS)
             if not overridden:
                 continue
-            missing = [name for name in _BATCH_METHODS if name not in defined]
+            missing = [name for name in _SUBMIT_METHODS if name not in defined]
             for name in missing:
                 findings.append(
                     self.finding(
@@ -64,8 +61,8 @@ class LayerContractRule(Rule):
                         class_node,
                         f"BackendLayer subclass '{class_node.name}' overrides "
                         f"{', '.join(sorted(overridden))} but does not define "
-                        f"'{name}' — batches would bypass the layer's concern "
-                        f"through inherited forwarding",
+                        f"'{name}' — those submissions would bypass the layer's "
+                        f"concern through inherited forwarding",
                     )
                 )
         return findings

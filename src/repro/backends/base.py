@@ -17,6 +17,14 @@ separates the two concerns:
   dedup/inference, injected unreliability (:mod:`repro.backends.layers`,
   :mod:`repro.backends.history`).
 
+A batch has one method on every node: ``submit_outcomes(queries)`` returns
+one outcome per item, the answer or the exception that item raised, so one
+failed item never costs its siblings their answers.  :func:`forward_outcomes`
+reaches it beneath any layer and degrades to a serial loop over a backend
+that has only ``submit``;
+:meth:`repro.backends.stack.BackendStack.submit_many` is the one call that
+raises a batch's first error instead.
+
 Every layer is itself a valid :class:`RawBackend`, so layers compose freely;
 :class:`repro.backends.stack.BackendStack` is the curated composition the
 rest of the system builds on.
@@ -31,22 +39,12 @@ from repro.database.query import ConjunctiveQuery
 from repro.database.schema import Schema
 
 
-def forward_many(
-    backend: object, queries: Sequence[ConjunctiveQuery]
-) -> list[InterfaceResponse]:
-    """Submit a batch through ``backend``, using its batch path when it has one.
-
-    The optional batch half of the backend protocol: a backend *may* expose
-    ``submit_many(queries) -> list[InterfaceResponse]`` (responses in input
-    order, first input-order failure raised).  Layers forward batches through
-    this helper so a wire-level batch endpoint at the bottom of a stack is
-    reached however many layers sit above it; backends without a batch path
-    degrade to a serial loop with identical semantics.
-    """
-    submit_many = getattr(backend, "submit_many", None)
-    if callable(submit_many):
-        return list(submit_many(queries))
-    return [backend.submit(query) for query in queries]
+def outcome_of(backend: object, query: ConjunctiveQuery) -> "InterfaceResponse | Exception":
+    """``backend.submit(query)``, with the exception it raises returned in place."""
+    try:
+        return backend.submit(query)
+    except Exception as error:  # noqa: BLE001 - per-item outcome
+        return error
 
 
 def forward_outcomes(
@@ -54,24 +52,20 @@ def forward_outcomes(
 ) -> list["InterfaceResponse | Exception"]:
     """Submit a batch through ``backend``, reporting **per-item** outcomes.
 
-    The richer optional batch half of the protocol: a backend may expose
+    The one batch method of the backend protocol: a backend may expose
     ``submit_outcomes(queries) -> list[InterfaceResponse | Exception]``
-    (:class:`~repro.backends.remote.RemoteBackend` does natively, the concern
-    layers forward it), in which case one failed item costs neither its
+    (:class:`~repro.backends.remote.RemoteBackend` does natively, every
+    layer forwards it), in which case one failed item costs neither its
     siblings' answers nor — for the caching layer above — the round-trips
-    already paid for them.  Backends without it degrade to a serial loop
-    that captures each item's exception in place.
+    already paid for them.  A failure that hits the whole batch at once (an
+    unaffordable budget charge, a dropped round-trip) may still raise.
+    Backends without it degrade to a serial loop that captures each item's
+    exception in place.
     """
     submit_outcomes = getattr(backend, "submit_outcomes", None)
     if callable(submit_outcomes):
         return list(submit_outcomes(queries))
-    outcomes: list[InterfaceResponse | Exception] = []
-    for query in queries:
-        try:
-            outcomes.append(backend.submit(query))
-        except Exception as error:  # noqa: BLE001 - per-item outcome
-            outcomes.append(error)
-    return outcomes
+    return [outcome_of(backend, query) for query in queries]
 
 
 @runtime_checkable
@@ -101,9 +95,10 @@ class RawBackend(Protocol):
 class BackendLayer:
     """Base class of all middleware layers: a delegating wrapper.
 
-    Subclasses override :meth:`submit` (calling ``self.inner.submit`` when
-    they forward) and inherit the pass-through ``schema``/``k``.  The
-    :attr:`inner` attribute is the hook stack introspection walks.
+    Subclasses override :meth:`submit` and :meth:`submit_outcomes` (calling
+    the inner backend when they forward) and inherit the pass-through
+    ``schema``/``k``.  The :attr:`inner` attribute is the hook stack
+    introspection walks.
     """
 
     def __init__(self, inner: RawBackend) -> None:
@@ -123,24 +118,15 @@ class BackendLayer:
         """Forward ``query`` unchanged; subclasses add their one concern."""
         return self.inner.submit(query)
 
-    def submit_many(self, queries: Sequence[ConjunctiveQuery]) -> list[InterfaceResponse]:
-        """Forward a batch, reaching the inner backend's batch path when it
-        has one.  Subclasses whose concern is per-submission (accounting,
-        history, retries) override this so a batch is accounted exactly
-        like the equivalent sequence of single submits.
-        """
-        return forward_many(self.inner, queries)
-
     def submit_outcomes(
         self, queries: Sequence[ConjunctiveQuery]
     ) -> list["InterfaceResponse | Exception"]:
-        """Forward a batch reporting per-item outcomes (the other batch half).
+        """Forward a batch reporting per-item outcomes (the one batch method).
 
-        Both batch halves forward by default so a pure pass-through subclass
-        stays consistent; a subclass overriding any submission entry point
-        must override both halves — reprolint R2 (layer-contract) enforces
-        exactly that, because a layer whose concern applies per submission
-        must apply it on every path a batch can take.
+        A subclass overriding either submission entry point must override
+        both — reprolint R2 (layer-contract) enforces exactly that, because
+        a layer whose concern applies per submission must apply it on the
+        batch path too.
         """
         return forward_outcomes(self.inner, queries)
 

@@ -15,11 +15,12 @@ byte of any answer:
   the property tests drive this across worker counts, shard counts and all
   four ranking functions.
 
-* :class:`DispatchLayer` — a middleware layer adding
-  :meth:`~DispatchLayer.submit_many`: a *batch* of independent submissions
-  issued concurrently through the wrapped backend — per query, or per
-  ``batch_size`` chunk when a wire-level batch path sits beneath — results
-  returned in input order.  Single ``submit`` calls pass straight through.
+* :class:`DispatchLayer` — a middleware layer whose
+  :meth:`~DispatchLayer.submit_outcomes` issues a *batch* of independent
+  submissions concurrently through the wrapped backend — one ``submit`` per
+  query, or one inner ``submit_outcomes`` per ``batch_size`` chunk when a
+  wire-level batch path sits beneath — outcomes returned in input order.
+  Single ``submit`` calls pass straight through.
   Everything beneath the layer must be thread-safe — see
   ``docs/architecture.md``: :class:`~repro.backends.layers.AccountingLayer`
   locks its budget and counters, and
@@ -41,10 +42,11 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from typing import Any, Callable, Sequence, TypeVar
 
 from repro.backends.adapters import CountPolicy
-from repro.backends.base import BackendLayer, RawBackend
+from repro.backends.base import BackendLayer, RawBackend, forward_outcomes, outcome_of
 from repro.backends.resilience import scoped_to_current_deadline
 from repro.backends.shard import MergeKey, ShardRouter
 from repro.database.interface import InterfaceResponse
@@ -159,18 +161,18 @@ class DispatchLayer(BackendLayer):
     """Adds concurrent *batch* submission to any thread-safe backend.
 
     ``submit`` is a plain pass-through — one query cannot be parallelised
-    with itself.  :meth:`submit_many` issues a batch of independent queries
-    through the wrapped backend on a bounded pool and returns the responses
-    in input order; if any submission raises, the first (by input order)
-    exception propagates, mirroring what a serial loop would have raised.
+    with itself.  :meth:`submit_outcomes` issues a batch of independent
+    queries through the wrapped backend on a bounded pool and returns one
+    outcome per item in input order, the response or the exception that
+    item raised.  Without ``batch_size`` (the default) each query is one
+    ``inner.submit`` — over a :func:`~repro.backends.stack.remote_stack`,
+    one ``GET`` each.
 
     ``batch_size`` chains this layer to a wire-level batch path beneath it:
-    instead of one ``inner.submit`` per query, the batch is cut into chunks
-    of at most ``batch_size`` queries and each chunk travels as **one**
-    ``inner.submit_many`` call — over a :func:`~repro.backends.stack.remote_stack`
-    that is one ``POST /api/submit_batch`` round-trip per chunk, and the
-    chunks themselves overlap on the worker pool.  ``batch_size=None`` (the
-    default) keeps the per-query fan-out.
+    the batch is cut into chunks of at most ``batch_size`` queries and each
+    chunk travels as **one** inner ``submit_outcomes`` call — over a remote
+    stack that is one ``POST /api/submit_batch`` round-trip per chunk, and
+    the chunks themselves overlap on the worker pool.
 
     The layer composes like any other, but it is the *outermost* layer of
     the stacks that carry it (``web_stack(parallel=N)``, ``remote_stack(...,
@@ -196,70 +198,38 @@ class DispatchLayer(BackendLayer):
         """The pool bound batches are dispatched under."""
         return self._pool.max_workers
 
-    def submit_many(self, queries: Sequence[ConjunctiveQuery]) -> list[InterfaceResponse]:
-        """Submit every query concurrently; responses come back in input order."""
-        queries = list(queries)
-        if self.batch_size is not None:
-            return self._submit_chunked(queries)
-        if len(queries) <= 1:
-            return [self.inner.submit(query) for query in queries]
-        # The workers run outside the caller's contextvar scope, so the
-        # ambient deadline must travel with the callable.
-        return list(self._pool.get().map(scoped_to_current_deadline(self.inner.submit), queries))
+    def submit(self, query: ConjunctiveQuery) -> InterfaceResponse:
+        """Pass one query straight through: it cannot overlap with itself."""
+        return self.inner.submit(query)
 
     def submit_outcomes(
         self, queries: Sequence[ConjunctiveQuery]
-    ) -> list["InterfaceResponse | Exception"]:
-        """Per-item outcomes, issued concurrently like :meth:`submit_many`.
+    ) -> list[InterfaceResponse | Exception]:
+        """Issue the batch concurrently; one outcome per item, in input order.
 
-        One failed item must not discard its siblings' answers (the history
-        layer caches whatever was paid for even when the batch as a whole
-        fails), so each worker captures its item's exception via
-        :func:`~repro.backends.base.forward_outcomes` instead of raising
-        across the pool.
+        Without ``batch_size`` every query is one ``inner.submit`` on the
+        pool; with it, every chunk is one inner ``submit_outcomes``.  Each
+        worker returns its items' exceptions instead of raising them across
+        the pool, so one failed item never discards its siblings' answers.
         """
-        from repro.backends.base import forward_outcomes
-
         queries = list(queries)
-        if self.batch_size is not None:
-            size = self.batch_size
-            chunks = [queries[start : start + size] for start in range(0, len(queries), size)]
-            if len(chunks) <= 1:
-                return forward_outcomes(self.inner, queries)
-            merged: list[InterfaceResponse | Exception] = []
-            for outcomes in self._pool.get().map(
-                scoped_to_current_deadline(lambda chunk: forward_outcomes(self.inner, chunk)),
-                chunks,
-            ):
-                merged.extend(outcomes)
-            return merged
-        if len(queries) <= 1:
-            return forward_outcomes(self.inner, queries)
+        size = self.batch_size
+        if size is None:
+            return self._map(partial(outcome_of, self.inner), queries)
+        chunks = [queries[start : start + size] for start in range(0, len(queries), size)]
         return [
             outcome
-            for outcomes in self._pool.get().map(
-                scoped_to_current_deadline(lambda query: forward_outcomes(self.inner, [query])),
-                queries,
-            )
+            for outcomes in self._map(partial(forward_outcomes, self.inner), chunks)
             for outcome in outcomes
         ]
 
-    def _submit_chunked(self, queries: list[ConjunctiveQuery]) -> list[InterfaceResponse]:
-        """Cut the batch into wire-sized chunks and overlap them on the pool."""
-        from repro.backends.base import forward_many
-
-        size = self.batch_size
-        assert size is not None
-        chunks = [queries[start : start + size] for start in range(0, len(queries), size)]
-        if len(chunks) <= 1:
-            return forward_many(self.inner, queries)
-        merged: list[InterfaceResponse] = []
-        for responses in self._pool.get().map(
-            scoped_to_current_deadline(lambda chunk: forward_many(self.inner, chunk)),
-            chunks,
-        ):
-            merged.extend(responses)
-        return merged
+    def _map(self, work: Callable[[Any], _T], items: list) -> list[_T]:
+        """``work`` over ``items`` in input order, on the pool when there are several."""
+        if len(items) <= 1:
+            return [work(item) for item in items]
+        # The workers run outside the caller's contextvar scope, so the
+        # ambient deadline must travel with the callable.
+        return list(self._pool.get().map(scoped_to_current_deadline(work), items))
 
     def close(self) -> None:
         """Release the worker threads (the layer stays usable)."""

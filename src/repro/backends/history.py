@@ -49,12 +49,14 @@ deliberate exception to the striping: a *bounded* cache (``max_entries``)
 collapses to a single stripe, preserving the exact global oldest-first
 eviction order of the serial implementation.
 
-Batch submissions (:meth:`HistoryLayer.submit_many`) answer every hit and
-inferable item locally, deduplicate repeated canonical keys *within* the
-batch, and forward only the first occurrence of each genuine miss — as one
-inner ``submit_many`` when the inner backend has a batch path (e.g. the wire
-batch of :class:`~repro.backends.remote.RemoteBackend`), so a warm history
-over a remote endpoint pays one small POST instead of many GETs.
+Batch submissions (:meth:`HistoryLayer.submit_outcomes`, the protocol's one
+batch method) answer every hit and inferable item locally, deduplicate
+repeated canonical keys *within* the batch, and forward only the first
+occurrence of each genuine miss — as one inner ``submit_outcomes``, which
+reaches the wire batch of :class:`~repro.backends.remote.RemoteBackend`
+beneath, so a warm history over a remote endpoint pays one small POST
+instead of many GETs.  Each item gets its own outcome: when one fails, the
+answers its siblings paid for are still remembered.
 
 Complexity contract: a subsuming ancestor's canonical key is, by definition,
 a subset of the query's canonical key, so the default ``inference="indexed"``
@@ -76,6 +78,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
+from repro.backends.base import BackendLayer, forward_outcomes, outcome_of
 from repro.database.interface import HiddenDatabase, InterfaceResponse, ReturnedTuple
 from repro.database.query import ConjunctiveQuery
 from repro.database.schema import Schema
@@ -155,7 +158,7 @@ class _Stripe:
         self.in_flight: dict[tuple, threading.Event | None] = {}
 
 
-class HistoryLayer:
+class HistoryLayer(BackendLayer):
     """A caching / inferring middleware layer over any hidden-database backend.
 
     ``inference`` selects how subsuming ancestors are found: ``"indexed"``
@@ -189,7 +192,7 @@ class HistoryLayer:
             )
         if stripes < 1:
             raise ConfigurationError("stripes must be at least 1")
-        self.inner = database
+        super().__init__(database)
         self._max_entries = max_entries
         self._inference = inference
         if max_entries is not None:
@@ -214,16 +217,6 @@ class HistoryLayer:
         self.statistics = HistoryStatistics()
 
     # -- HiddenDatabase contract -----------------------------------------------------
-
-    @property
-    def schema(self) -> Schema:
-        """Schema of the wrapped database."""
-        return self.inner.schema
-
-    @property
-    def k(self) -> int:
-        """Top-``k`` limit of the wrapped database."""
-        return self.inner.k
 
     @property
     def stripes(self) -> int:
@@ -269,14 +262,16 @@ class HistoryLayer:
         self._count(1, _INTERFACE)
         return response, _INTERFACE
 
-    def submit_many(
+    def submit_outcomes(
         self, queries: Sequence[ConjunctiveQuery]
-    ) -> list[InterfaceResponse]:
+    ) -> list[InterfaceResponse | Exception]:
         """Answer a batch: cache hits locally, the misses as one inner batch.
 
         Repeated canonical keys *within* the batch are issued once; keys
         another thread is already issuing are awaited after our own forward
-        rather than re-issued.  Responses come back in input order.
+        rather than re-issued.  Outcomes come back in input order; a failed
+        item reports its error in every slot of its key, and its siblings'
+        answers are remembered all the same.
 
         Answers are identical to a serial loop's; the *savings* may be
         slightly smaller: a serial loop can infer item ``j`` from item
@@ -285,7 +280,7 @@ class HistoryLayer:
         ride along in the same single round-trip instead.
         """
         queries = list(queries)
-        results: list[InterfaceResponse | None] = [None] * len(queries)
+        results: list[InterfaceResponse | Exception | None] = [None] * len(queries)
         owned: dict[tuple, list[int]] = {}      # key -> positions we must issue
         events: list[tuple[int, threading.Event]] = []  # positions awaiting another thread
         hits = inferred = 0
@@ -295,7 +290,7 @@ class HistoryLayer:
             if key in owned:
                 owned[key].append(index)  # within-batch duplicate: issue once
                 continue
-            # Same lookup-then-claim loop as submit(): a key cached between
+            # Same lookup-then-claim loop as lookup(): a key cached between
             # lookup and claim is re-read, never issued without owning the
             # in-flight slot (an eviction race must not double-issue).
             while True:
@@ -315,13 +310,10 @@ class HistoryLayer:
                     events.append((index, claim))
                     break
         self._count_batch(hits + inferred, exact_hits=hits, inferred=inferred)
-        first_error: Exception | None = None
-        first_error_index = len(queries)
         if owned:
             keys = list(owned)
-            forward = [queries[owned[key][0]] for key in keys]
             try:
-                outcomes = self._forward_many(forward)
+                outcomes = forward_outcomes(self.inner, [queries[owned[key][0]] for key in keys])
             except BaseException:
                 for key in keys:
                     self._release(key, self._stripe_for(key))
@@ -331,22 +323,15 @@ class HistoryLayer:
             issued = 0
             extra_hits = 0
             for key, outcome in zip(keys, outcomes):
-                stripe = self._stripe_for(key)
-                if isinstance(outcome, Exception):
-                    # This item failed, but its siblings' answers were still
-                    # paid for and are remembered below — only the failing
-                    # key's waiters are released to fend for themselves.
-                    self._release(key, stripe)
-                    index = min(owned[key])
-                    if index < first_error_index:
-                        first_error, first_error_index = outcome, index
-                    continue
-                issued += 1
-                # A within-batch repeat of an issued key is the batch shape of
-                # an exact hit: the serial loop would have replayed it.
-                extra_hits += len(owned[key]) - 1
-                self._remember(key, outcome)
-                self._release(key, stripe)
+                # A failed key is only released: its waiters fend for
+                # themselves, while its siblings' paid-for answers are kept.
+                if not isinstance(outcome, Exception):
+                    issued += 1
+                    # A within-batch repeat of an issued key is the batch shape
+                    # of an exact hit: the serial loop would have replayed it.
+                    extra_hits += len(owned[key]) - 1
+                    self._remember(key, outcome)
+                self._release(key, self._stripe_for(key))
                 for index in owned[key]:
                     results[index] = outcome
             self._count_batch(
@@ -354,12 +339,6 @@ class HistoryLayer:
                 issued=issued,
                 exact_hits=extra_hits,
             )
-        if first_error is not None:
-            # Mirror submit_many contracts below: the first input-order error
-            # surfaces — but everything answered is already in the cache, so
-            # a retried batch re-pays only the failed items.
-            self._count_batch(len(events))
-            raise first_error
         for index, event in events:
             # Another thread owned these keys; its answer is cached by now
             # (or it failed, in which case lookup() re-guards and issues).
@@ -368,10 +347,10 @@ class HistoryLayer:
             key = query.canonical_key()
             answered = self._answer_locally(key, self._stripe_for(key), query)
             if answered is None:
-                answered = self.lookup(query)  # counts the submission itself
+                results[index] = outcome_of(self, query)  # lookup() counts it
             else:
                 self._count(1, answered[1])
-            results[index] = answered[0]
+                results[index] = answered[0]
         return results  # type: ignore[return-value] - every slot is filled
 
     # -- lookup ------------------------------------------------------------------------
@@ -445,26 +424,6 @@ class HistoryLayer:
             event = stripe.in_flight.pop(key, None)
         if event is not None:
             event.set()
-
-    def _forward_many(
-        self, queries: list[ConjunctiveQuery]
-    ) -> list["InterfaceResponse | Exception"]:
-        """Issue the de-duplicated misses, batched when the inner backend can.
-
-        Prefers per-item outcomes (:func:`~repro.backends.base.forward_outcomes`
-        — the ``submit_outcomes`` path, or a serial loop capturing each item's
-        exception) so that when one item fails, the siblings' already-paid-for
-        answers still come back to be remembered.  An inner backend offering
-        *only* ``submit_many`` keeps its wire batching; its whole-batch raise
-        is handled by the caller's release-everything path.
-        """
-        from repro.backends.base import forward_outcomes
-
-        if len(queries) > 1 and not callable(getattr(self.inner, "submit_outcomes", None)):
-            inner_many = getattr(self.inner, "submit_many", None)
-            if callable(inner_many):
-                return list(inner_many(queries))
-        return forward_outcomes(self.inner, queries)
 
     # -- inference ---------------------------------------------------------------------
 

@@ -29,7 +29,7 @@ import time
 from typing import Sequence
 
 from repro._rng import resolve_rng, spawn_rng
-from repro.backends.base import BackendLayer, RawBackend, forward_many, forward_outcomes
+from repro.backends.base import BackendLayer, RawBackend, forward_outcomes
 from repro.backends.resilience import (
     Deadline,
     Fault,
@@ -95,29 +95,16 @@ class AccountingLayer(BackendLayer):
                 self.statistics.record(response)
         return response
 
-    def submit_many(self, queries: Sequence[ConjunctiveQuery]) -> list[InterfaceResponse]:
+    def submit_outcomes(
+        self, queries: Sequence[ConjunctiveQuery]
+    ) -> list[InterfaceResponse | Exception]:
         """Charge the whole batch up front, all or nothing; count its answers.
 
         A batch the budget cannot afford raises before a single query is
         issued, exactly as a site that stops answering does; it never
-        half-spends a nearly-exhausted budget on a partial batch.  A batch
-        that raises below this layer counts nothing.
+        half-spends a nearly-exhausted budget on a partial batch.  Only the
+        *answered* items are counted.
         """
-        queries = list(queries)
-        with self._lock:
-            self.budget.charge(len(queries))
-        responses = forward_many(self.inner, queries)
-        if self.statistics is not None:
-            with self._lock:
-                for response in responses:
-                    self.statistics.record(response)
-        return responses
-
-    def submit_outcomes(
-        self, queries: Sequence[ConjunctiveQuery]
-    ) -> list[InterfaceResponse | Exception]:
-        """Per-item outcomes, the batch charged up front like :meth:`submit_many`;
-        only *answered* items are counted."""
         queries = list(queries)
         with self._lock:
             self.budget.charge(len(queries))
@@ -320,29 +307,18 @@ class UnreliableLayer(BackendLayer):
         assert last_error is not None
         raise last_error
 
-    def submit_many(self, queries: Sequence[ConjunctiveQuery]) -> list[InterfaceResponse]:
-        """Forward a batch with **per-item** retries; first input-order error raised.
+    def submit_outcomes(
+        self, queries: Sequence[ConjunctiveQuery]
+    ) -> list[InterfaceResponse | Exception]:
+        """Forward a batch with **per-item** retries; one outcome per item.
 
         This is where the batch endpoint's per-item statuses pay off: one
         rate-limited item does not fail (or re-issue!) its siblings — only
         the items that actually faulted, injected or real, are re-sent on the
-        next attempt, as one smaller batch.  Once retries are exhausted, or an
-        item failed permanently (e.g. an exhausted budget), the first
-        input-order error is raised — exactly what the equivalent serial loop
-        would have surfaced.  Callers that want the surviving answers despite
-        a failed sibling use :meth:`submit_outcomes` (the history layer does,
-        so paid-for answers are cached even when the batch as a whole fails).
+        next attempt, as one smaller batch.  An item that failed permanently
+        (e.g. an exhausted budget), hit an open circuit, or is still failing
+        once retries are exhausted reports its error in its slot.
         """
-        outcomes = self.submit_outcomes(queries)
-        for outcome in outcomes:
-            if isinstance(outcome, Exception):
-                raise outcome
-        return outcomes  # type: ignore[return-value] - no exceptions left
-
-    def submit_outcomes(
-        self, queries: Sequence[ConjunctiveQuery]
-    ) -> list[InterfaceResponse | Exception]:
-        """The retry loop of :meth:`submit_many`, reporting per-item outcomes."""
         queries = list(queries)
         if not queries:
             return []
@@ -399,9 +375,9 @@ class UnreliableLayer(BackendLayer):
             for index, outcome in zip(issue, outcomes):
                 results[index] = outcome
                 if isinstance(outcome, CircuitOpenError):
-                    # Fail-fast by design: reported as-is, never retried.
-                    with self._lock:
-                        self.statistics.backend_transient_failures += 1
+                    # Fail-fast by design: reported as-is, never retried, and
+                    # not counted here — the breaker counts its fast failures.
+                    pass
                 elif isinstance(outcome, RateLimitedError):
                     with self._lock:
                         self.statistics.backend_rate_limited += 1

@@ -598,18 +598,6 @@ class CircuitBreakerLayer(BackendLayer):
         self.breaker.record_success()
         return response
 
-    def submit_many(self, queries: Sequence[ConjunctiveQuery]) -> list[InterfaceResponse]:
-        """One gated batch; the first input-order per-item error is raised."""
-        outcomes = self.submit_outcomes(queries)
-        for outcome in outcomes:
-            if isinstance(outcome, Exception):
-                raise outcome
-        responses: list[InterfaceResponse] = []
-        for outcome in outcomes:
-            assert not isinstance(outcome, Exception)
-            responses.append(outcome)
-        return responses
-
     def submit_outcomes(
         self, queries: Sequence[ConjunctiveQuery]
     ) -> list[InterfaceResponse | Exception]:
@@ -823,18 +811,6 @@ class FailoverRouter:
             self.statistics.exhausted += 1
         assert last_outcomes is not None
         return last_outcomes
-
-    def submit_many(self, queries: Sequence[ConjunctiveQuery]) -> list[InterfaceResponse]:
-        """Batch submissions; the first input-order per-item error is raised."""
-        outcomes = self.submit_outcomes(queries)
-        for outcome in outcomes:
-            if isinstance(outcome, Exception):
-                raise outcome
-        responses: list[InterfaceResponse] = []
-        for outcome in outcomes:
-            assert not isinstance(outcome, Exception)
-            responses.append(outcome)
-        return responses
 
     # -- health --------------------------------------------------------------
 

@@ -49,7 +49,7 @@ import random
 from typing import Callable, Mapping, Sequence
 
 from repro.backends.adapters import CountPolicy, QueryEngineBackend, WebPageBackend
-from repro.backends.base import RawBackend, iter_chain
+from repro.backends.base import RawBackend, forward_outcomes, iter_chain
 from repro.backends.dispatch import ConcurrentShardRouter, DispatchLayer
 from repro.backends.history import HistoryLayer
 from repro.backends.layers import AccountingLayer, UnreliableLayer
@@ -153,19 +153,27 @@ class BackendStack:
         """Submit one conjunctive query through every layer."""
         return self.top.submit(query)
 
+    def submit_outcomes(
+        self, queries: Sequence[ConjunctiveQuery]
+    ) -> list[InterfaceResponse | Exception]:
+        """Submit a batch through every layer; one outcome per item, in input order."""
+        return forward_outcomes(self.top, queries)
+
     def submit_many(self, queries: Sequence[ConjunctiveQuery]) -> list[InterfaceResponse]:
         """Submit a batch of independent queries, responses in input order.
 
-        When the outermost layer is a
-        :class:`~repro.backends.dispatch.DispatchLayer` (``web_stack(...,
-        parallel=N)``) the batch is issued concurrently; otherwise this is a
-        plain loop, so callers can always batch without caring how the stack
-        was built.
+        The one batch call that raises: every item is attempted first, then
+        the first failed item's error (by input order) is raised.  When the
+        outermost layer is a :class:`~repro.backends.dispatch.DispatchLayer`
+        (``web_stack(..., parallel=N)``) the batch is issued concurrently;
+        otherwise it goes down the layers as one batch, so callers can
+        always batch without caring how the stack was built.
         """
-        submit_many = getattr(self.top, "submit_many", None)
-        if callable(submit_many):
-            return submit_many(queries)
-        return [self.top.submit(query) for query in queries]
+        outcomes = self.submit_outcomes(queries)
+        for outcome in outcomes:
+            if isinstance(outcome, Exception):
+                raise outcome
+        return outcomes  # type: ignore[return-value] - no exceptions left
 
     # -- introspection ---------------------------------------------------------
 
@@ -340,11 +348,12 @@ def web_stack(
     saved, which ``benchmarks/bench_backend_stack.py`` measures.
 
     ``parallel=N`` puts a :class:`~repro.backends.dispatch.DispatchLayer` on
-    top, so ``stack.submit_many(queries)`` fetches up to ``N`` pages
-    concurrently.  It composes with ``history=True``: the lock-striped
-    history layer sits under the dispatch layer, deduplicates concurrent
-    fetches of the same page (per-key in-flight guard) and answers repeats
-    without any fetch at all.
+    top, so ``stack.submit_outcomes(queries)`` (and ``stack.submit_many``,
+    which raises the first failure) fetches up to ``N`` pages concurrently.
+    It composes with ``history=True``: the lock-striped history layer sits
+    under the dispatch layer, deduplicates concurrent fetches of the same
+    page (per-key in-flight guard) and answers repeats without any fetch at
+    all.
     """
     raw = WebPageBackend(site, schema, display_columns=display_columns)
     return _compose(
@@ -439,11 +448,14 @@ def remote_stack(
     server-side.
 
     ``batch=M`` puts a :class:`~repro.backends.dispatch.DispatchLayer` on top
-    that cuts every ``stack.submit_many(queries)`` into chunks of ``M``
-    queries, each travelling as **one** ``POST /api/submit_batch`` round-trip
-    (per-item statuses; the retry layer re-issues only failed items);
-    ``parallel=N`` overlaps those chunks on ``N`` worker threads.  Both
-    compose with ``history=True``: the lock-striped
+    that cuts every batch (``stack.submit_outcomes(queries)``, or
+    ``stack.submit_many`` which raises the first failure) into chunks of
+    ``M`` queries, each travelling down every layer's ``submit_outcomes`` as
+    **one** ``POST /api/submit_batch`` round-trip (per-item statuses; the
+    retry layer re-issues only failed items); ``parallel=N`` overlaps those
+    chunks on ``N`` worker threads.  ``parallel=N`` alone sends each query
+    of a batch as its own ``GET``, ``N`` at a time.  Both compose with
+    ``history=True``: the lock-striped
     :class:`~repro.backends.history.HistoryLayer` legally sits under the
     dispatch layer and strips every hit and inferable item out of the wire
     batches.

@@ -1,11 +1,8 @@
-"""R2 fixture: a layer overrides submit_many without submit_outcomes."""
+"""R2 fixture: a layer overrides submit without submit_outcomes."""
 
 
 class BackendLayer:
     def submit(self, query):
-        raise NotImplementedError
-
-    def submit_many(self, queries):
         raise NotImplementedError
 
     def submit_outcomes(self, queries):
@@ -15,6 +12,3 @@ class BackendLayer:
 class LopsidedLayer(BackendLayer):
     def submit(self, query):
         return query
-
-    def submit_many(self, queries):
-        return list(queries)

@@ -1,11 +1,8 @@
-"""R2 fixture: a layer overriding submission defines both batch halves."""
+"""R2 fixture: a layer overriding submission defines submit and submit_outcomes."""
 
 
 class BackendLayer:
     def submit(self, query):
-        raise NotImplementedError
-
-    def submit_many(self, queries):
         raise NotImplementedError
 
     def submit_outcomes(self, queries):
@@ -15,9 +12,6 @@ class BackendLayer:
 class CountingLayer(BackendLayer):
     def submit(self, query):
         return query
-
-    def submit_many(self, queries):
-        return list(queries)
 
     def submit_outcomes(self, queries):
         return [(query, None) for query in queries]

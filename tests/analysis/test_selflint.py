@@ -95,9 +95,9 @@ class TestMutationsStayRed:
         )
 
     def test_deleting_a_batch_method_trips_r2(self, tmp_path):
-        transformer = _DropMethod("AccountingLayer", "submit_many")
+        transformer = _DropMethod("AccountingLayer", "submit_outcomes")
         target = _mutate(tmp_path, transformer)
-        assert transformer.dropped == 1, "fixture drift: AccountingLayer.submit_many not found"
+        assert transformer.dropped == 1, "fixture drift: AccountingLayer.submit_outcomes not found"
         findings = run_analysis([target], rules=[LayerContractRule()])
         assert findings
         assert all(f.rule == "R2" for f in findings)

@@ -128,7 +128,7 @@ class TestRouting:
         outcomes = router.submit_outcomes([empty_query, empty_query])
         assert all(not isinstance(outcome, Exception) for outcome in outcomes)
         assert replica.calls >= 1
-        assert router.submit_many([empty_query]) == [engine.submit(empty_query)]
+        assert router.submit_outcomes([empty_query]) == [engine.submit(empty_query)]
 
     def test_mismatched_targets_rejected(self, engine, tiny_table):
         other_k = engine_stack(

@@ -71,17 +71,17 @@ class TestAccountingLayer:
 
     def test_a_batch_is_charged_all_or_nothing(self, raw, tiny_schema, any_query):
         layer = AccountingLayer(raw, budget=QueryBudget(limit=2))
-        for submit in (layer.submit_many, layer.submit_outcomes):
+        for submit in (BackendStack(layer).submit_many, layer.submit_outcomes):
             with pytest.raises(QueryBudgetExceededError):
                 submit([any_query] * 3)
         assert layer.budget.issued == 0 and layer.statistics.queries_issued == 0
-        layer.submit_many([any_query] * 2)
+        layer.submit_outcomes([any_query] * 2)
         assert layer.budget.issued == 2 and layer.statistics.queries_issued == 2
 
     def test_statistics_false_charges_only(self, raw, any_query):
         layer = AccountingLayer(raw, budget=QueryBudget(limit=3), statistics=False)
         layer.submit(any_query)
-        layer.submit_many([any_query])
+        BackendStack(layer).submit_many([any_query])
         layer.submit_outcomes([any_query])
         layer.reset()
         assert layer.budget.issued == 3
@@ -115,6 +115,34 @@ class TestAccountingLayer:
         outcomes = layer.submit_outcomes([any_query] * 4)
         assert [isinstance(o, RateLimitedError) for o in outcomes] == [False, True] * 2
         assert layer.budget.issued == 4 and layer.statistics.queries_issued == 2
+
+    def test_a_raising_batch_attempts_every_item_first(self, raw, tiny_schema):
+        """``submit_many`` raises the first failed item's error, but only after
+        every item went down the stack: charged and issued, the answers counted."""
+        poison = ConjunctiveQuery.from_assignment(tiny_schema, {"make": "Ford"})
+        issued = []
+
+        class PoisonedBackend:
+            schema = raw.schema
+            k = raw.k
+
+            def submit(self, query):
+                issued.append(query)
+                if query.canonical_key() == poison.canonical_key():
+                    raise QueryBudgetExceededError(1, 1)
+                return raw.submit(query)
+
+        stack = BackendStack(PoisonedBackend(), [AccountingLayer])
+        queries = [
+            ConjunctiveQuery.from_assignment(tiny_schema, assignment)
+            for assignment in ({"make": "Honda"}, {"make": "Ford"}, {"make": "Toyota"},
+                               {"color": "red"})
+        ]
+        with pytest.raises(QueryBudgetExceededError):
+            stack.submit_many(queries)
+        assert issued == queries
+        assert stack.budget.issued == 4
+        assert stack.statistics.queries_issued == 3
 
     def test_reset_clears_the_counters_and_keeps_the_budget(self, raw, any_query):
         layer = AccountingLayer(raw)

@@ -413,6 +413,28 @@ class TestRetryLayerIntegration:
         assert retrying.statistics.retries == 2
         assert retrying.statistics.gave_up == 0
 
+    def test_an_open_circuit_is_counted_by_the_breaker_alone(self, raw_backend, empty_query):
+        """Single and batch submissions over an open circuit leave the retry
+        layer's backend-fault counters alone: the breaker counts the event."""
+        counting = CountingBackend(raw_backend)
+        guarded = CircuitBreakerLayer(
+            counting,
+            policy=CircuitBreakerPolicy(window=1, failure_threshold=1, reset_timeout=60.0),
+        )
+        counting.failing = True
+        with pytest.raises(TransientBackendError):
+            guarded.submit(empty_query)
+        assert guarded.breaker.state is BreakerState.OPEN
+        retrying = UnreliableLayer(guarded, max_retries=3, retry_backoff=0.0)
+        with pytest.raises(CircuitOpenError):
+            retrying.submit(empty_query)
+        (outcome,) = retrying.submit_outcomes([empty_query])
+        assert isinstance(outcome, CircuitOpenError)
+        assert retrying.statistics.backend_transient_failures == 0
+        assert retrying.statistics.retries == retrying.statistics.gave_up == 0
+        assert guarded.breaker.statistics.fast_failures == 2
+        assert counting.calls == 1
+
     def test_scripted_chaos_is_retried_deterministically(self, raw_backend, empty_query):
         layer = UnreliableLayer(
             raw_backend,

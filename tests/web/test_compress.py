@@ -134,7 +134,7 @@ class TestWireCompression:
         queries = _batch_queries(tiny_schema)
         client = RemoteBackend(compressing_server.url, compress_threshold=1)
         try:
-            assert client.submit_many(queries) == [oracle.submit(q) for q in queries]
+            assert client.submit_outcomes(queries) == [oracle.submit(q) for q in queries]
         finally:
             client.close()
         counters = client.compression_statistics
@@ -197,11 +197,11 @@ class TestWireCompression:
         # answers from the same compressing server.
         queries = _batch_queries(tiny_schema)
         with RemoteBackend(compressing_server.url, compress_threshold=1) as gzipped:
-            compressed_answers = gzipped.submit_many(queries)
+            compressed_answers = gzipped.submit_outcomes(queries)
             assert gzipped.compression_statistics["responses_decompressed"] >= 1
         plain = RemoteBackend(compressing_server.url, compress_threshold=None)
         try:
-            assert plain.submit_many(queries) == compressed_answers
+            assert plain.submit_outcomes(queries) == compressed_answers
         finally:
             plain.close()
 

@@ -275,9 +275,9 @@ class TestBatchPool:
         one = [ConjunctiveQuery.from_assignment(schema, {"color": "red"})]
         with HiddenDatabaseHTTPServer(served) as server:
             with RemoteBackend(server.url) as client:
-                assert client.submit_many(one) == [served.submit(one[0])]
+                assert client.submit_outcomes(one) == [served.submit(one[0])]
                 assert server._batch_pool is None
-                assert client.submit_many(one * 2) == [served.submit(one[0])] * 2
+                assert client.submit_outcomes(one * 2) == [served.submit(one[0])] * 2
                 assert server._batch_pool is not None
         assert server._batch_pool is None  # stop() released it
 
@@ -291,7 +291,7 @@ class TestBatchPool:
         ]
         with HiddenDatabaseHTTPServer(served, batch_workers=1) as server:
             with RemoteBackend(server.url) as client:
-                assert client.submit_many(queries) == [served.submit(q) for q in queries]
+                assert client.submit_outcomes(queries) == [served.submit(q) for q in queries]
             assert server._batch_pool is None
             assert server.batch_items_served == len(queries)
 

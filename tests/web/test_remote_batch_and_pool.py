@@ -6,7 +6,7 @@ Everything here runs over real loopback sockets.  The contracts under test:
   statistics prove it); ``pool_size=0`` restores the one-connect-per-request
   baseline; a keep-alive connection that went stale while idle is replaced
   with one transparent reconnect, invisible to the caller.
-* **Batching** — ``submit_many`` ships N queries in one POST and returns
+* **Batching** — ``submit_outcomes`` ships N queries in one POST and returns
   byte-identical answers in input order; per-item statuses mean one 429 or
   exhausted budget fails only its item, and the retry layer above re-issues
   only the failed items.
@@ -71,6 +71,30 @@ def _random_queries(schema, seed: int, count: int):
                 assignment[attribute.name] = rng.choice(attribute.domain.values)
         queries.append(ConjunctiveQuery.from_assignment(schema, assignment))
     return queries
+
+
+def _distinct_misses(schema):
+    """Ten queries of two predicates each: none subsumes another, so a
+    history layer can infer none of them from the others' answers."""
+    assignments = [
+        {"make": make, "price": price}
+        for make in schema["make"].domain.values
+        for price in schema["price"].domain.values
+    ]
+    assignments.append({"make": "Toyota", "color": "red"})
+    return [ConjunctiveQuery.from_assignment(schema, each) for each in assignments]
+
+
+def _wire_traffic(server, submit, queries):
+    """``submit(queries)``'s answers and the requests and batch items it cost."""
+    before = server.wire_statistics()
+    answers = submit(queries)
+    after = server.wire_statistics()
+    return (
+        answers,
+        after["requests_served"] - before["requests_served"],
+        after["batch_items_served"] - before["batch_items_served"],
+    )
 
 
 class TestConnectionPool:
@@ -167,7 +191,7 @@ class TestBatchWire:
         remote = RemoteBackend(server.url)
         queries = _random_queries(tiny_schema, 4, 15)
         served_before = server.requests_served
-        responses = remote.submit_many(queries)
+        responses = remote.submit_outcomes(queries)
         assert responses == [tiny_backend.submit(query) for query in queries]
         assert server.requests_served == served_before + 1  # ONE round-trip
         assert server.batch_items_served == len(queries)
@@ -176,7 +200,7 @@ class TestBatchWire:
         remote = RemoteBackend(server.url)
         queries = _random_queries(tiny_schema, 5, 8)
         before = server.requests_served
-        remote.submit_many(queries)
+        remote.submit_outcomes(queries)
         batched_requests = server.requests_served - before
         before = server.requests_served
         for query in queries:
@@ -208,7 +232,7 @@ class TestBatchWire:
         with HiddenDatabaseHTTPServer(served, batch_workers=1) as endpoint:
             remote = RemoteBackend(endpoint.url)
             with pytest.raises(QueryBudgetExceededError):
-                remote.submit_many(queries)
+                BackendStack(remote).submit_many(queries)
 
     def test_retry_layer_reissues_only_failed_items(self, tiny_table, tiny_schema):
         """A server that rate-limits every 3rd submission: the batch heals
@@ -243,6 +267,30 @@ class TestBatchWire:
         assert stack.submit_many(queries) == [tiny_backend.submit(q) for q in queries]
         assert server.requests_served == served_before
         assert stack.history.statistics.saved >= len(queries)
+
+    def test_history_over_a_batching_dispatch_posts_its_misses_in_chunks(
+        self, server, tiny_schema, tiny_backend
+    ):
+        """Both batch entry points put the same requests on the wire: ten
+        misses cut into chunks of five travel as two POSTs, not ten GETs."""
+        queries = _distinct_misses(tiny_schema)
+        for entry in ("submit_many", "submit_outcomes"):
+            stack = remote_stack(server.url, history=True, parallel=2, batch=5)
+            submit = stack.submit_many if entry == "submit_many" else stack.top.submit_outcomes
+            answers, requests, items = _wire_traffic(server, submit, queries)
+            assert answers == [tiny_backend.submit(q) for q in queries], entry
+            assert (requests, items) == (2, 10), entry
+
+    def test_dispatch_without_batch_size_sends_one_get_per_query(
+        self, server, tiny_schema, tiny_backend
+    ):
+        queries = _distinct_misses(tiny_schema)[:4]
+        for entry in ("submit_many", "submit_outcomes"):
+            stack = remote_stack(server.url, parallel=2)
+            submit = stack.submit_many if entry == "submit_many" else stack.top.submit_outcomes
+            answers, requests, items = _wire_traffic(server, submit, queries)
+            assert answers == [tiny_backend.submit(q) for q in queries], entry
+            assert (requests, items) == (4, 0), entry
 
     def test_unknown_batch_request_version_is_a_clear_400(self, server):
         body = json.dumps({"version": 999, "queries": []}).encode()
@@ -284,7 +332,7 @@ class TestBatchWire:
         recorder = ThreadRecorder(QueryEngineBackend(tiny_table, k=2, ranking=StaticScoreRanking()))
         with HiddenDatabaseHTTPServer(recorder, batch_workers=4) as endpoint:
             remote = RemoteBackend(endpoint.url)
-            remote.submit_many(_random_queries(tiny_schema, 10, 12))
+            remote.submit_outcomes(_random_queries(tiny_schema, 10, 12))
         assert any(name.startswith("httpd-batch") for name in seen)
 
 
