@@ -20,8 +20,9 @@ Four sections:
 * **remote_http** (guarded) — live ``repro.web.httpd`` endpoints on loopback
   sockets.  Two guarded sub-sections exercise the transport optimisations on
   the configs they exist for: **pooled vs unpooled** on a connect-dominated
-  config (cheap queries, so the per-request TCP connect is the cost — pooled
-  keep-alive must be **≥ 1.3×** the one-connect-per-request baseline), and
+  config (cheap queries, so the per-request TCP connect is the cost — the
+  median of three alternating passes of pooled keep-alive must be **≥ 1.3×**
+  the one-connect-per-request baseline's median), and
   **batched vs single** on a latency-bound config (each server-side
   submission pays a simulated database hop, the shard sections' trick —
   ``POST /api/submit_batch`` fan-out must be **≥ 1.5×** single-query
@@ -107,6 +108,10 @@ BATCH_WORKERS = 4
 #: ≥ 1.5x on the latency-bound config.
 MIN_POOL_SPEEDUP = 1.3
 MIN_BATCH_SPEEDUP = 1.5
+#: Timed passes per transport, alternated unpooled/pooled; the pooled floor
+#: is on the ratio of the medians (one pass each read 1.15x once on a
+#: shared 2-vCPU VM, against 1.6-1.8x otherwise).
+POOL_PASSES = 3
 
 #: Concurrent-serving section: the size of the arriving client wave.
 SERVE_CLIENTS = 64
@@ -207,7 +212,9 @@ def bench_remote_pooling(remote_table, queries) -> dict:
 
     The served catalogue is deliberately small so the per-request TCP connect
     (plus the handler thread it spawns server-side) is the dominant cost —
-    exactly what a pooled persistent connection amortises away.
+    exactly what a pooled persistent connection amortises away.  The two
+    transports alternate ``POOL_PASSES`` timed passes and the medians are
+    compared, as in :func:`bench_concurrent_serving`.
     """
     served = engine_stack(remote_table, K, statistics=False)
     with HiddenDatabaseHTTPServer(served) as server:
@@ -216,17 +223,23 @@ def bench_remote_pooling(remote_table, queries) -> dict:
         # Byte-identical first, fast second.
         for query in queries[: min(20, len(queries))]:
             assert pooled.submit(query) == unpooled.submit(query), str(query)
-        unpooled_time = _time(unpooled.submit, queries)
-        pooled_time = _time(pooled.submit, queries)
+        rates: dict[str, list[float]] = {"unpooled": [], "pooled": []}
+        for _ in range(POOL_PASSES):
+            for shape, backend in (("unpooled", unpooled), ("pooled", pooled)):
+                rates[shape].append(round(len(queries) / _time(backend.submit, queries), 1))
         pool_stats = pooled.pool_statistics
         pooled.close()
-    speedup = unpooled_time / pooled_time if pooled_time > 0 else float("inf")
+    unpooled_rate = statistics.median(rates["unpooled"])
+    pooled_rate = statistics.median(rates["pooled"])
     return {
         "queries": len(queries),
         "rows": REMOTE_ROWS,
-        "unpooled_ops_per_sec": round(len(queries) / unpooled_time, 1),
-        "pooled_ops_per_sec": round(len(queries) / pooled_time, 1),
-        "pooled_speedup": round(speedup, 2),
+        "passes": POOL_PASSES,
+        "unpooled_pass_ops_per_sec": rates["unpooled"],
+        "pooled_pass_ops_per_sec": rates["pooled"],
+        "unpooled_ops_per_sec": unpooled_rate,
+        "pooled_ops_per_sec": pooled_rate,
+        "pooled_speedup": round(pooled_rate / unpooled_rate, 2),
         "pool_statistics": pool_stats,
     }
 

@@ -23,7 +23,11 @@ failed item never costs its siblings their answers.  :func:`forward_outcomes`
 reaches it beneath any layer and degrades to a serial loop over a backend
 that has only ``submit``;
 :meth:`repro.backends.stack.BackendStack.submit_many` is the one call that
-raises a batch's first error instead.
+raises a batch's first error instead.  A node with a per-item policy
+(retry, circuit breaker, failover) writes it once, as a loop over a batch's
+outcomes: ``submit(query)`` runs that body over ``[query]`` with
+:func:`outcomes_of` (the inner ``submit``) as its forward function, and
+:func:`only_outcome` returns the one answer or raises the one error.
 
 Every layer is itself a valid :class:`RawBackend`, so layers compose freely;
 :class:`repro.backends.stack.BackendStack` is the curated composition the
@@ -32,11 +36,17 @@ rest of the system builds on.
 
 from __future__ import annotations
 
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Callable, Iterator, Protocol, Sequence, runtime_checkable
 
 from repro.database.interface import InterfaceResponse
 from repro.database.query import ConjunctiveQuery
 from repro.database.schema import Schema
+
+
+#: How a policy body reaches the backend beneath it: ``forward(backend,
+#: queries)`` returns one outcome per query.  :func:`forward_outcomes` (the
+#: batch method) and :func:`outcomes_of` (``submit`` per query) are the two.
+Forward = Callable[[object, Sequence[ConjunctiveQuery]], list[InterfaceResponse | Exception]]
 
 
 def outcome_of(backend: object, query: ConjunctiveQuery) -> "InterfaceResponse | Exception":
@@ -65,7 +75,27 @@ def forward_outcomes(
     submit_outcomes = getattr(backend, "submit_outcomes", None)
     if callable(submit_outcomes):
         return list(submit_outcomes(queries))
+    return outcomes_of(backend, queries)
+
+
+def outcomes_of(
+    backend: object, queries: Sequence[ConjunctiveQuery]
+) -> list["InterfaceResponse | Exception"]:
+    """One :func:`outcome_of` per query: ``backend.submit`` in a serial loop.
+
+    The forward function a policy body is given for single submissions: the
+    one-item batch ``[query]`` still goes down through ``submit``, so the
+    wire below sends it as a single request, not as a batch of one.
+    """
     return [outcome_of(backend, query) for query in queries]
+
+
+def only_outcome(outcomes: Sequence["InterfaceResponse | Exception"]) -> InterfaceResponse:
+    """The answer of a one-item batch, or the exception it holds raised."""
+    (outcome,) = outcomes
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 @runtime_checkable
@@ -134,7 +164,7 @@ class BackendLayer:
         return f"{type(self).__name__}({self.inner!r})"
 
 
-def iter_chain(backend: object):
+def iter_chain(backend: object) -> Iterator[object]:
     """Yield ``backend`` and every backend beneath it, outermost first.
 
     Follows ``.inner`` (layers) and ``.stack`` (prebuilt facades such as

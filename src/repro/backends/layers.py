@@ -10,6 +10,9 @@ and adds one of the realities the old monolithic access paths hand-rolled:
   place queries are counted on an access path;
 * :class:`UnreliableLayer` — injectable rate-limit and transient-failure
   scenarios with retries, for exercising workloads against flaky sources.
+  Its retry policy is one loop over per-item outcomes: ``submit(query)``
+  runs it over ``[query]`` through the inner ``submit``, ``submit_outcomes``
+  through the inner batch method.
 
 Whether the client sees no count, the exact count or a noisy one (the
 Google Base situation) is not a layer: the answer builders shape it through
@@ -29,9 +32,15 @@ import time
 from typing import Sequence
 
 from repro._rng import resolve_rng, spawn_rng
-from repro.backends.base import BackendLayer, RawBackend, forward_outcomes
+from repro.backends.base import (
+    BackendLayer,
+    Forward,
+    RawBackend,
+    forward_outcomes,
+    only_outcome,
+    outcomes_of,
+)
 from repro.backends.resilience import (
-    Deadline,
     Fault,
     FaultSchedule,
     backoff_delay,
@@ -194,7 +203,7 @@ class UnreliableLayer(BackendLayer):
     ``retry_after`` hint on the fault is preferred over the computed backoff,
     and every sleep respects the ambient
     :class:`~repro.backends.resilience.Deadline`: a sleep that would outlive
-    the remaining budget raises
+    the remaining budget is not taken, and the items still waiting get
     :class:`~repro.exceptions.DeadlineExceededError` instead.
     :class:`~repro.exceptions.CircuitOpenError` from beneath is *never*
     retried — retrying an open circuit is the hammering the breaker exists
@@ -262,94 +271,58 @@ class UnreliableLayer(BackendLayer):
         self._lock = threading.Lock()
 
     def submit(self, query: ConjunctiveQuery) -> InterfaceResponse:
-        last_error: Exception | None = None
-        deadline = current_deadline()
-        for attempt in range(self.max_retries + 1):
-            if attempt > 0:
-                with self._lock:
-                    self.statistics.retries += 1
-                    delay = self._retry_delay_locked(attempt, last_error)
-                self._sleep_within_deadline(delay, deadline)
-            elif deadline is not None and deadline.expired:
-                with self._lock:
-                    self.statistics.deadline_exceeded += 1
-                deadline.check("submission")
-            scripted = self.schedule.next_fault() if self.schedule is not None else None
-            if scripted is not None and scripted.latency > 0.0:
-                time.sleep(scripted.latency)
-            if self.latency > 0.0:
-                time.sleep(self.latency)
-            with self._lock:
-                self.statistics.attempts += 1
-                if scripted is not None:
-                    error = self._record_scripted_locked(scripted)
-                else:
-                    error = self._inject_fault_locked()
-            if error is not None:
-                last_error = error
-                continue
-            try:
-                return self.inner.submit(query)
-            except CircuitOpenError:
-                # An open circuit beneath fails fast on purpose; retrying it
-                # is exactly the hammering the breaker exists to stop.
-                raise
-            except RateLimitedError as backend_error:
-                with self._lock:
-                    self.statistics.backend_rate_limited += 1
-                last_error = backend_error
-            except TransientBackendError as backend_error:
-                with self._lock:
-                    self.statistics.backend_transient_failures += 1
-                last_error = backend_error
-        with self._lock:
-            self.statistics.gave_up += 1
-        assert last_error is not None
-        raise last_error
+        return only_outcome(self._retry([query], outcomes_of))
 
     def submit_outcomes(
         self, queries: Sequence[ConjunctiveQuery]
     ) -> list[InterfaceResponse | Exception]:
-        """Forward a batch with **per-item** retries; one outcome per item.
+        return self._retry(list(queries), forward_outcomes)
 
-        This is where the batch endpoint's per-item statuses pay off: one
-        rate-limited item does not fail (or re-issue!) its siblings — only
-        the items that actually faulted, injected or real, are re-sent on the
-        next attempt, as one smaller batch.  An item that failed permanently
-        (e.g. an exhausted budget), hit an open circuit, or is still failing
-        once retries are exhausted reports its error in its slot.
+    def _retry(
+        self, queries: list[ConjunctiveQuery], forward: Forward
+    ) -> list[InterfaceResponse | Exception]:
+        """The retry policy: **per-item** retries, one outcome per item.
+
+        ``forward`` sends one attempt's items beneath: ``outcomes_of`` (each
+        item through the inner ``submit``) for a single submission, the
+        inner batch method for a batch.  This is where the batch endpoint's
+        per-item statuses pay off: one rate-limited item does not fail (or
+        re-issue!) its siblings — only the items that actually faulted,
+        injected or real, are re-sent on the next attempt, as one smaller
+        batch.  An item that failed permanently (e.g. an exhausted budget),
+        hit an open circuit, or is still failing once retries are exhausted
+        reports its error in its slot.
         """
-        queries = list(queries)
         if not queries:
             return []
         results: list[InterfaceResponse | Exception | None] = [None] * len(queries)
         retryable = list(range(len(queries)))
         deadline = current_deadline()
         for attempt in range(self.max_retries + 1):
+            delay = 0.0
             if attempt > 0:
                 with self._lock:
                     self.statistics.retries += len(retryable)
                     delay = self._retry_delay_locked(
-                        attempt, self._batch_hint_error(results, retryable)
+                        attempt, [results[index] for index in retryable]
                     )
-                try:
-                    self._sleep_within_deadline(delay, deadline)
-                except DeadlineExceededError as expired:
-                    # Per-item contract: the budget running out mid-batch is
-                    # reported on the items still waiting, not thrown at the
-                    # items already answered.
-                    for index in retryable:
-                        results[index] = expired
-                    return results  # type: ignore[return-value] - every slot is filled
-            elif deadline is not None and deadline.expired:
+            if deadline is not None and (deadline.expired or delay >= deadline.remaining()):
+                # The budget is spent, or the sleep would consume all of it
+                # and leave no time to use the retry it buys.  Per-item
+                # contract: that is reported on the items still waiting, not
+                # thrown at the items already answered.
                 with self._lock:
                     self.statistics.deadline_exceeded += 1
-                expired_error = DeadlineExceededError(
-                    "batch submission", remaining_ms=deadline.remaining_ms()
+                expired = DeadlineExceededError(
+                    "submission", remaining_ms=deadline.remaining_ms()
                 )
-                return [expired_error] * len(queries)
+                for index in retryable:
+                    results[index] = expired
+                return results  # type: ignore[return-value] - every slot is filled
+            if delay > 0.0:
+                time.sleep(delay)
             if self.latency > 0.0:
-                time.sleep(self.latency)  # one batch = one simulated round-trip
+                time.sleep(self.latency)  # one attempt = one simulated round-trip
             issue: list[int] = []
             injected: list[int] = []
             spike = 0.0
@@ -370,24 +343,23 @@ class UnreliableLayer(BackendLayer):
                     injected.append(index)
             if spike > 0.0:
                 time.sleep(spike)  # the batch is as slow as its slowest item
-            outcomes = self._forward_batch([queries[index] for index in issue])
+            outcomes = self._forward_batch([queries[index] for index in issue], forward)
             still_retryable = list(injected)
             for index, outcome in zip(issue, outcomes):
                 results[index] = outcome
-                if isinstance(outcome, CircuitOpenError):
-                    # Fail-fast by design: reported as-is, never retried, and
-                    # not counted here — the breaker counts its fast failures.
-                    pass
-                elif isinstance(outcome, RateLimitedError):
-                    with self._lock:
+                # An answer or a permanent error is final.  So is an open
+                # circuit's fail-fast: never retried, and not counted here —
+                # the breaker counts its fast failures.
+                if not isinstance(outcome, TransientBackendError) or isinstance(
+                    outcome, CircuitOpenError
+                ):
+                    continue
+                with self._lock:
+                    if isinstance(outcome, RateLimitedError):
                         self.statistics.backend_rate_limited += 1
-                    still_retryable.append(index)
-                elif isinstance(outcome, TransientBackendError):
-                    with self._lock:
+                    else:
                         self.statistics.backend_transient_failures += 1
-                    still_retryable.append(index)
-                # Any other exception is permanent: reported as-is, never
-                # retried — mirroring the single-submit path.
+                still_retryable.append(index)
             retryable = sorted(still_retryable)
             if not retryable:
                 break
@@ -397,25 +369,19 @@ class UnreliableLayer(BackendLayer):
         return results  # type: ignore[return-value] - every slot is filled
 
     def _forward_batch(
-        self, queries: list[ConjunctiveQuery]
+        self, queries: list[ConjunctiveQuery], forward: Forward
     ) -> list[InterfaceResponse | Exception]:
-        """Per-item outcomes from the inner backend, batched when it can.
+        """Per-item outcomes of one attempt from the inner backend.
 
-        A backend with a wire batch (``RemoteBackend``) reports per-item
-        outcomes natively via ``submit_outcomes``; anything else degrades to a
-        serial loop that captures each item's exception instead of raising —
-        the shape the retry loop needs either way.  A transient fault that
-        takes down the *whole* batched round-trip (connection dropped, proxy
-        503 on the POST itself) is spread onto every item, so the retry loop
-        heals it exactly like per-item faults instead of letting it escape
-        unretried.
+        A transient fault that takes down the *whole* batched round-trip
+        (connection dropped, proxy 503 on the POST itself) is spread onto
+        every item, so the retry loop heals it exactly like per-item faults
+        instead of letting it escape unretried.
         """
         if not queries:
             return []
         try:
-            return forward_outcomes(self.inner, queries)
-        except RateLimitedError as error:
-            return [error] * len(queries)
+            return forward(self.inner, queries)
         except TransientBackendError as error:
             return [error] * len(queries)
 
@@ -451,54 +417,22 @@ class UnreliableLayer(BackendLayer):
             self.statistics.transient_failures += 1
         return error
 
-    def _retry_delay_locked(self, attempt: int, last_error: Exception | None) -> float:
+    def _retry_delay_locked(
+        self, attempt: int, waiting: Sequence["InterfaceResponse | Exception | None"]
+    ) -> float:
         # Caller holds ``self._lock`` (the jitter draw mutates shared RNG
         # state).  A server-supplied Retry-After hint beats the computed
         # backoff: the server knows when it will answer again; our exponential
-        # curve is only a guess.
-        if isinstance(last_error, TransientBackendError) and last_error.retry_after is not None:
-            return last_error.retry_after
+        # curve is only a guess.  One sleep covers the whole re-issued batch,
+        # so it waits out the most-throttled item — sleeping any less would
+        # re-send that item early, exactly what the server asked us not to do.
+        hints = [
+            outcome.retry_after
+            for outcome in waiting
+            if isinstance(outcome, TransientBackendError) and outcome.retry_after is not None
+        ]
+        if hints:
+            return max(hints)
         return backoff_delay(
             self.retry_backoff, attempt - 1, self.max_backoff, self._backoff_rng
         )
-
-    def _batch_hint_error(
-        self,
-        results: Sequence["InterfaceResponse | Exception | None"],
-        retryable: Sequence[int],
-    ) -> Exception | None:
-        """The retryable item carrying the largest server Retry-After hint.
-
-        One sleep covers the whole re-issued batch, so the batch must wait
-        out the most-throttled item — sleeping any less would re-send that
-        item early, exactly what the server asked us not to do.
-        """
-        hinted: Exception | None = None
-        largest = -1.0
-        for index in retryable:
-            outcome = results[index]
-            if (
-                isinstance(outcome, TransientBackendError)
-                and outcome.retry_after is not None
-                and outcome.retry_after > largest
-            ):
-                hinted = outcome
-                largest = outcome.retry_after
-        return hinted
-
-    def _sleep_within_deadline(self, delay: float, deadline: Deadline | None) -> None:
-        """Sleep ``delay`` seconds — unless the deadline forbids it.
-
-        A sleep that would consume the entire remaining budget (or a budget
-        already spent) raises :class:`DeadlineExceededError` immediately:
-        there would be no time left to actually use the retry the sleep was
-        buying.
-        """
-        if deadline is not None and (deadline.expired or delay >= deadline.remaining()):
-            with self._lock:
-                self.statistics.deadline_exceeded += 1
-            raise DeadlineExceededError(
-                "retry backoff", remaining_ms=deadline.remaining_ms()
-            )
-        if delay > 0.0:
-            time.sleep(delay)

@@ -25,12 +25,20 @@ that, each composable with the existing layer stack:
   let one dead shard trip only its own circuit.
 
 * :class:`FailoverRouter` — one primary plus replicas behind the raw-backend
-  contract.  Every target sits behind its own breaker; submissions always
-  try the primary first, fall over to replicas when its circuit is open (or
-  a call faults), and steer back the moment a half-open probe succeeds.
-  :meth:`FailoverRouter.check_health` drives the same breakers from
-  ``GET /api/health`` probes (:meth:`repro.backends.remote.RemoteBackend.health`),
-  so an idle router converges on the truth without burning real queries.
+  contract.  Every target sits behind its own :class:`CircuitBreakerLayer`;
+  submissions always try the primary first, fall over to replicas when its
+  circuit is open (or a call faults), and steer back the moment a half-open
+  probe succeeds.  :meth:`FailoverRouter.check_health` drives the same
+  breakers from ``GET /api/health`` probes
+  (:meth:`repro.backends.remote.RemoteBackend.health`), so an idle router
+  converges on the truth without burning real queries.
+
+The breaker layer and the router each write their policy once, as a loop
+over per-item outcomes (see :mod:`repro.backends.base`): ``submit(query)``
+is that loop over ``[query]``, so a single submission and a one-item batch
+leave the same counters.  :func:`resilience_report`,
+:func:`chain_would_allow` and :func:`chain_retry_after` are folds over one
+walk that finds every breaker (per-shard ones included) and every router.
 
 The chaos side lives here too: :class:`FaultSchedule` scripts a
 *deterministic* per-attempt fault sequence — transient faults, rate limits,
@@ -53,7 +61,15 @@ from contextlib import contextmanager
 from random import Random
 from typing import Callable, Iterator, Sequence
 
-from repro.backends.base import BackendLayer, RawBackend, forward_outcomes
+from repro.backends.base import (
+    BackendLayer,
+    Forward,
+    RawBackend,
+    forward_outcomes,
+    iter_chain,
+    only_outcome,
+    outcomes_of,
+)
 from repro.database.interface import InterfaceResponse
 from repro.database.query import ConjunctiveQuery
 from repro.database.schema import Schema
@@ -295,7 +311,7 @@ class FaultSchedule:
     """
 
     #: Machine-checked by reprolint R1 (guarded-state): the cursor only
-    #: advances while ``_lock`` is held (``*_locked`` callers hold it).
+    #: advances while ``_lock`` is held.
     _guarded_by = {"_position": "_lock"}
 
     def __init__(self, entries: Sequence["Fault | str"], repeat: bool = False) -> None:
@@ -312,22 +328,13 @@ class FaultSchedule:
     def next_fault(self) -> Fault:
         """Consume and return the next scripted fault (thread-safe)."""
         with self._lock:
-            return self.next_fault_locked()
-
-    def next_fault_locked(self) -> Fault:
-        """The cursor advance itself; the caller already holds ``_lock``.
-
-        (``_locked`` suffix per the reprolint R1 convention — callers that
-        serialise the schedule through some enclosing discipline use this
-        form; everyone else goes through :meth:`next_fault`.)
-        """
-        if self._position >= len(self._entries):
-            if not self.repeat:
-                return Fault("ok")
-            self._position = 0
-        fault = self._entries[self._position]
-        self._position += 1
-        return fault
+            if self._position >= len(self._entries):
+                if not self.repeat:
+                    return Fault("ok")
+                self._position = 0
+            fault = self._entries[self._position]
+            self._position += 1
+            return fault
 
     def remaining(self) -> int:
         """Scripted entries not yet consumed (0 once the script ran out)."""
@@ -559,9 +566,10 @@ class CircuitBreakerLayer(BackendLayer):
     against the rolling failure window; once it trips, every call raises
     :class:`~repro.exceptions.CircuitOpenError` in microseconds *without
     touching the inner backend* until a timed half-open probe proves
-    recovery.  Permanent faults (exhausted budget, auth, parse errors) count
-    as *successes* for breaker purposes — the backend answered; it is the
-    request that was wrong.
+    recovery.  Every other outcome — permanent faults (exhausted budget,
+    auth, parse errors) and exceptions outside the library's taxonomy alike
+    — counts as a *success* for breaker purposes: the backend answered; it
+    is the request that was wrong.
 
     In the canonical stack order the breaker sits directly above the raw
     backend, **below** the retry layer: each retry attempt is a real call
@@ -584,35 +592,33 @@ class CircuitBreakerLayer(BackendLayer):
         self.breaker = breaker if breaker is not None else CircuitBreaker(policy)
 
     def submit(self, query: ConjunctiveQuery) -> InterfaceResponse:
-        self.breaker.before_call()
-        try:
-            response = self.inner.submit(query)
-        except TransientBackendError:
-            self.breaker.record_failure()
-            raise
-        except ReproError:
-            # The backend answered — with a permanent, typed refusal.  That
-            # is its caller's problem, not evidence the backend is down.
-            self.breaker.record_success()
-            raise
-        self.breaker.record_success()
-        return response
+        return only_outcome(self._guard([query], outcomes_of))
 
     def submit_outcomes(
         self, queries: Sequence[ConjunctiveQuery]
     ) -> list[InterfaceResponse | Exception]:
-        """Gate the batch once, record every per-item outcome in the window."""
-        queries = list(queries)
+        return self._guard(list(queries), forward_outcomes)
+
+    def _guard(
+        self, queries: list[ConjunctiveQuery], forward: Forward
+    ) -> list[InterfaceResponse | Exception]:
+        """Gate the call once, record every per-item outcome in the window.
+
+        Only a transient outcome is a failure.  Any other outcome — an
+        answer, a typed refusal, even an exception outside the library's
+        taxonomy — is a success: the backend answered, and an outcome that
+        recorded nothing would leave a half-open probe in flight for good.
+        """
         if not queries:
             return []
         self.breaker.before_call()
         try:
-            outcomes = forward_outcomes(self.inner, queries)
+            outcomes = forward(self.inner, queries)
         except TransientBackendError:
             # The whole round-trip died before producing per-item outcomes.
             self.breaker.record_failure()
             raise
-        except ReproError:
+        except Exception:
             self.breaker.record_success()
             raise
         for outcome in outcomes:
@@ -642,28 +648,18 @@ class FailoverStatistics:
         return dataclasses.asdict(self)
 
 
-class _FailoverTarget:
-    """One routed backend plus its breaker and served-count."""
-
-    __slots__ = ("name", "backend", "breaker", "served")
-
-    def __init__(self, name: str, backend: RawBackend, policy: CircuitBreakerPolicy) -> None:
-        self.name = name
-        self.backend = backend
-        self.breaker = CircuitBreaker(policy)
-        self.served = 0
-
-
 class FailoverRouter:
     """A primary backend with replicas behind one raw-backend facade.
 
-    Targets are tried in declared order — the primary always first, so the
+    Each target sits behind its own :class:`CircuitBreakerLayer`, and
+    targets are tried in declared order — the primary always first, so the
     moment its breaker admits a half-open probe, traffic steers back to it.
     A target whose circuit is open is skipped in microseconds; a target
     whose call raises a transient fault records the failure (feeding its
     breaker) and the next replica is tried.  Permanent faults (budget,
     auth, parse, deadline) are *not* failed over: every replica would refuse
-    the same request for the same reason, so they propagate immediately.
+    the same request for the same reason, so the target counts as having
+    answered and the refusal propagates immediately.
 
     All targets must serve the same schema and top-``k`` — replicas are
     replicas, not shards.  :meth:`check_health` probes each target's
@@ -672,9 +668,8 @@ class FailoverRouter:
     """
 
     #: Machine-checked by reprolint R1 (guarded-state): the routing counters
-    #: only move while ``_lock`` is held (per-target ``served`` counts are
-    #: updated under the same lock).
-    _guarded_by = {"statistics": "_lock"}
+    #: and the per-target served counts only move while ``_lock`` is held.
+    _guarded_by = {"statistics": "_lock", "_served": "_lock"}
 
     def __init__(
         self,
@@ -683,18 +678,18 @@ class FailoverRouter:
         policy: CircuitBreakerPolicy | None = None,
     ) -> None:
         policy = policy if policy is not None else CircuitBreakerPolicy()
-        self._targets = [_FailoverTarget("primary", primary, policy)]
-        for index, replica in enumerate(replicas, start=1):
-            self._targets.append(_FailoverTarget(f"replica-{index}", replica, policy))
-        ks = {target.backend.k for target in self._targets}
+        backends = [primary, *replicas]
+        self._names = ["primary"] + [f"replica-{index}" for index in range(1, len(backends))]
+        self._guards = [CircuitBreakerLayer(backend, policy=policy) for backend in backends]
+        ks = {backend.k for backend in backends}
         if len(ks) != 1:
             raise ConfigurationError(
                 f"failover targets must share one top-k limit, got {sorted(ks)}"
             )
-        names = {target.backend.schema.attribute_names for target in self._targets}
-        if len(names) != 1:
+        if len({backend.schema.attribute_names for backend in backends}) != 1:
             raise ConfigurationError("failover targets must serve the same schema")
         self.statistics = FailoverStatistics()
+        self._served = [0] * len(backends)
         self._lock = threading.Lock()
 
     # -- RawBackend contract -------------------------------------------------
@@ -702,115 +697,68 @@ class FailoverRouter:
     @property
     def schema(self) -> Schema:
         """The schema every target serves."""
-        return self._targets[0].backend.schema
+        return self._guards[0].schema
 
     @property
     def k(self) -> int:
         """The shared top-``k`` display limit."""
-        return self._targets[0].backend.k
+        return self._guards[0].k
 
     @property
     def targets(self) -> tuple[RawBackend, ...]:
         """The routed backends, primary first."""
-        return tuple(target.backend for target in self._targets)
+        return tuple(guard.inner for guard in self._guards)
 
     def breaker(self, name: str = "primary") -> CircuitBreaker:
         """The named target's breaker (``"primary"``, ``"replica-1"``, ...)."""
-        for target in self._targets:
-            if target.name == name:
-                return target.breaker
-        raise ConfigurationError(
-            f"unknown failover target {name!r} "
-            f"(targets: {', '.join(t.name for t in self._targets)})"
-        )
+        if name not in self._names:
+            raise ConfigurationError(
+                f"unknown failover target {name!r} (targets: {', '.join(self._names)})"
+            )
+        return self._guards[self._names.index(name)].breaker
 
     def submit(self, query: ConjunctiveQuery) -> InterfaceResponse:
         """Answer through the first healthy target, primary first."""
-        last_error: Exception | None = None
-        for position, target in enumerate(self._targets):
-            try:
-                target.breaker.before_call()
-            except CircuitOpenError as error:
-                last_error = error
-                continue
-            try:
-                response = target.backend.submit(query)
-            except CircuitOpenError as error:
-                # A breaker *inside* the target tripped; ours records the
-                # fast-fail as a failure so the router-level view agrees.
-                target.breaker.record_failure()
-                last_error = error
-                continue
-            except TransientBackendError as error:
-                target.breaker.record_failure()
-                last_error = error
-                continue
-            except ReproError:
-                target.breaker.record_success()
-                raise
-            target.breaker.record_success()
-            with self._lock:
-                self.statistics.submissions += 1
-                if position > 0:
-                    self.statistics.failovers += 1
-                target.served += 1
-            return response
-        with self._lock:
-            self.statistics.exhausted += 1
-        assert last_error is not None  # there is always at least one target
-        raise last_error
+        return only_outcome(self._route([query], outcomes_of))
 
     def submit_outcomes(
         self, queries: Sequence[ConjunctiveQuery]
     ) -> list[InterfaceResponse | Exception]:
-        """Per-item outcomes through the first target that answers the batch.
+        return self._route(list(queries), forward_outcomes)
 
-        A target whose circuit is open — or whose *entire* batch comes back
-        transient — is skipped and the next replica is tried; a batch with
-        any answered item is authoritative (mixed outcomes are that
+    def _route(
+        self, queries: list[ConjunctiveQuery], forward: Forward
+    ) -> list[InterfaceResponse | Exception]:
+        """Per-item outcomes from the first target that answers, primary first.
+
+        A target whose circuit is open — or whose outcomes are *all*
+        transient — is skipped and the next replica is tried; outcomes with
+        any non-transient item are authoritative (mixed outcomes are that
         backend's honest per-item verdicts, not a reason to re-ask a
-        replica and double-spend the answered items).
+        replica and double-spend the answered items).  When no target
+        answers, the last target's outcomes are returned (``exhausted``).
         """
-        queries = list(queries)
         if not queries:
             return []
-        last_outcomes: list[InterfaceResponse | Exception] | None = None
-        for position, target in enumerate(self._targets):
+        outcomes: list[InterfaceResponse | Exception] = []
+        for position, guard in enumerate(self._guards):
             try:
-                target.breaker.before_call()
-            except CircuitOpenError as error:
-                last_outcomes = [error] * len(queries)
-                continue
-            try:
-                outcomes = forward_outcomes(target.backend, queries)
+                outcomes = forward(guard, queries)
             except TransientBackendError as error:
-                target.breaker.record_failure()
-                last_outcomes = [error] * len(queries)
+                # An open circuit, or the whole round-trip died.
+                outcomes = [error] * len(queries)
                 continue
-            except ReproError:
-                target.breaker.record_success()
-                raise
-            transient = [
-                isinstance(outcome, TransientBackendError) for outcome in outcomes
-            ]
-            for failed in transient:
-                if failed:
-                    target.breaker.record_failure()
-                else:
-                    target.breaker.record_success()
-            if all(transient):
-                last_outcomes = outcomes
+            if all(isinstance(outcome, TransientBackendError) for outcome in outcomes):
                 continue
             with self._lock:
                 self.statistics.submissions += 1
                 if position > 0:
                     self.statistics.failovers += 1
-                target.served += 1
+                self._served[position] += 1
             return outcomes
         with self._lock:
             self.statistics.exhausted += 1
-        assert last_outcomes is not None
-        return last_outcomes
+        return outcomes
 
     # -- health --------------------------------------------------------------
 
@@ -825,50 +773,57 @@ class FailoverRouter:
         target name.
         """
         report: dict[str, dict[str, object]] = {}
-        for target in self._targets:
-            entry: dict[str, object] = {"served": target.served}
-            probe = getattr(target.backend, "health", None)
+        with self._lock:
+            served = list(self._served)
+        for name, guard, count in zip(self._names, self._guards, served):
+            entry: dict[str, object] = {"served": count}
+            breaker = guard.breaker
+            probe = getattr(guard.inner, "health", None)
             if not callable(probe):
                 entry["healthy"] = None
             else:
                 try:
-                    target.breaker.before_call()
+                    breaker.before_call()
                 except CircuitOpenError:
                     entry["healthy"] = False
                 else:
                     try:
                         probe()
                     except ReproError:
-                        target.breaker.record_failure()
+                        breaker.record_failure()
                         entry["healthy"] = False
                     else:
-                        target.breaker.record_success()
+                        breaker.record_success()
                         entry["healthy"] = True
-            entry["breaker"] = target.breaker.snapshot()
-            report[target.name] = entry
+            entry["breaker"] = breaker.snapshot()
+            report[name] = entry
         return report
 
     def would_allow(self) -> bool:
         """Whether any target would admit a call right now (scheduler probe)."""
-        return any(target.breaker.would_allow() for target in self._targets)
+        return any(guard.breaker.would_allow() for guard in self._guards)
+
+    def retry_after(self) -> float:
+        """Seconds until the first target would admit a call (0 when one would now)."""
+        return min(guard.breaker.retry_after() for guard in self._guards)
 
     def snapshot(self) -> dict[str, object]:
         """Routing counters plus each target's breaker state, in one view."""
         with self._lock:
             counters = self.statistics.as_dict()
-            served = {target.name: target.served for target in self._targets}
+            served = dict(zip(self._names, self._served))
         return {
             **counters,
             "served": served,
             "targets": {
-                target.name: target.breaker.snapshot() for target in self._targets
+                name: guard.breaker.snapshot() for name, guard in zip(self._names, self._guards)
             },
         }
 
     def close(self) -> None:
         """Close every target that can be closed (pooled remote adapters)."""
-        for target in self._targets:
-            close = getattr(target.backend, "close", None)
+        for backend in self.targets:
+            close = getattr(backend, "close", None)
             if callable(close):
                 close()
 
@@ -880,7 +835,8 @@ class FailoverRouter:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         states = ", ".join(
-            f"{target.name}={target.breaker.state.value}" for target in self._targets
+            f"{name}={guard.breaker.state.value}"
+            for name, guard in zip(self._names, self._guards)
         )
         return f"FailoverRouter({states})"
 
@@ -888,34 +844,47 @@ class FailoverRouter:
 # -- introspection helpers --------------------------------------------------------
 
 
+def _gates(
+    backend: object, shard: int | None = None
+) -> Iterator[tuple["CircuitBreaker | FailoverRouter", int | None]]:
+    """Every breaker and failover router in an access path, with its shard.
+
+    Walks the chain like :func:`repro.backends.base.iter_chain` and descends
+    into a :class:`~repro.backends.shard.ShardRouter`'s shards
+    (``ShardRouter.over_table(shard_layer=...)`` hangs per-shard breakers
+    there), tagging what it finds beneath with the shard's position.  A
+    router's own per-target breakers are the router's business: it is
+    yielded, they are not.
+    """
+    for node in iter_chain(backend):
+        if isinstance(node, CircuitBreakerLayer):
+            yield node.breaker, shard
+        elif isinstance(node, FailoverRouter):
+            yield node, shard
+        shards = getattr(node, "shards", None)
+        if isinstance(shards, tuple):
+            for position, inner in enumerate(shards):
+                yield from _gates(inner, position)
+
+
 def resilience_report(backend: object) -> dict[str, object] | None:
     """Breaker and failover state found anywhere in an access path, or ``None``.
 
-    Walks the chain like :func:`repro.backends.base.iter_chain` and collects
-    every :class:`CircuitBreakerLayer` snapshot plus the
-    :class:`FailoverRouter` snapshot when one serves as the raw backend —
+    Collects every breaker snapshot (a per-shard one tagged ``"shard"``)
+    plus the :class:`FailoverRouter` snapshot when one serves the path —
     the single probe :func:`repro.backends.stack.introspect` and the
     dashboard's backend line both render.
     """
-    from repro.backends.base import iter_chain
-
     breakers: list[dict[str, object]] = []
     failover: dict[str, object] | None = None
-    for node in iter_chain(backend):
-        if isinstance(node, CircuitBreakerLayer):
-            breakers.append(node.breaker.snapshot())
-        elif isinstance(node, FailoverRouter):
-            failover = node.snapshot()
-        shards = getattr(node, "shards", None)
-        if isinstance(shards, tuple):
-            # Per-shard breakers (``ShardRouter.over_table(shard_layer=...)``)
-            # hang off the router's shards, not the main chain.
-            for position, shard in enumerate(shards):
-                for shard_node in iter_chain(shard):
-                    if isinstance(shard_node, CircuitBreakerLayer):
-                        snapshot = shard_node.breaker.snapshot()
-                        snapshot["shard"] = position
-                        breakers.append(snapshot)
+    for gate, shard in _gates(backend):
+        if isinstance(gate, FailoverRouter):
+            failover = gate.snapshot()
+            continue
+        snapshot = gate.snapshot()
+        if shard is not None:
+            snapshot["shard"] = shard
+        breakers.append(snapshot)
     if not breakers and failover is None:
         return None
     report: dict[str, object] = {}
@@ -929,46 +898,18 @@ def resilience_report(backend: object) -> dict[str, object] | None:
 def chain_would_allow(backend: object) -> bool:
     """Whether the access path would admit a submission right now.
 
-    True when every breaker in the chain would let a call (or probe)
-    through and — when a failover router serves the path — at least one of
-    its targets would.  A chain with no resilience nodes always allows:
-    there is nothing to wait out, so the caller should simply try.
+    True when every breaker in the chain — per-shard ones included: a
+    merged response needs every shard — would let a call (or probe) through
+    and every failover router has a target that would.  A chain with no
+    resilience nodes always allows: there is nothing to wait out, so the
+    caller should simply try.
     """
-    from repro.backends.base import iter_chain
-
-    for node in iter_chain(backend):
-        if isinstance(node, CircuitBreakerLayer):
-            if not node.breaker.would_allow():
-                return False
-        elif isinstance(node, FailoverRouter):
-            if not node.would_allow():
-                return False
-        shards = getattr(node, "shards", None)
-        if isinstance(shards, tuple):
-            # A merged response needs *every* shard; one open shard breaker
-            # blocks the whole scatter.
-            for shard in shards:
-                for shard_node in iter_chain(shard):
-                    if isinstance(shard_node, CircuitBreakerLayer):
-                        if not shard_node.breaker.would_allow():
-                            return False
-    return True
+    return all(gate.would_allow() for gate, _ in _gates(backend))
 
 
 def chain_retry_after(backend: object) -> float:
     """Seconds until the most-blocking resilience node would admit a call."""
-    from repro.backends.base import iter_chain
-
-    waits = [0.0]
-    for node in iter_chain(backend):
-        if isinstance(node, CircuitBreakerLayer):
-            waits.append(node.breaker.retry_after())
-        elif isinstance(node, FailoverRouter):
-            target_waits = [
-                target.breaker.retry_after() for target in node._targets
-            ]
-            waits.append(min(target_waits) if target_waits else 0.0)
-    return max(waits)
+    return max((gate.retry_after() for gate, _ in _gates(backend)), default=0.0)
 
 
 __all__ = [
