@@ -1,7 +1,7 @@
 """R4 deterministic-rng: all randomness flows through ``repro/_rng.py``.
 
 Motivating invariant: the equivalence suites (stack vs legacy oracle,
-sharded vs unsharded, remote vs local, striped history vs serial) all assert
+sharded vs unsharded, remote vs local, concurrent history vs serial) all assert
 **byte-identical** sampling runs on shared seeds.  One direct call to the
 process-global ``random`` module — or a generator seeded from the clock —
 anywhere in the library silently breaks that property for every test and

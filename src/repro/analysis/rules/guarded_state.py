@@ -18,18 +18,18 @@ attribute happens inside a ``with <holder>.<lock>:`` block:
   anything reached through it (``self.statistics.attempts += 1`` mutates
   ``statistics``);
 * calls of known mutating methods on the attribute or anything under it
-  (``self.budget.charge(...)``, ``stripe.in_flight.pop(...)``).
+  (``self.budget.charge(...)``, ``self._in_flight.pop(...)``).
 
 Scoping rules, chosen to keep the check precise without whole-program
 inference:
 
 * ``self.<attr>`` is checked against the enclosing class's own declaration
   (including ``_guarded_by`` inherited from same-module base classes);
-* ``<other>.<attr>`` — a helper operating on another object, like
-  ``HistoryLayer`` mutating its ``_Stripe`` records — is checked against the
-  union of every declaration in the module, and the lock must be held *on
-  the same base expression* (``with stripe.lock:`` guards ``stripe.responses``,
-  not ``other_stripe.responses``);
+* ``<other>.<attr>`` — a helper operating on another object, like a class
+  mutating the records it keeps, each behind the record's own lock — is
+  checked against the union of every declaration in the module, and the
+  lock must be held *on the same base expression* (``with record.lock:``
+  guards ``record.entries``, not ``other_record.entries``);
 * ``__init__`` / ``__new__`` are exempt (construction precedes sharing), and
   so is any function whose name ends in ``_locked`` — the naming convention
   for helpers documented to run with the caller's lock already held.

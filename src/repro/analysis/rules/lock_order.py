@@ -1,9 +1,10 @@
 """R5 lock-order: the static "held-while-acquiring" graph stays acyclic.
 
-Motivating bug class (PR 5): the lock-striped ``HistoryLayer`` holds a stripe
-lock while touching its statistics lock, and the remote backend's connection
-pool nests its pool lock inside request handling — every new lock multiplies
-the ways two threads can each hold the lock the other wants.  A deadlock only
+Motivating bug class (PR 5): the history layer of the time, split over key
+stripes, held a stripe lock while touching its statistics lock, and the
+remote backend's connection pool nests its pool lock inside request handling
+— every new lock multiplies the ways two threads can each hold the lock the
+other wants.  A deadlock only
 reproduces under the right interleaving, so the check has to be static.
 
 The rule extracts, from every function in the tree, the relation
@@ -15,10 +16,10 @@ are ``with`` items of the form ``<base>.<attr>`` where ``<attr>`` contains
 ``lock``; nodes are named
 
 * ``ClassName.attr`` when the base is ``self`` (or an annotated parameter
-  whose annotation names a class — ``def f(self, stripe: _Stripe)`` makes
-  ``stripe.lock`` the node ``_Stripe.lock``);
-* ``base.attr`` textually otherwise, so consistently-named locals (every
-  ``HistoryLayer`` helper calls its stripe ``stripe``) still line up.
+  whose annotation names a class — ``def f(self, breaker: CircuitBreaker)``
+  makes ``breaker._lock`` the node ``CircuitBreaker._lock``);
+* ``base.attr`` textually otherwise, so consistently-named locals (a helper
+  that always calls its breaker ``breaker``) still line up.
 
 One level of interprocedural propagation: a call ``self.helper(...)`` made
 while holding A contributes edges from A to every lock ``helper`` itself

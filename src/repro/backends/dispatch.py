@@ -24,8 +24,8 @@ byte of any answer:
   Everything beneath the layer must be thread-safe — see
   ``docs/architecture.md``: :class:`~repro.backends.layers.AccountingLayer`
   locks its budget and counters, and
-  :class:`~repro.backends.history.HistoryLayer` is lock-striped, so history
-  legally sits *under* a dispatch layer and deduplicates concurrent
+  :class:`~repro.backends.history.HistoryLayer` guards its state with one
+  lock, so history legally sits *under* a dispatch layer and deduplicates concurrent
   submissions of the same canonical query.
 
 Neither class changes what is computed, only when: threads buy nothing for

@@ -61,12 +61,15 @@ from repro.exceptions import (
 class AccountingLayer(BackendLayer):
     """Charges a :class:`~repro.database.limits.QueryBudget` and counts answers.
 
-    The charge happens *before* the inner backend is touched — a budget
-    violation raises and leaves the hidden database unqueried, exactly like a
-    site that starts refusing requests.  Only answers the client actually
-    received are counted in :attr:`statistics`: a submission that raises
-    below this layer (transient failure that exhausted its retries) counts
-    nothing, matching the legacy interface bookkeeping.
+    A limited budget is charged *before* the inner backend is touched — a
+    budget violation raises and leaves the hidden database unqueried, exactly
+    like a site that starts refusing requests.  An unlimited budget can never
+    refuse, so :meth:`submit` charges it after the call, together with the
+    count, in one critical section; a call that raises is charged all the
+    same.  Only answers the client actually received are counted in
+    :attr:`statistics`: a submission that raises below this layer (transient
+    failure that exhausted its retries) counts nothing, matching the legacy
+    interface bookkeeping.
 
     ``statistics=False`` charges only (``statistics`` is then ``None``): the
     right choice for a stack served to remote or scraping *clients* that own
@@ -96,11 +99,24 @@ class AccountingLayer(BackendLayer):
         self._lock = threading.Lock()
 
     def submit(self, query: ConjunctiveQuery) -> InterfaceResponse:
-        with self._lock:
-            self.budget.charge(1)
-        response = self.inner.submit(query)
-        if self.statistics is not None:
+        if self.budget.limit is not None:
             with self._lock:
+                self.budget.charge(1)
+            response = self.inner.submit(query)
+            if self.statistics is not None:
+                with self._lock:
+                    self.statistics.record(response)
+            return response
+        # An unlimited budget never refuses: its charge is a plain increment.
+        try:
+            response = self.inner.submit(query)
+        except BaseException:
+            with self._lock:
+                self.budget.issued += 1
+            raise
+        with self._lock:
+            self.budget.issued += 1
+            if self.statistics is not None:
                 self.statistics.record(response)
         return response
 

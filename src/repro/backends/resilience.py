@@ -767,10 +767,10 @@ class FailoverRouter:
 
         Each probe is one breaker-mediated call: a healthy answer records a
         success (walking an OPEN breaker through HALF_OPEN back to CLOSED
-        across successive checks), a typed failure records a failure, a
-        target with no ``health`` attribute reports ``"unknown"`` and its
-        breaker is left untouched.  Returns a per-target report keyed by
-        target name.
+        across successive checks), a typed failure records a failure, any
+        other exception records a failure and propagates, and a target with
+        no ``health`` attribute reports ``"unknown"`` and its breaker is left
+        untouched.  Returns a per-target report keyed by target name.
         """
         report: dict[str, dict[str, object]] = {}
         with self._lock:
@@ -792,6 +792,11 @@ class FailoverRouter:
                     except ReproError:
                         breaker.record_failure()
                         entry["healthy"] = False
+                    except BaseException:
+                        # An error outside the taxonomy still ends the probe:
+                        # a half-open breaker must not keep it in flight.
+                        breaker.record_failure()
+                        raise
                     else:
                         breaker.record_success()
                         entry["healthy"] = True

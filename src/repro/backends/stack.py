@@ -298,7 +298,6 @@ def engine_stack(
     seed: int | random.Random | None = 0,
     use_index: bool = True,
     history: bool = False,
-    max_history_entries: int | None = None,
     statistics: bool = True,
 ) -> BackendStack:
     """The direct in-process access path as a stack.
@@ -325,7 +324,6 @@ def engine_stack(
         raw,
         budget=budget,
         history=history,
-        max_history_entries=max_history_entries,
         statistics=statistics,
     )
 
@@ -336,7 +334,6 @@ def web_stack(
     display_columns: Sequence[str] = (),
     budget: QueryBudget | None = None,
     history: bool = False,
-    max_history_entries: int | None = None,
     parallel: int | None = None,
 ) -> BackendStack:
     """The HTML-scraping access path as a stack.
@@ -350,7 +347,7 @@ def web_stack(
     ``parallel=N`` puts a :class:`~repro.backends.dispatch.DispatchLayer` on
     top, so ``stack.submit_outcomes(queries)`` (and ``stack.submit_many``,
     which raises the first failure) fetches up to ``N`` pages concurrently.
-    It composes with ``history=True``: the lock-striped history layer sits
+    It composes with ``history=True``: the thread-safe history layer sits
     under the dispatch layer, deduplicates concurrent fetches of the same
     page (per-key in-flight guard) and answers repeats without any fetch at
     all.
@@ -360,7 +357,6 @@ def web_stack(
         raw,
         budget=budget,
         history=history,
-        max_history_entries=max_history_entries,
         parallel=parallel,
     )
 
@@ -376,7 +372,6 @@ def sharded_stack(
     display_columns: Sequence[str] = (),
     seed: int | random.Random | None = 0,
     history: bool = False,
-    max_history_entries: int | None = None,
     statistics: bool = True,
     parallel: int | None = None,
 ) -> BackendStack:
@@ -412,7 +407,6 @@ def sharded_stack(
         raw,
         budget=budget,
         history=history,
-        max_history_entries=max_history_entries,
         statistics=statistics,
     )
 
@@ -421,7 +415,6 @@ def remote_stack(
     url: str | Sequence[str],
     budget: QueryBudget | None = None,
     history: bool = False,
-    max_history_entries: int | None = None,
     statistics: bool = True,
     max_retries: int = 3,
     retry_backoff: float = 0.05,
@@ -455,7 +448,7 @@ def remote_stack(
     retry layer re-issues only failed items); ``parallel=N`` overlaps those
     chunks on ``N`` worker threads.  ``parallel=N`` alone sends each query
     of a batch as its own ``GET``, ``N`` at a time.  Both compose with
-    ``history=True``: the lock-striped
+    ``history=True``: the thread-safe
     :class:`~repro.backends.history.HistoryLayer` legally sits under the
     dispatch layer and strips every hit and inferable item out of the wire
     batches.
@@ -514,7 +507,6 @@ def remote_stack(
         raw,
         budget=budget,
         history=history,
-        max_history_entries=max_history_entries,
         statistics=statistics,
         parallel=parallel,
         batch=batch,
@@ -526,7 +518,6 @@ def _compose(
     raw: RawBackend,
     budget: QueryBudget | None = None,
     history: bool = False,
-    max_history_entries: int | None = None,
     statistics: bool = True,
     parallel: int | None = None,
     batch: int | None = None,
@@ -546,10 +537,10 @@ def _compose(
         inner, budget=budget, statistics=statistics
     )
     if history:
-        # The lock-striped HistoryLayer is thread-safe, so it legally sits
+        # The HistoryLayer is thread-safe, so it legally sits
         # *under* the dispatch layer: concurrent batch fan-out and the §3.2
         # history optimisation compose (earlier revisions refused this).
-        factories[HistoryLayer] = lambda inner: HistoryLayer(inner, max_entries=max_history_entries)
+        factories[HistoryLayer] = lambda inner: HistoryLayer(inner)
     if (parallel is not None and parallel > 1) or batch is not None:
         factories[DispatchLayer] = lambda inner: DispatchLayer(
             inner, max_workers=parallel if parallel is not None else 1, batch_size=batch

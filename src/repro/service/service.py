@@ -159,7 +159,7 @@ class SamplingService:
         The backend's own history layer when it is reachable through
         pass-through nodes only — a facade's ``.stack``, a stack's ``.top``,
         a :class:`~repro.backends.dispatch.DispatchLayer` (whose ``submit``
-        forwards unchanged) — else a service-owned lock-striped
+        forwards unchanged) — else a service-owned thread-safe
         :class:`~repro.backends.history.HistoryLayer` wrapped around the
         backend.  Any other wrapper stops the walk, so a hand-added layer
         above a history layer is never bypassed.

@@ -47,7 +47,6 @@ class WebFormClient:
         display_columns: tuple[str, ...] = (),
         budget: QueryBudget | None = None,
         history: bool = False,
-        max_history_entries: int | None = None,
     ) -> None:
         from repro.backends.stack import web_stack
 
@@ -57,7 +56,6 @@ class WebFormClient:
             display_columns=display_columns,
             budget=budget,
             history=history,
-            max_history_entries=max_history_entries,
         )
 
     # -- contract ---------------------------------------------------------------

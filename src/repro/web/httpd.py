@@ -37,7 +37,7 @@ across many requests.  The listening socket keeps a backlog of
 :attr:`_Server.request_queue_size` pending connections, so a wave of clients
 arriving at once is accepted rather than dropped.  Batch items are answered
 concurrently over a bounded worker pool: every layer in the served chain —
-including the lock-striped :class:`~repro.backends.history.HistoryLayer` —
+including the one-lock :class:`~repro.backends.history.HistoryLayer` —
 is thread-safe, so nothing needs the serialising submit-lock earlier
 revisions carried (see ``docs/architecture.md``).  Each connection carries a
 socket read/write timeout (``request_timeout``), so a stalled client — half a
@@ -427,7 +427,7 @@ class DatabaseEndpoint:
         A fault while answering one item becomes that item's ``error`` entry
         — its siblings still come back answered.  Items are answered
         concurrently over the bounded batch pool (every layer beneath is
-        thread-safe; the striped history layer deduplicates and the budget
+        thread-safe; the history layer deduplicates and the budget
         layer charges exactly as it would for concurrent clients).
         """
         from repro.backends.resilience import deadline_scope
@@ -603,6 +603,8 @@ class HiddenDatabaseHTTPServer(DatabaseEndpoint):
         if self._thread is None:
             self._thread = threading.Thread(
                 target=self._server.serve_forever,
+                # stop() waits out one poll; the stdlib default is 0.5 s.
+                kwargs={"poll_interval": 0.05},
                 name=f"hidden-db-httpd:{self._server.server_address[1]}",
                 daemon=True,
             )

@@ -2,7 +2,7 @@
 
 Synthetic tests pin down :class:`OrderedLock` / :class:`LockOrderRegistry`
 semantics (inversions fail loudly *before* blocking); the integration test
-instruments a real striped ``HistoryLayer`` with ordered locks, hammers it
+instruments a real ``HistoryLayer`` with an ordered lock, hammers it
 from eight threads, and checks the observed acquisition edges against the
 statically-extracted graph.  The tree deliberately never nests its locks —
 the static graph over ``src/repro`` is empty — so the instrumented run must
@@ -99,9 +99,7 @@ class TestRuntimeMatchesStaticGraph:
         layer = HistoryLayer(
             QueryEngineBackend(tiny_table, k=2, ranking=StaticScoreRanking())
         )
-        layer._stats_lock = OrderedLock("HistoryLayer._stats_lock", registry)
-        for stripe in layer._stripe_list:
-            stripe.lock = OrderedLock("_Stripe.lock", registry)
+        layer._lock = OrderedLock("HistoryLayer._lock", registry)
         queries = _workload(tiny_schema, seed=13, count=64)
         with ThreadPoolExecutor(max_workers=N_THREADS) as pool:
             responses = list(pool.map(layer.submit, queries))
@@ -112,9 +110,7 @@ class TestRuntimeMatchesStaticGraph:
                 f"runtime observed lock edge(s) {source} -> {sorted(targets)} "
                 f"that the static R5 graph does not predict"
             )
-        # The codebase's locking style is deliberately flat: statistics get a
-        # dedicated lock precisely so stripe locks never nest.  The static
-        # graph over src/repro is empty, so the run must observe no nesting.
-        assert not any(
-            source.startswith(("HistoryLayer.", "_Stripe.")) for source in observed
-        )
+        # The codebase's locking style is deliberately flat: the layer's one
+        # lock guards all of its state, so it never nests.  The static graph
+        # over src/repro is empty, so the run must observe no nesting.
+        assert not any(source.startswith("HistoryLayer.") for source in observed)

@@ -217,7 +217,7 @@ class TestDispatchLayer:
         ]
 
     def test_parallel_composes_with_history(self, tiny_table, tiny_schema):
-        """The striped HistoryLayer legally sits under the dispatch layer:
+        """The thread-safe HistoryLayer legally sits under the dispatch layer:
         concurrent batches answer identically AND repeats cost no fetches."""
         site = HiddenWebSite(QueryEngineBackend(tiny_table, k=2, ranking=StaticScoreRanking()))
         stack = web_stack(site, tiny_schema, history=True, parallel=4)

@@ -158,6 +158,29 @@ class TestHealthChecks:
         router.submit(empty_query)
         assert primary.calls == calls_before + 1
 
+    def test_untyped_health_error_does_not_strand_the_probe(self, engine, empty_query):
+        """A ``health()`` that raises outside the library's taxonomy ends the
+        half-open probe as a failure; once it recovers, traffic returns."""
+        primary, (replica,), router = make_router(engine, reset_timeout=0.0)
+        primary.failing = True
+        for _ in range(2):
+            router.submit(empty_query)  # trip the primary breaker
+
+        def broken_health():
+            raise OSError("connection reset")
+
+        primary.health = broken_health
+        with pytest.raises(OSError):
+            router.check_health()
+        assert router.breaker("primary").would_allow()
+        del primary.health
+        primary.failing = False
+        report = router.check_health()
+        assert report["primary"]["breaker"]["state"] == "closed"
+        calls_before = primary.calls
+        router.submit(empty_query)
+        assert primary.calls == calls_before + 1
+
     def test_targets_without_health_report_unknown(self, engine):
         router = FailoverRouter(engine)  # a bare engine has no health()
         report = router.check_health()

@@ -1,7 +1,7 @@
-"""The lock-striped HistoryLayer: concurrent submits, serial answers.
+"""The thread-safe HistoryLayer: concurrent submits, serial answers.
 
-The contract the striping must uphold is absolute (acceptance criterion of
-the remote-hot-path change): answers produced by a striped history under
+The contract its locking must uphold is absolute (acceptance criterion of
+the remote-hot-path change): answers produced by a history under
 8-way concurrent submission are **byte-identical** to the serial
 ``HistoryLayer``'s answers for the same queries, and the per-key in-flight
 guard ensures the same canonical query is never issued to the inner backend
@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from repro.backends import BackendStack, HistoryLayer, QueryEngineBackend
 from repro.backends.history import CachedResponseSource, JobHistory
 from repro.database.interface import HiddenDatabaseInterface
-from repro.exceptions import ConfigurationError
 from repro.database.query import ConjunctiveQuery
 from repro.database.ranking import HashRanking, StaticScoreRanking
 
@@ -91,33 +90,30 @@ class TestStripedEqualsSerial:
     )
     @settings(max_examples=25, deadline=None)
     def test_concurrent_striped_answers_equal_serial_answers(self, data, k, seed):
-        """The acceptance property: 8-way concurrent submits through a striped
+        """The acceptance property: 8-way concurrent submits through one
         history return byte-for-byte what the serial layer returns."""
         schema, table, _ = data
         rng = random.Random(seed)
         queries = _query_sequence(schema, rng, 24)
-        striped = HistoryLayer(
+        shared = HistoryLayer(
             HiddenDatabaseInterface(table, k=k, ranking=HashRanking("x"))
         )
-        serial = HistoryLayer(
-            HiddenDatabaseInterface(table, k=k, ranking=HashRanking("x")),
-            stripes=1,
-        )
+        serial = HistoryLayer(HiddenDatabaseInterface(table, k=k, ranking=HashRanking("x")))
         with ThreadPoolExecutor(max_workers=N_THREADS) as pool:
-            concurrent_responses = list(pool.map(striped.submit, queries))
+            concurrent_responses = list(pool.map(shared.submit, queries))
         serial_responses = [serial.submit(query) for query in queries]
         for concurrent, expected, query in zip(concurrent_responses, serial_responses, queries):
             assert concurrent == expected, str(query)
 
     def test_concurrent_submit_outcomes_answers_equal_serial(self, tiny_table, tiny_schema):
-        striped = HistoryLayer(
+        shared = HistoryLayer(
             QueryEngineBackend(tiny_table, k=2, ranking=StaticScoreRanking())
         )
         oracle = QueryEngineBackend(tiny_table, k=2, ranking=StaticScoreRanking())
         rng = random.Random(4)
         batches = [_query_sequence(tiny_schema, rng, 12) for _ in range(N_THREADS)]
         with ThreadPoolExecutor(max_workers=N_THREADS) as pool:
-            all_responses = list(pool.map(striped.submit_outcomes, batches))
+            all_responses = list(pool.map(shared.submit_outcomes, batches))
         for batch, responses in zip(batches, all_responses):
             assert responses == [oracle.submit(query) for query in batch]
 
@@ -417,25 +413,66 @@ class TestBatchSemantics:
         )
 
 
-class TestStripingConfiguration:
-    def test_bounded_cache_collapses_to_one_stripe(self, tiny_interface):
-        assert HistoryLayer(tiny_interface, max_entries=4).stripes == 1
-        assert HistoryLayer(tiny_interface).stripes > 1
+class CountingLock:
+    """A ``threading.Lock`` stand-in that counts its acquisitions."""
 
-    def test_stripes_must_be_positive(self, tiny_interface):
-        with pytest.raises(ConfigurationError):
-            HistoryLayer(tiny_interface, stripes=0)
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.acquires = 0
 
-    def test_single_stripe_still_coalesces_concurrent_submits(self, tiny_table, tiny_schema):
-        counting = CountingBackend(
-            QueryEngineBackend(tiny_table, k=2, ranking=StaticScoreRanking()),
-            delay=0.01,
-        )
-        layer = HistoryLayer(counting, stripes=1)
-        query = ConjunctiveQuery.from_assignment(tiny_schema, {"color": "red"})
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            list(pool.map(layer.submit, [query] * 4))
-        assert counting.counts == {query.canonical_key(): 1}
+    def __enter__(self):
+        self._lock.acquire()
+        self.acquires += 1
+        return self
+
+    def __exit__(self, *exc_info):
+        self._lock.release()
+
+
+class TestOneLock:
+    """One lock guards the whole level: a hit or an inference is one
+    critical section, a miss is two (claim, then settle)."""
+
+    @pytest.fixture()
+    def layer(self, tiny_table):
+        layer = HistoryLayer(QueryEngineBackend(tiny_table, k=2, ranking=StaticScoreRanking()))
+        layer._lock = CountingLock()
+        return layer
+
+    def test_a_miss_takes_two_lock_acquires(self, layer, tiny_schema):
+        _, source = layer.lookup(ConjunctiveQuery.from_assignment(tiny_schema, {"make": "Ford"}))
+        assert source is CachedResponseSource.INTERFACE
+        assert layer._lock.acquires == 2
+
+    def test_an_exact_hit_takes_one_lock_acquire(self, layer, tiny_schema):
+        query = ConjunctiveQuery.from_assignment(tiny_schema, {"make": "Ford"})
+        layer.submit(query)
+        before = layer._lock.acquires
+        _, source = layer.lookup(query)
+        assert source is CachedResponseSource.EXACT_HIT
+        assert layer._lock.acquires == before + 1
+
+    def test_an_inference_takes_one_lock_acquire(self, layer, tiny_schema):
+        broad = ConjunctiveQuery.from_assignment(tiny_schema, {"make": "Honda"})
+        layer.submit(broad)  # valid: 2 tuples at k=2, no overflow
+        before = layer._lock.acquires
+        _, source = layer.lookup(broad.specialise("color", "red"))
+        assert source is CachedResponseSource.INFERRED
+        assert layer._lock.acquires == before + 1
+
+    def test_a_batch_takes_one_section_to_classify_and_one_to_settle(
+        self, layer, tiny_schema
+    ):
+        queries = [
+            ConjunctiveQuery.from_assignment(tiny_schema, {"make": make})
+            for make in ("Toyota", "Honda", "Ford", "Honda")
+        ]
+        layer.submit_outcomes(queries)
+        assert layer._lock.acquires == 2
+        # An all-hit batch is answered in the classifying section alone.
+        layer.submit_outcomes(queries)
+        assert layer._lock.acquires == 3
+        assert layer.statistics.issued_to_interface == 3
 
 
 class TestBatchFaultHandling:

@@ -78,6 +78,25 @@ class TestAccountingLayer:
         layer.submit_outcomes([any_query] * 2)
         assert layer.budget.issued == 2 and layer.statistics.queries_issued == 2
 
+    def test_unlimited_budget_charges_when_the_call_returns(self, raw, any_query):
+        """An unlimited budget never refuses, so the charge is recorded with
+        the answer, after the inner call, in the same critical section."""
+        seen_during_call = []
+
+        class Observing:
+            schema = raw.schema
+            k = raw.k
+
+            def submit(self, query):
+                seen_during_call.append(layer.budget.issued)
+                return raw.submit(query)
+
+        layer = AccountingLayer(Observing())
+        layer.submit(any_query)
+        layer.submit(any_query)
+        assert seen_during_call == [0, 1]
+        assert layer.budget.issued == 2 and layer.statistics.queries_issued == 2
+
     def test_statistics_false_charges_only(self, raw, any_query):
         layer = AccountingLayer(raw, budget=QueryBudget(limit=3), statistics=False)
         layer.submit(any_query)

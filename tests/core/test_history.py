@@ -101,52 +101,27 @@ class TestCacheMaintenance:
         assert tiny_interface.statistics.queries_issued == issued + 1
         assert cached.statistics.submissions == 2
 
-    def test_max_entries_evicts_oldest(self, tiny_interface, tiny_schema):
-        cached = HistoryLayer(tiny_interface, max_entries=1)
-        first = ConjunctiveQuery.from_assignment(tiny_schema, {"make": "Ford"})
-        second = ConjunctiveQuery.from_assignment(tiny_schema, {"make": "Honda"})
-        cached.submit(first)
-        cached.submit(second)
-        assert len(cached) == 1
+    def test_history_is_unbounded(self, cached, tiny_schema, tiny_interface):
+        """Every answer stays remembered: nothing is ever evicted, so no
+        query is paid for twice."""
+        queries = [
+            ConjunctiveQuery.from_assignment(tiny_schema, {"make": make, "color": color})
+            for make in ("Toyota", "Honda", "Ford")
+            for color in ("red", "blue")
+        ] + [ConjunctiveQuery.from_assignment(tiny_schema, {"make": "Toyota"})]
+        for query in queries:
+            cached.submit(query)
+        assert len(cached) == len(queries)
         issued = tiny_interface.statistics.queries_issued
-        cached.submit(first)  # was evicted, must be reissued
-        assert tiny_interface.statistics.queries_issued == issued + 1
+        for query in queries:
+            cached.submit(query)
+        assert tiny_interface.statistics.queries_issued == issued
 
-    def test_max_entries_must_be_positive(self, tiny_interface):
-        with pytest.raises(ConfigurationError):
-            HistoryLayer(tiny_interface, max_entries=0)
-
-    def test_inference_mode_is_validated(self, tiny_interface):
-        with pytest.raises(ConfigurationError):
-            HistoryLayer(tiny_interface, inference="magic")
-
-    def test_eviction_keeps_key_indexes_consistent(self, tiny_interface, tiny_schema):
-        """Evicted keys disappear from the valid/empty indexes in O(1) and can
-        no longer be used for inference."""
-        cached = HistoryLayer(tiny_interface, max_entries=2)
-        valid = ConjunctiveQuery.from_assignment(tiny_schema, {"make": "Honda"})
-        empty = ConjunctiveQuery.from_assignment(tiny_schema, {"make": "Honda", "price": "0-10000"})
-        cached.submit(valid)   # valid entry
-        cached.submit(empty)   # empty entry
-        assert cached.valid_keys() == {valid.canonical_key()}
-        assert cached.empty_keys() == {empty.canonical_key()}
-        # A third distinct entry evicts the oldest (the valid one).
-        other = ConjunctiveQuery.from_assignment(tiny_schema, {"make": "Ford"})
-        cached.submit(other)
-        assert len(cached) == 2
-        assert valid.canonical_key() not in cached.valid_keys()
-        # The evicted valid ancestor must no longer feed subset inference.
-        issued = tiny_interface.statistics.queries_issued
-        cached.submit(valid.specialise("color", "red"))
-        assert tiny_interface.statistics.queries_issued == issued + 1
-
-    def test_reimporting_existing_entries_does_not_evict_others(self, tiny_table, tiny_schema):
-        """Overwriting a cached key in place (checkpoint re-import) must not
-        push an unrelated entry out of a full cache."""
-        from repro.database.interface import HiddenDatabaseInterface
-
+    def test_reimporting_existing_entries_overwrites_in_place(self, tiny_table, tiny_schema):
+        """Re-importing keys already cached (checkpoint re-import) replaces
+        them in place rather than adding entries."""
         interface = HiddenDatabaseInterface(tiny_table, k=2)
-        cached = HistoryLayer(interface, max_entries=2)
+        cached = HistoryLayer(interface)
         view = JobHistory(cached)
         first = ConjunctiveQuery.from_assignment(tiny_schema, {"make": "Ford"})
         second = ConjunctiveQuery.from_assignment(tiny_schema, {"make": "Honda"})
@@ -155,11 +130,16 @@ class TestCacheMaintenance:
         snapshot = view.export_entries()
         assert view.import_entries(snapshot, lambda a: ConjunctiveQuery.from_assignment(tiny_schema, a)) == 2
         assert len(cached) == 2
+        assert cached.valid_keys() == {first.canonical_key(), second.canonical_key()}
         # Both original entries are still answerable without the interface.
         issued = interface.statistics.queries_issued
         cached.submit(first)
         cached.submit(second)
         assert interface.statistics.queries_issued == issued
+
+    def test_inference_mode_is_validated(self, tiny_interface):
+        with pytest.raises(ConfigurationError):
+            HistoryLayer(tiny_interface, inference="magic")
 
     def test_cache_exposes_schema_k_and_inner(self, cached, tiny_interface):
         assert cached.schema == tiny_interface.schema

@@ -247,14 +247,12 @@ class TestIndexedScanEquivalence:
         data=table_and_query(),
         k=st.integers(min_value=1, max_value=8),
         seed=st.integers(0, 1000),
-        max_entries=st.one_of(st.none(), st.integers(min_value=1, max_value=6)),
         root=st.sampled_from(["drawn", "valid", "empty"]),
     )
     @settings(max_examples=40, deadline=None)
-    def test_history_inference_modes_are_equivalent(self, data, k, seed, max_entries, root):
+    def test_history_inference_modes_are_equivalent(self, data, k, seed, root):
         """Subset-key probing and the linear scan infer identical answers,
-        including under ``max_entries`` eviction pressure, along drill-down
-        prefix chains, across ``remember()`` overwrites that flip an entry
+        along drill-down prefix chains, across ``remember()`` overwrites that flip an entry
         between usable and overflowing, across ``clear()``, and when the root
         query is answered valid or empty."""
         schema, table, _ = data
@@ -269,8 +267,8 @@ class TestIndexedScanEquivalence:
             )
 
         rng = random.Random(seed)
-        indexed_cache = HistoryLayer(interface(k), max_entries=max_entries, inference="indexed")
-        scan_cache = HistoryLayer(interface(k), max_entries=max_entries, inference="scan")
+        indexed_cache = HistoryLayer(interface(k), inference="indexed")
+        scan_cache = HistoryLayer(interface(k), inference="scan")
         # True answers of either kind for the overwrites: one row per page
         # overflows as soon as two rows match; a page as large as the table
         # never overflows.
@@ -294,8 +292,6 @@ class TestIndexedScanEquivalence:
                 assert [t.tuple_id for t in via_indexed.tuples] == [t.tuple_id for t in via_scan.tuples]
                 assert indexed_source is scan_source
             assert len(indexed_cache) == len(scan_cache)
-            if max_entries is not None:
-                assert len(indexed_cache) <= max_entries
             # The usable dict mirrors the stored entries after every step.
             assert set(indexed_cache._usable) == indexed_cache.valid_keys() | indexed_cache.empty_keys()
         assert indexed_cache.statistics.as_dict() == scan_cache.statistics.as_dict()

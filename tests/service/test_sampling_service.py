@@ -429,7 +429,7 @@ class TestRunAll:
 
 
 class TestSharedHistory:
-    """One lock-striped HistoryLayer per backend, shared by every job on it."""
+    """One thread-safe HistoryLayer per backend, shared by every job on it."""
 
     def test_jobs_share_one_history_layer_per_backend(self, tiny_interface):
         service = SamplingService(tiny_interface)

@@ -229,7 +229,7 @@ class TestRemoteRoundTrip:
     def test_history_layered_backend_is_served_safely_under_concurrent_clients(
         self, tiny_table, tiny_schema
     ):
-        # The lock-striped HistoryLayer serves the threaded endpoint without
+        # The thread-safe HistoryLayer serves the threaded endpoint without
         # any serialising lock; hammering it from 8 client threads must
         # neither corrupt the cache nor change any answer.
         from concurrent.futures import ThreadPoolExecutor
