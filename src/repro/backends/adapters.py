@@ -6,7 +6,8 @@
   built on first read (:class:`LazyTuples`).
 * :class:`WebPageBackend` — the scraping path: encode the query as a form
   submission against a :class:`~repro.web.server.HiddenWebSite`, fetch the
-  result page and parse the listed tuples back out of the HTML.
+  result page and decode the listed rows back out of the HTML, each tuple
+  built on first read.
 
 Both adapters answer the bare conjunctive-query contract and nothing else:
 no budget, no statistics, no caching — those are layers
@@ -32,6 +33,7 @@ from repro.database.interface import (
     LazyTupleSequence,
     ReturnedTuple,
     Rows,
+    WireTuples,
 )
 from repro.database.query import ConjunctiveQuery
 from repro.database.ranking import RankingFunction
@@ -288,11 +290,16 @@ class WebPageBackend:
     top-``k``, verifies the configured ``schema`` against them, then answers
     each ``submit`` by fetching and parsing the corresponding result page.
 
-    Cells of boolean and categorical attributes are decoded through a map
-    built once here, from each domain value's own display text to its
-    ``(raw, selectable)`` pair; any other text, and every numeric cell, is
-    decoded as it is read.  The map is never written after construction, so
-    concurrent submissions share it without a lock.
+    Every cell of every listed row is decoded and checked at ``submit``, so
+    a bad cell raises there.  Cells of boolean and categorical attributes
+    are decoded through a map built once here, from each domain value's own
+    display text to its ``(raw, selectable)`` pair; any other text, and
+    every numeric cell, is decoded as it is read.  The decoded rows are
+    kept positionally, under one header (the schema names, then the display
+    columns), in a :class:`~repro.database.interface.WireTuples`: a tuple is
+    built only when something reads it, and a count-only read builds none.
+    The maps and the header are never written after construction, so
+    concurrent submissions share them without a lock.
     """
 
     def __init__(
@@ -311,8 +318,12 @@ class WebPageBackend:
             raise WebFormError("the form page does not advertise a top-k limit")
         self._k: int = k
         self._decoders = tuple(
-            (attribute, _decode_map(attribute)) for attribute in self._schema
+            (attribute.name, attribute, _decode_map(attribute)) for attribute in self._schema
         )
+        # The header every scraped answer shares; nothing writes to it.
+        self._names = list(self._schema.attribute_names)
+        self._columns = self._names + list(self.display_columns)
+        self._shown = frozenset(self.display_columns)
 
     # -- RawBackend contract -------------------------------------------------
 
@@ -331,10 +342,10 @@ class WebPageBackend:
         path = result_page_path(self._form.action, query)
         page = self._site.get(path)
         parsed = parse_result_page(page)
-        tuples = tuple(self._to_returned_tuple(row) for row in parsed.rows)
+        rows = [self._decode_row(row) for row in parsed.rows]
         return InterfaceResponse(
             query=query,
-            tuples=tuples,
+            tuples=WireTuples(self._columns, self._names, rows),
             overflow=parsed.overflow,
             reported_count=parsed.reported_count,
             k=parsed.top_k if parsed.top_k is not None else self._k,
@@ -387,25 +398,37 @@ class WebPageBackend:
                         "offered by the form"
                     )
 
-    def _to_returned_tuple(self, row: ParsedResultRow) -> ReturnedTuple:
-        values: dict[str, Value] = {}
-        selectable: dict[str, Value] = {}
-        for attribute, decoded in self._decoders:
-            name = attribute.name
-            text = row.values.get(name)
+    def _decode_row(self, row: ParsedResultRow) -> list[object]:
+        """``[tuple_id, values, selectable_values]`` of one scraped row.
+
+        Every cell of a schema attribute is decoded and checked here, in
+        schema order.  The values list the schema names, then the display
+        columns; a row lacking a display column lists its values as an
+        object without it.
+        """
+        cells = row.values
+        values: list[Value] = []
+        selectable: list[Value] = []
+        for name, attribute, decoded in self._decoders:
+            text = cells.get(name)
             if text is None:
                 raise FormParseError(f"result row {row.tuple_id} is missing column {name!r}")
             pair = decoded.get(text)
             if pair is None:
                 raw = _parse_displayed_value(attribute, text)
-                values[name] = raw
-                selectable[name] = attribute.domain.selectable_value_for(raw)
+                values.append(raw)
+                selectable.append(attribute.domain.selectable_value_for(raw))
             else:
-                values[name], selectable[name] = pair
+                values.append(pair[0])
+                selectable.append(pair[1])
+        if cells.keys() >= self._shown:
+            values.extend([cells[column] for column in self.display_columns])
+            return [row.tuple_id, values, selectable]
+        keyed: dict[str, Value] = dict(zip(self._names, values))
         for column in self.display_columns:
-            if column in row.values:
-                values[column] = row.values[column]
-        return ReturnedTuple(tuple_id=row.tuple_id, values=values, selectable_values=selectable)
+            if column in cells:
+                keyed[column] = cells[column]
+        return [row.tuple_id, keyed, selectable]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"WebPageBackend(schema={self._schema.name!r}, k={self._k})"

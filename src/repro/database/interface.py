@@ -128,16 +128,84 @@ class LazyTupleSequence(Sequence[ReturnedTuple]):
         return repr(self[:])
 
 
+class WireTuples(LazyTupleSequence):
+    """The returned tuples of one answer held as positional rows.
+
+    Holds an answer's :data:`Rows`, already decoded and checked — a JSON
+    wire payload (:func:`repro.web.jsoncodec.response_from_dict`) or a
+    scraped result page (:class:`~repro.backends.adapters.WebPageBackend`)
+    — so building a tuple is one ``dict(zip(...))`` per part (or one
+    ``dict`` copy of an object part) and cannot fail.  :meth:`rows` hands
+    the rows back as they are, so a server or a site that re-serves the
+    answer writes it without building a tuple.
+    """
+
+    __slots__ = ("_columns", "_selectable_columns", "_rows")
+
+    def __init__(
+        self, columns: list[str], selectable_columns: list[str], rows: list[list]
+    ) -> None:
+        self._columns = columns
+        self._selectable_columns = selectable_columns
+        self._rows = rows
+        super().__init__(len(rows))
+
+    def rows(self) -> Rows:
+        return self._columns, self._selectable_columns, self._rows
+
+    def _build(self, index: int) -> ReturnedTuple:
+        tuple_id, values, selectable = self._rows[index]
+        return ReturnedTuple(
+            tuple_id=tuple_id,
+            values=_keyed(values, self._columns),
+            selectable_values=_keyed(selectable, self._selectable_columns),
+        )
+
+
+def _keyed(part: list | dict, header: list[str]) -> dict:
+    return dict(part) if type(part) is dict else dict(zip(header, part))
+
+
+def _positional(part: Mapping, header: list[str]) -> list | dict:
+    """``part`` as a list in header order, or as an object when its keys differ."""
+    return list(part.values()) if list(part) == header else dict(part)
+
+
+def positional_rows(tuples: Sequence[ReturnedTuple]) -> Rows:
+    """Any answer's tuples as :data:`Rows`.
+
+    A lazy answer lists its rows without building a tuple; any other
+    sequence goes through a loop over its tuples, headed by the first
+    tuple's keys.
+    """
+    if isinstance(tuples, LazyTupleSequence):
+        return tuples.rows()
+    if not tuples:
+        return [], [], []
+    columns = list(tuples[0].values)
+    selectable_columns = list(tuples[0].selectable_values)
+    rows = [
+        [
+            t.tuple_id,
+            _positional(t.values, columns),
+            _positional(t.selectable_values, selectable_columns),
+        ]
+        for t in tuples
+    ]
+    return columns, selectable_columns, rows
+
+
 @dataclass(frozen=True)
 class InterfaceResponse:
     """Everything a client learns from submitting one query.
 
     ``tuples`` is a read-only sequence of the listed tuples, best-ranked
-    first.  Page and history answers hold a plain tuple; engine, shard and
-    wire answers hold a :class:`LazyTupleSequence`
-    (:class:`~repro.backends.adapters.LazyTuples`,
-    :class:`~repro.web.jsoncodec.WireTuples`), which builds each tuple on
-    first read and compares equal to the tuple it materialises to.
+    first.  Engine, shard, wire and page answers hold a
+    :class:`LazyTupleSequence` (:class:`~repro.backends.adapters.LazyTuples`,
+    :class:`WireTuples`), which builds each tuple on first read and compares
+    equal to the tuple it materialises to; answers assembled from other
+    answers' tuples (history inferences and restores, a shard merge by
+    key) hold a plain tuple.
     """
 
     query: ConjunctiveQuery

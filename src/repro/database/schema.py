@@ -207,13 +207,15 @@ class Domain:
 
         For categorical and boolean domains this is the identity (after a
         membership check); for numeric domains it is the label of the bucket
-        containing the value.
+        containing the value, found by the same bisect as :meth:`bucket_for`
+        and read from the labels computed at construction.
         """
         if self.kind is AttributeKind.NUMERIC:
-            bucket = self.bucket_for(float(raw_value))  # type: ignore[arg-type]
-            if bucket is None:
-                raise DomainValueError("<numeric>", raw_value)
-            return bucket.label
+            value = float(raw_value)  # type: ignore[arg-type]
+            slot = bisect_right(self._sorted_lows, value) - 1
+            if slot >= 0 and value < self._sorted_highs[slot]:
+                return self._sorted_labels[slot]
+            raise DomainValueError("<numeric>", raw_value)
         if raw_value not in self._values:
             raise DomainValueError("<categorical>", raw_value)
         return raw_value

@@ -20,9 +20,10 @@ from __future__ import annotations
 import re
 from html import escape
 from itertools import repeat
-from typing import Sequence
+from operator import itemgetter
+from typing import Callable, Sequence
 
-from repro.database.interface import ReturnedTuple
+from repro.database.interface import ReturnedTuple, positional_rows
 from repro.database.query import ConjunctiveQuery
 from repro.database.schema import Schema, Value
 
@@ -56,6 +57,21 @@ def _cell_text(value: Value) -> str:
     """The escaped display text of one result-table cell."""
     text = value if type(value) is str else format_value(value)
     return escape(text) if _HTML_SPECIAL.search(text) else text
+
+
+def _page_order(header: Sequence[str], columns: list[str]) -> Callable[[Sequence[Value]], Sequence[Value]]:
+    """Reads a row part listed in ``header`` order in page-column order.
+
+    A column the header lacks reads ``""``; one the header repeats reads its
+    last position, as the tuple built from the row would.
+    """
+    where = {name: index for index, name in enumerate(header)}
+    indices = [where.get(column) for column in columns]
+    if indices == list(range(len(header))):
+        return lambda part: part
+    if None in indices or len(indices) == 1:  # an itemgetter of one index returns a bare value
+        return lambda part: ["" if index is None else part[index] for index in indices]
+    return itemgetter(*indices)
 
 
 def render_form_page(schema: Schema, action: str = "/results", k: int | None = None, title: str | None = None) -> str:
@@ -112,11 +128,14 @@ def render_result_page(
     table with one row per displayed tuple.  An empty result renders an
     explicit "no results" marker rather than an empty table, as real sites do.
 
-    Each table row is built as one string, its cells joined with one
-    ``str.join``.  A cell goes through :func:`format_value` only when its
-    value is not exactly a ``str``, and through :func:`html.escape` only when
-    its text holds one of ``&<>"'``; the page is byte for byte what one
-    line and one ``escape`` per cell would write.
+    The rows are read in positional form
+    (:func:`~repro.database.interface.positional_rows`), so a lazy answer
+    is rendered without building a tuple.  Each table row is built as one
+    string, its cells joined with one ``str.join``.  A cell goes through
+    :func:`format_value` only when its value is not exactly a ``str``, and
+    through :func:`html.escape` only when its text holds one of ``&<>"'``;
+    the page is byte for byte what one line and one ``escape`` per cell of
+    each tuple would write.
     """
     columns: list[str] = list(schema.attribute_names)
     for column in display_columns:
@@ -153,12 +172,18 @@ def render_result_page(
             lines.append(f'<th data-column="{name}">{name}</th>')
         lines.append("</tr></thead>")
         lines.append("<tbody>")
+        header, _, rows = positional_rows(tuples)
+        in_page_order = _page_order(header, columns)
         blanks = repeat("")
-        for returned in tuples:
-            tuple_id = int(returned.tuple_id)
+        for tuple_id, values, _ in rows:
+            tuple_id = int(tuple_id)
             cells = [
                 value if type(value) is str and not special(value) else _cell_text(value)
-                for value in map(returned.values.get, columns, blanks)
+                for value in (
+                    map(values.get, columns, blanks)
+                    if type(values) is dict
+                    else in_page_order(values)
+                )
             ]
             # The schema has at least one attribute, so ``cells`` is never empty.
             lines.append(

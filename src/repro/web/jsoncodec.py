@@ -32,8 +32,8 @@ answer straight from its rows, building no
 :class:`~repro.database.interface.ReturnedTuple`; the client checks the whole
 payload eagerly, so a malformed answer raises :class:`FormParseError` from
 ``submit``, and then builds each tuple only when something reads it
-(:class:`WireTuples`) — most shipped tuples belong to overflowing answers,
-which nothing reads.
+(:class:`~repro.database.interface.WireTuples`) — most shipped tuples belong
+to overflowing answers, which nothing reads.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from __future__ import annotations
 import threading
 from typing import Mapping, Sequence
 
-from repro.database.interface import InterfaceResponse, LazyTupleSequence, ReturnedTuple, Rows
+from repro.database.interface import InterfaceResponse, WireTuples, positional_rows
 from repro.database.query import ConjunctiveQuery
 from repro.database.schema import Attribute, AttributeKind, Domain, NumericBucket, Schema
 from repro.exceptions import (
@@ -116,75 +116,14 @@ def schema_from_dict(payload: Mapping) -> tuple[Schema, int]:
 # -- responses --------------------------------------------------------------------
 
 
-class WireTuples(LazyTupleSequence):
-    """The returned tuples of one decoded answer, each built on first read.
-
-    Holds the decoded header and rows of a :func:`response_from_dict`
-    payload, already validated: building a tuple is one ``dict(zip(...))``
-    per part (or one ``dict`` copy of an object part) and cannot fail.
-    :meth:`rows` hands the decoded rows back as they are, so a server that
-    re-serves a remote answer encodes it without building a tuple.
-    """
-
-    __slots__ = ("_columns", "_selectable_columns", "_rows")
-
-    def __init__(
-        self, columns: list[str], selectable_columns: list[str], rows: list[list]
-    ) -> None:
-        self._columns = columns
-        self._selectable_columns = selectable_columns
-        self._rows = rows
-        super().__init__(len(rows))
-
-    def rows(self) -> Rows:
-        return self._columns, self._selectable_columns, self._rows
-
-    def _build(self, index: int) -> ReturnedTuple:
-        tuple_id, values, selectable = self._rows[index]
-        return ReturnedTuple(
-            tuple_id=tuple_id,
-            values=_keyed(values, self._columns),
-            selectable_values=_keyed(selectable, self._selectable_columns),
-        )
-
-
-def _keyed(part: list | dict, header: list[str]) -> dict:
-    return dict(part) if type(part) is dict else dict(zip(header, part))
-
-
-def _positional(part: Mapping, header: list[str]) -> list | dict:
-    """``part`` as a list in header order, or as an object when its keys differ."""
-    return list(part.values()) if list(part) == header else dict(part)
-
-
-def _tuple_rows(tuples: Sequence[ReturnedTuple]) -> Rows:
-    """Plain tuples in positional form, headed by the first tuple's keys."""
-    if not tuples:
-        return [], [], []
-    columns = list(tuples[0].values)
-    selectable_columns = list(tuples[0].selectable_values)
-    rows = [
-        [
-            t.tuple_id,
-            _positional(t.values, columns),
-            _positional(t.selectable_values, selectable_columns),
-        ]
-        for t in tuples
-    ]
-    return columns, selectable_columns, rows
-
-
 def response_to_dict(response: InterfaceResponse) -> dict:
     """One interface response as JSON-serialisable dicts.
 
-    A lazy answer (engine, shard, wire) lists its rows without building a
-    tuple; any other sequence goes through the loop over its tuples.
+    A lazy answer (engine, shard, wire, page) lists its rows without
+    building a tuple; any other sequence goes through the loop over its
+    tuples (:func:`~repro.database.interface.positional_rows`).
     """
-    tuples = response.tuples
-    if isinstance(tuples, LazyTupleSequence):
-        columns, selectable_columns, rows = tuples.rows()
-    else:
-        columns, selectable_columns, rows = _tuple_rows(tuples)
+    columns, selectable_columns, rows = positional_rows(response.tuples)
     return {
         "version": WIRE_VERSION,
         "query": response.query.assignment(),
@@ -241,7 +180,8 @@ def response_from_dict(schema: Schema, payload: Mapping) -> InterfaceResponse:
     shape) raises a typed :class:`FormParseError`, never an untyped
     ``KeyError``/``TypeError`` mid-sampler and never later, when a tuple is
     read.  Single submits and batch items decode through here alike.  The
-    tuples themselves are built on first read (:class:`WireTuples`).
+    tuples themselves are built on first read
+    (:class:`~repro.database.interface.WireTuples`).
     """
     if not isinstance(payload, Mapping):
         raise _malformed(f"a {type(payload).__name__}, expected an object")

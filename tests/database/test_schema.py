@@ -1,5 +1,7 @@
 """Unit tests for the schema model (attributes, domains, schemas)."""
 
+import math
+
 import pytest
 
 from repro.database.schema import Attribute, AttributeKind, Domain, NumericBucket, Schema
@@ -64,6 +66,37 @@ class TestDomain:
         domain = Domain.numeric_buckets((0.0, 10.0))
         with pytest.raises(DomainValueError):
             domain.selectable_value_for(999.0)
+
+    def test_selectable_value_for_numeric_agrees_with_bucket_for_everywhere(self):
+        # Buckets given out of order, with a gap between 20 and 50, and
+        # labels that need ``:g`` formatting.
+        buckets = (NumericBucket(50.0, 1e6), NumericBucket(-2.5, 0.125), NumericBucket(0.125, 20.0))
+        domain = Domain(AttributeKind.NUMERIC, buckets=buckets)
+        edges = sorted({edge for bucket in buckets for edge in (bucket.low, bucket.high)})
+        points = [
+            *edges,
+            *(math.nextafter(edge, -math.inf) for edge in edges),
+            *(math.nextafter(edge, math.inf) for edge in edges),
+            *((low + high) / 2 for low, high in zip(edges, edges[1:])),
+            -math.inf,
+            math.inf,
+            math.nan,
+            7,
+            True,
+            "3.5",
+        ]
+        for point in points:
+            bucket = domain.bucket_for(point)
+            if bucket is None:
+                with pytest.raises(DomainValueError) as raised:
+                    domain.selectable_value_for(point)
+                assert str(raised.value) == str(DomainValueError("<numeric>", point))
+            else:
+                label = domain.selectable_value_for(point)
+                assert label == bucket.label and type(label) is str
+        with pytest.raises(DomainValueError):
+            domain.selectable_value_for(20.0)  # the gap opens at 20
+        assert [domain.selectable_value_for(b.low) for b in buckets] == [b.label for b in buckets]
 
     def test_selectable_value_for_categorical_is_identity(self):
         domain = Domain.categorical(("x", "y"))

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.backends.adapters import WebPageBackend, _decode_map, _parse_displayed_value
-from repro.database.interface import HiddenDatabaseInterface
+from repro.database.interface import CountMode, HiddenDatabaseInterface, WireTuples
 from repro.database.query import ConjunctiveQuery
 from repro.database.schema import Attribute, Domain, Schema
 from repro.database.table import Table
@@ -11,6 +11,7 @@ from repro.exceptions import DomainValueError, FormParseError
 from repro.web.client import WebFormClient
 from repro.web.form_parser import ParsedResultRow, parse_result_page
 from repro.web.html import format_value
+from repro.web.jsoncodec import response_from_dict, response_to_dict
 from repro.web.server import HiddenWebSite
 
 SCHEMA = Schema(
@@ -38,6 +39,11 @@ def backend():
 def _slow(attribute, text):
     raw = _parse_displayed_value(attribute, text)
     return raw, attribute.domain.selectable_value_for(raw)
+
+
+def _decoded(backend, row):
+    """The tuple the backend's row decoder makes of one parsed row."""
+    return WireTuples(backend._columns, backend._names, [backend._decode_row(row)])[0]
 
 
 class TestDecodeMap:
@@ -87,7 +93,7 @@ class TestScrapedResponses:
 
     def test_texts_outside_the_map_still_decode(self, backend):
         row = ParsedResultRow(7, {"year": "2019", "used": "yes", "make": "Ford", "price": "3"})
-        returned = backend._to_returned_tuple(row)
+        returned = _decoded(backend, row)
         assert returned.values == {"year": 2019, "used": True, "make": "Ford", "price": 3.0}
         assert returned.selectable_values["price"] == "0-10"
 
@@ -107,13 +113,78 @@ class TestScrapedResponses:
         with pytest.raises(error) as expected:
             _slow(attribute, text)
         with pytest.raises(error) as raised:
-            backend._to_returned_tuple(ParsedResultRow(7, values))
+            backend._decode_row(ParsedResultRow(7, values))
         assert str(raised.value) == str(expected.value)
 
     def test_missing_column_is_reported(self, backend):
         row = ParsedResultRow(7, {"year": "2019", "used": "true", "make": "Ford"})
         with pytest.raises(FormParseError, match="missing column 'price'"):
-            backend._to_returned_tuple(row)
+            backend._decode_row(row)
+
+
+class _FirstRowUntitledSite(HiddenWebSite):
+    """Serves real result pages, except that the first listed row lacks its
+    last (``title``) cell."""
+
+    def _results_page(self, query_string):
+        page = super()._results_page(query_string)
+        head, tag, rest = page.partition("<tr data-tuple-id=")
+        row, end, tail = rest.partition("\n</tr>")
+        return head + tag + row.rpartition("\n<td>")[0] + end + tail
+
+
+TITLED_ROWS = [dict(row, title=f"car & <{index}>") for index, row in enumerate(ROWS)]
+
+
+class TestLazyAnswers:
+    def test_a_count_only_read_builds_no_tuple(self, monkeypatch):
+        built = []
+        build = WireTuples._build
+        monkeypatch.setattr(
+            WireTuples, "_build", lambda self, index: built.append(index) or build(self, index)
+        )
+        table = Table(SCHEMA, ROWS, name="decode")
+        site = HiddenWebSite(HiddenDatabaseInterface(table, k=2, count_mode=CountMode.EXACT))
+        response = WebPageBackend(site, SCHEMA).submit(ConjunctiveQuery.empty(SCHEMA))
+        assert isinstance(response.tuples, WireTuples)
+        assert (len(response.tuples), response.overflow, response.reported_count) == (2, True, 3)
+        assert not response.valid and not response.empty
+        assert built == []
+        assert response.tuples[1].tuple_id == 1
+        assert built == [1]
+
+    def test_wire_round_trip_keeps_every_tuple(self):
+        table = Table(SCHEMA, TITLED_ROWS, name="decode")
+        site = _FirstRowUntitledSite(HiddenDatabaseInterface(table, k=5, display_columns=("title",)))
+        scraped = WebPageBackend(site, SCHEMA, display_columns=("title",)).submit(
+            ConjunctiveQuery.empty(SCHEMA)
+        )
+        assert "title" not in scraped.tuples[0].values
+        assert scraped.tuples[1].values["title"] == "car & <1>"
+        decoded = response_from_dict(SCHEMA, response_to_dict(scraped))
+        assert decoded == scraped
+        assert list(decoded.tuples) == list(scraped.tuples)
+        for got, want in zip(decoded.tuples, scraped.tuples):
+            assert list(got.values.items()) == list(want.values.items())
+
+    def test_scraped_vehicles_equal_the_direct_interface(self, small_vehicles_table):
+        table = small_vehicles_table
+        direct = HiddenDatabaseInterface(table, k=25, display_columns=("title",))
+        scraping = WebPageBackend(
+            HiddenWebSite(HiddenDatabaseInterface(table, k=25, display_columns=("title",))),
+            table.schema,
+            display_columns=("title",),
+        )
+        first = table.schema.attributes[0]
+        assignments = [{}] + [{first.name: value} for value in first.domain.values]
+        for assignment in assignments:
+            query = ConjunctiveQuery.from_assignment(table.schema, assignment)
+            scraped, expected = scraping.submit(query), direct.submit(query)
+            assert scraped.tuples and scraped.tuples == expected.tuples
+            assert (scraped.overflow, scraped.reported_count) == (
+                expected.overflow,
+                expected.reported_count,
+            )
 
 
 class _LastRowBadCellSite(HiddenWebSite):

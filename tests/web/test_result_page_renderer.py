@@ -6,7 +6,7 @@ from typing import Sequence
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.database.interface import ReturnedTuple
+from repro.database.interface import ReturnedTuple, WireTuples, positional_rows
 from repro.database.query import ConjunctiveQuery
 from repro.database.schema import Attribute, Domain, Schema
 from repro.web.html import (
@@ -129,11 +129,31 @@ tuples = st.lists(
 )
 
 
-def _both(*args):
-    return (
-        reference_render_result_page(*args, display_columns=DISPLAY_COLUMNS),
-        render_result_page(*args, display_columns=DISPLAY_COLUMNS),
+def _both(schema, query, returned, *rest):
+    """The reference page and the rendered one, checking first that the same
+    rows held as a positional (lazy) answer render the same page."""
+    reference = reference_render_result_page(
+        schema, query, returned, *rest, display_columns=DISPLAY_COLUMNS
     )
+    lazy = WireTuples(*positional_rows(returned))
+    assert render_result_page(schema, query, lazy, *rest, display_columns=DISPLAY_COLUMNS) == reference
+    return reference, render_result_page(schema, query, returned, *rest, display_columns=DISPLAY_COLUMNS)
+
+
+#: A positional answer: a header (which may repeat or lack a page column)
+#: and rows listing their values in header order, or keyed by column.
+positional_answers = st.lists(st.sampled_from(COLUMNS + ("unlisted",)), max_size=8).flatmap(
+    lambda header: st.tuples(
+        st.just(header),
+        st.lists(
+            st.tuples(
+                st.one_of(st.integers(0, 10**12), st.booleans()),
+                st.one_of(st.lists(value, min_size=len(header), max_size=len(header)), values),
+            ),
+            max_size=6,
+        ),
+    )
+)
 
 
 class TestByteIdentity:
@@ -148,6 +168,19 @@ class TestByteIdentity:
         query = ConjunctiveQuery.from_assignment(SCHEMA, {"make": "Honda"})
         reference, rendered = _both(SCHEMA, query, returned, overflow, reported_count, k)
         assert rendered == reference
+
+    @given(answer=positional_answers, overflow=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_positional_answers_equal_the_reference_over_their_tuples(self, answer, overflow):
+        header, drawn = answer
+        lazy = WireTuples(header, [], [[tuple_id, part, []] for tuple_id, part in drawn])
+        query = ConjunctiveQuery.empty(SCHEMA)
+        args = (overflow, None, 5)
+        assert render_result_page(
+            SCHEMA, query, lazy, *args, display_columns=DISPLAY_COLUMNS
+        ) == reference_render_result_page(
+            SCHEMA, query, tuple(lazy), *args, display_columns=DISPLAY_COLUMNS
+        )
 
     def test_empty_result(self):
         reference, rendered = _both(SCHEMA, ConjunctiveQuery.empty(SCHEMA), (), False, 0, 5)

@@ -23,12 +23,12 @@ from hypothesis import strategies as st
 from repro.backends import QueryEngineBackend, RemoteBackend, engine_stack
 from repro.backends import adapters as adapters_module
 from repro.backends.adapters import LazyTuples
+from repro.database import interface as interface_module
 from repro.database.interface import InterfaceResponse, ReturnedTuple
 from repro.database.query import ConjunctiveQuery
 from repro.database.schema import Attribute, Domain, Schema
 from repro.database.table import Table
 from repro.exceptions import FormParseError
-from repro.web import jsoncodec as jsoncodec_module
 from repro.web.httpd import HiddenDatabaseHTTPServer
 from repro.web.jsoncodec import WireTuples, response_from_dict, response_to_dict
 
@@ -219,7 +219,7 @@ def built(monkeypatch):
         return build
 
     monkeypatch.setattr(adapters_module, "ReturnedTuple", counting("server"))
-    monkeypatch.setattr(jsoncodec_module, "ReturnedTuple", counting("client"))
+    monkeypatch.setattr(interface_module, "ReturnedTuple", counting("client"))
     return counter
 
 
