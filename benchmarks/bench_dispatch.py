@@ -5,7 +5,7 @@ This benchmark answers the question the dispatch subsystem exists for: when
 each shard sub-query costs a network-shaped round-trip, does scattering the
 sub-queries over a thread pool actually buy the wall-clock back?
 
-Four sections:
+Five sections:
 
 * **parallel_shards** (guarded) — 4 table shards, each wrapped in an
   ``UnreliableLayer(latency=...)`` simulating a per-request round-trip, behind
@@ -40,6 +40,11 @@ Four sections:
   the server's listen backlog must queue the wave instead of dropping its
   SYNs.  Byte-identity with the served backend is asserted first, through
   ``RemoteBackend``.
+* **remote_compression** (informational) — single-query submissions over
+  one pooled ``RemoteBackend`` against a server with the default plain
+  answers and against one built with ``compress_threshold=1024``, over the
+  same queries, ``COMPRESS_PASSES`` alternating passes each.  It keeps the
+  server's plain default measured; no floor is enforced.
 
 Usage (mirrors the other benchmark scripts)::
 
@@ -117,6 +122,11 @@ POOL_PASSES = 3
 #: 60-query pass took ~0.1 s and read 1.35-2.44x across runs on a shared
 #: 2-vCPU VM, too short to time against the 1.3x floor.
 POOL_PASS_QUERIES = 300
+
+#: Compression section: the response threshold an operator on a slow link
+#: would pass, and the alternating timed passes per server.
+COMPRESS_THRESHOLD = 1024
+COMPRESS_PASSES = 3
 
 #: Concurrent-serving section: the size of the arriving client wave.
 SERVE_CLIENTS = 64
@@ -290,6 +300,52 @@ def bench_remote_batching(remote_table, queries) -> dict:
     }
 
 
+def bench_remote_compression(remote_table, queries) -> dict:
+    """Single submits against plain answers vs ``compress_threshold=1024``.
+
+    Both servers serve the same backend and answer the same queries; the
+    client is the default pooled ``RemoteBackend``, which always advertises
+    gzip.  The passes alternate plain/gzip and each rate is a median.
+    """
+    pass_queries = list(islice(cycle(queries), POOL_PASS_QUERIES))
+    served = engine_stack(remote_table, K, statistics=False)
+    with HiddenDatabaseHTTPServer(served) as plain_server, HiddenDatabaseHTTPServer(
+        served, compress_threshold=COMPRESS_THRESHOLD
+    ) as gzip_server:
+        clients = {
+            "plain": RemoteBackend(plain_server.url),
+            "gzip": RemoteBackend(gzip_server.url),
+        }
+        # Byte-identical first, fast second.
+        for query in queries[: min(20, len(queries))]:
+            assert clients["plain"].submit(query) == clients["gzip"].submit(query), str(query)
+        rates: dict[str, list[float]] = {"plain": [], "gzip": []}
+        for _ in range(COMPRESS_PASSES):
+            for shape, client in clients.items():
+                rates[shape].append(
+                    round(len(pass_queries) / _time(client.submit, pass_queries), 1)
+                )
+        compressed = gzip_server.wire_statistics()["compressed_responses"]
+        for client in clients.values():
+            client.close()
+    plain_rate = statistics.median(rates["plain"])
+    gzip_rate = statistics.median(rates["gzip"])
+    return {
+        # Never enforced by --check: it keeps the plain default measured.
+        "informational": True,
+        "rows": REMOTE_ROWS,
+        "passes": COMPRESS_PASSES,
+        "pass_queries": POOL_PASS_QUERIES,
+        "compress_threshold": COMPRESS_THRESHOLD,
+        "plain_pass_ops_per_sec": rates["plain"],
+        "gzip_pass_ops_per_sec": rates["gzip"],
+        "plain_ops_per_sec": plain_rate,
+        "gzip_ops_per_sec": gzip_rate,
+        "gzip_responses": compressed,
+        "plain_to_gzip": round(plain_rate / gzip_rate, 2),
+    }
+
+
 class _ServeClient:
     """One load-generating client: a keep-alive connection issuing ``GET /api/submit``."""
 
@@ -450,6 +506,7 @@ def run(
     inprocess = bench_inprocess_shards(table, cpu_queries)
     pooling = bench_remote_pooling(remote_table, http_queries)
     batching = bench_remote_batching(remote_table, http_queries)
+    compression = bench_remote_compression(remote_table, http_queries)
     serving = bench_concurrent_serving(remote_table, serving_queries, n_serve_rounds)
     print(
         f"rows={n_rows}  latency-bound {N_SHARDS}-shard dispatch: "
@@ -461,6 +518,12 @@ def run(
         f"{pooling['unpooled_ops_per_sec']:.1f} q/s ({pooling['pooled_speedup']:.2f}x)   "
         f"batched {batching['batched_ops_per_sec']:.1f} vs single "
         f"{batching['single_ops_per_sec']:.1f} q/s ({batching['batched_speedup']:.2f}x)"
+    )
+    print(
+        f"remote compression (informational, median of {compression['passes']}): "
+        f"plain {compression['plain_ops_per_sec']:.1f} vs threshold "
+        f"{COMPRESS_THRESHOLD} {compression['gzip_ops_per_sec']:.1f} q/s "
+        f"({compression['plain_to_gzip']:.2f}x)"
     )
     print(
         f"concurrent serving ({serving['clients']} clients, median of "
@@ -477,6 +540,7 @@ def run(
         "remote_http": {
             "pooling": pooling,
             "batching": batching,
+            "compression": compression,
         },
         "concurrent_serving": serving,
     }

@@ -22,6 +22,7 @@ count shaping already happened server-side.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from operator import itemgetter
 from typing import TYPE_CHECKING, Sequence
 
@@ -293,8 +294,9 @@ class WebPageBackend:
     Every cell of every listed row is decoded and checked at ``submit``, so
     a bad cell raises there.  Cells of boolean and categorical attributes
     are decoded through a map built once here, from each domain value's own
-    display text to its ``(raw, selectable)`` pair; any other text, and
-    every numeric cell, is decoded as it is read.  The decoded rows are
+    display text to its ``(raw, selectable)`` pair; any other text is
+    decoded as it is read.  A numeric cell takes one ``float()`` and a
+    bisect over the domain's bucket arrays.  The decoded rows are
     kept positionally, under one header (the schema names, then the display
     columns), in a :class:`~repro.database.interface.WireTuples`: a tuple is
     built only when something reads it, and a count-only read builds none.
@@ -318,7 +320,15 @@ class WebPageBackend:
             raise WebFormError("the form page does not advertise a top-k limit")
         self._k: int = k
         self._decoders = tuple(
-            (attribute.name, attribute, _decode_map(attribute)) for attribute in self._schema
+            (
+                attribute.name,
+                attribute,
+                _decode_map(attribute),
+                attribute.domain.bucket_search_arrays()
+                if attribute.kind is AttributeKind.NUMERIC
+                else None,
+            )
+            for attribute in self._schema
         )
         # The header every scraped answer shares; nothing writes to it.
         self._names = list(self._schema.attribute_names)
@@ -409,10 +419,24 @@ class WebPageBackend:
         cells = row.values
         values: list[Value] = []
         selectable: list[Value] = []
-        for name, attribute, decoded in self._decoders:
+        for name, attribute, decoded, buckets in self._decoders:
             text = cells.get(name)
             if text is None:
                 raise FormParseError(f"result row {row.tuple_id} is missing column {name!r}")
+            if buckets is not None:
+                # What _parse_displayed_value and selectable_value_for make
+                # of a numeric cell, with one float() between them.
+                try:
+                    number = float(text)
+                except ValueError:
+                    raise FormParseError(f"cannot parse numeric cell {text!r} for {name!r}") from None
+                lows, highs, labels = buckets
+                slot = bisect_right(lows, number) - 1
+                if slot < 0 or not number < highs[slot]:
+                    raise DomainValueError("<numeric>", number)
+                values.append(number)
+                selectable.append(labels[slot])
+                continue
             pair = decoded.get(text)
             if pair is None:
                 raw = _parse_displayed_value(attribute, text)

@@ -27,6 +27,7 @@ from repro.algorithms.count_based import CountAidedSampler
 from repro.algorithms.ordering import RandomOrdering
 from repro.algorithms.random_walk import RandomWalkConfig, RandomWalkSampler
 from repro.backends.history import HistoryLayer, JobHistory
+from repro.backends.resilience import current_deadline, resilience_report
 from repro.core.config import HDSamplerConfig, SamplerAlgorithm
 from repro.core.scope import ScopedDatabase
 from repro.database.interface import HiddenDatabase
@@ -40,6 +41,10 @@ class SampleGenerator:
     def __init__(self, database: HiddenDatabase, config: HDSamplerConfig) -> None:
         self.config = config
         rng = resolve_rng(config.seed)
+        #: An open circuit on this chain parks the job mid-walk (see
+        #: :meth:`repro.service.SamplingService.run_all`), so its walks must
+        #: rewind like deadline-scoped ones (see :meth:`next_candidate`).
+        self._can_park = resilience_report(database) is not None
 
         # Access path: the sampler sees the analyst's scoped schema; beneath
         # the scope, the job's view counts on the one history level.
@@ -63,14 +68,27 @@ class SampleGenerator:
         Once the interface's query budget is exhausted this keeps returning
         ``None`` and sets :attr:`budget_exhausted`, so the session can stop
         cleanly rather than crash mid-run.
+
+        Any other exception leaves the sampler's RNG where the walk started
+        when the walk could be cut: under an ambient deadline, or on a chain
+        whose open circuit parks the job.  The caller that re-enters the job
+        then replays the same walk, and the history answers its prefix, so
+        an interruption never changes the sample stream.  Other walks skip
+        the ~11 µs ``getstate()``.
         """
         if self.budget_exhausted:
             return None
+        rng = self.sampler.rng
+        start = rng.getstate() if self._can_park or current_deadline() is not None else None
         try:
             return self.sampler.draw_candidate()
         except QueryBudgetExceededError:
             self.budget_exhausted = True
             return None
+        except BaseException:
+            if start is not None:
+                rng.setstate(start)
+            raise
 
     # -- reporting -----------------------------------------------------------------------
 

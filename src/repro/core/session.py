@@ -222,9 +222,11 @@ class SamplingSession:
         self.state = SessionState.RUNNING
         if self._settle_state():
             return None
-        self.attempts += 1
         sample: SampleRecord | None = None
+        # Counted once the walk returns: a walk cut by an exception is
+        # replayed on the next step, not charged twice.
         candidate = self.generator.next_candidate()
+        self.attempts += 1
         if candidate is not None:
             sample = self.processor.process(candidate)
             if sample is not None:

@@ -2,10 +2,12 @@
 
 The batch envelope (:mod:`repro.web.jsoncodec`) is highly repetitive JSON —
 the same attribute names and value vocabulary repeated per item — so it
-compresses extremely well (routinely 10–20×).  Above a size threshold that
-trade is a clear win: a few tens of microseconds of CPU buys back most of the
-bytes a large batch puts on the socket.  Below the threshold the gzip header
-and CPU cost outweigh the savings, so small payloads travel as-is.
+compresses extremely well (routinely 10–20×).  Whether that pays depends on
+the link, not on the ratio.  One single-query answer on perfbench's
+``remote_jobs`` workload is ~6.6 KB of plain JSON and gzips to ~1.4 KB;
+compressing a 6–10 KB answer costs ~140–210 µs of CPU and inflating it
+~30–60 µs (``timeit``, 2-vCPU VM).  The ~5 KB saved take about a microsecond
+on loopback, so gzip only wins on links slower than roughly 150–250 Mbit/s.
 
 This module is the **single definition** of that policy, shared by both
 wire ends — the :mod:`repro.web.httpd` server and the pooled
@@ -13,11 +15,14 @@ wire ends — the :mod:`repro.web.httpd` server and the pooled
 negotiate identically:
 
 * **requests** carry ``Content-Encoding: gzip`` when the client compressed
-  the body (the server always understands it);
-* **responses** are compressed only when the request advertised
-  ``Accept-Encoding: gzip`` (the client always does) *and* the body clears
-  the threshold — an off-the-shelf client that never sends the header gets
-  plain JSON.
+  the body (the server always understands it).  The client compresses
+  bodies of :data:`DEFAULT_COMPRESS_THRESHOLD` bytes or more by default,
+  which only batch POSTs reach;
+* **responses** are compressed only when the server was given a threshold
+  (it has none by default, so it answers in plain JSON), the request
+  advertised ``Accept-Encoding: gzip`` (the client always does), *and* the
+  body clears that threshold — an off-the-shelf client that never sends the
+  header gets plain JSON.
 
 Compression is a pure transport concern: the decompressed bytes are
 byte-identical to what an uncompressed exchange carries, which the wire tests
@@ -32,13 +37,12 @@ import zlib
 
 from repro.exceptions import FormParseError
 
-#: Bodies at or above this many bytes are gzip-compressed; smaller ones
-#: travel as-is (the gzip container plus the CPU spent would cost more than
-#: the bytes saved).  One conjunctive query encodes to a few hundred bytes,
-#: so a single submit's *request* stays uncompressed while batch envelopes
-#: compress.  Single-submit *responses* do compress: they clear the threshold
-#: once they list a few tuples (on perfbench's ``remote_jobs`` workload one
-#: averages ~13 KB of plain JSON).
+#: The client's request-body default: bodies at or above this many bytes
+#: are gzip-compressed, smaller ones travel as-is.  One conjunctive query
+#: encodes to a few hundred bytes, so a single submit's request stays plain
+#: and only batch envelopes compress.  The server does not use it: its
+#: answers are plain unless it is given a threshold, and an operator on a
+#: link slower than ~150–250 Mbit/s passes this value to the server too.
 DEFAULT_COMPRESS_THRESHOLD = 1024
 
 #: The one content-coding this repo speaks.  ``identity`` (and an absent

@@ -46,7 +46,7 @@ instead of forever.
 
 Everything about the endpoint that is *not* the socket — the payload logic
 behind the four API routes, the request counters, the batch worker pool,
-deadline shedding and the gzip wire compression policy
+deadline shedding and the opt-in gzip wire compression policy
 (:mod:`repro.web.compress`) — lives in :class:`DatabaseEndpoint`, which
 :class:`HiddenDatabaseHTTPServer` extends with the socket half.
 """
@@ -70,7 +70,7 @@ from repro.exceptions import (
     PageNotFoundError,
     ReproError,
 )
-from repro.web.compress import DEFAULT_COMPRESS_THRESHOLD, GZIP_ENCODING, accepts_gzip
+from repro.web.compress import GZIP_ENCODING, accepts_gzip
 from repro.web.compress import decompress as decompress_body
 from repro.web.compress import maybe_compress
 from repro.web.jsoncodec import (
@@ -203,7 +203,7 @@ class _Handler(BaseHTTPRequestHandler):
         # Response-side compression is negotiated per request: only JSON
         # payloads (the HTML dialect predates the codec and stays plain),
         # only when the client advertised Accept-Encoding: gzip, and only
-        # above the shared size threshold.
+        # above the server's threshold (none by default: plain JSON).
         if content_type == "application/json" and accepts_gzip(
             self.headers.get("Accept-Encoding")
         ):
@@ -320,6 +320,16 @@ class DatabaseEndpoint:
     :class:`HiddenDatabaseHTTPServer` below adds the socket.  Nothing here
     touches a socket, so tests can drive an endpoint without one, and
     profilers can time payload work apart from request parsing.
+
+    Response compression is opt-in.  With ``compress_threshold=None`` (the
+    default) every answer goes out as plain JSON, even to a client that
+    sends ``Accept-Encoding: gzip``.  Gzip costs the sender CPU, and the
+    handler threads share one interpreter lock, so each compression delays
+    every other client; on loopback or a LAN that costs more than the bytes
+    it saves (see :mod:`repro.web.compress`).  A server behind a slow link
+    passes ``compress_threshold=1024`` (or any size) to gzip JSON answers at
+    or above it for clients that accept gzip.  Gzip request bodies are always
+    understood, whatever the threshold.
     """
 
     #: Machine-checked by reprolint R1 (guarded-state): the request counters
@@ -340,7 +350,7 @@ class DatabaseEndpoint:
         backend: object,
         serve_pages: bool = True,
         batch_workers: int = 8,
-        compress_threshold: int | None = DEFAULT_COMPRESS_THRESHOLD,
+        compress_threshold: int | None = None,
         request_timeout: float | None = DEFAULT_REQUEST_TIMEOUT,
     ) -> None:
         if batch_workers < 1:
@@ -354,8 +364,8 @@ class DatabaseEndpoint:
         #: over the same backend, so both dialects answer identically.
         self.site = HiddenWebSite(backend) if serve_pages else None
         self.batch_workers = batch_workers
-        #: Bodies at or above this many bytes gzip when the peer negotiated
-        #: it; ``None`` disables response compression entirely.
+        #: JSON bodies at or above this many bytes gzip when the peer
+        #: negotiated it; ``None`` (the default) sends every answer plain.
         self.compress_threshold = compress_threshold
         #: Per-connection socket timeout, seconds (``None`` disables — the
         #: pre-timeout behaviour, kept reachable for debugging only).
@@ -556,7 +566,10 @@ class HiddenDatabaseHTTPServer(DatabaseEndpoint):
     the right choice for tests and benchmarks; read :attr:`url` after
     construction.  ``batch_workers`` bounds the pool that answers the items
     of one ``/api/submit_batch`` request concurrently (1 answers them
-    serially).  ``request_timeout`` bounds how long one connection may stall
+    serially).  ``compress_threshold`` turns on gzip for JSON answers of at
+    least that many bytes; the default ``None`` answers in plain JSON, the
+    right choice on loopback (see :class:`DatabaseEndpoint`).
+    ``request_timeout`` bounds how long one connection may stall
     between (or inside) requests before its handler thread is reclaimed.
     The server binds at construction time but only answers once
     :meth:`start` spawns the serving thread; connections that arrive before
@@ -576,7 +589,7 @@ class HiddenDatabaseHTTPServer(DatabaseEndpoint):
         port: int = 0,
         serve_pages: bool = True,
         batch_workers: int = 8,
-        compress_threshold: int | None = DEFAULT_COMPRESS_THRESHOLD,
+        compress_threshold: int | None = None,
         request_timeout: float | None = DEFAULT_REQUEST_TIMEOUT,
     ) -> None:
         super().__init__(

@@ -1,11 +1,13 @@
 """Precomputed cell decoding on the scraping path agrees with decoding per cell."""
 
+import math
+
 import pytest
 
 from repro.backends.adapters import WebPageBackend, _decode_map, _parse_displayed_value
 from repro.database.interface import CountMode, HiddenDatabaseInterface, WireTuples
 from repro.database.query import ConjunctiveQuery
-from repro.database.schema import Attribute, Domain, Schema
+from repro.database.schema import Attribute, AttributeKind, Domain, NumericBucket, Schema
 from repro.database.table import Table
 from repro.exceptions import DomainValueError, FormParseError
 from repro.web.client import WebFormClient
@@ -120,6 +122,55 @@ class TestScrapedResponses:
         row = ParsedResultRow(7, {"year": "2019", "used": "true", "make": "Ford"})
         with pytest.raises(FormParseError, match="missing column 'price'"):
             backend._decode_row(row)
+
+
+class TestNumericCells:
+    # Buckets out of order, with a gap between 20 and 50, and labels that
+    # need ``:g`` formatting.
+    BUCKETS = (NumericBucket(50.0, 1e6), NumericBucket(-2.5, 0.125), NumericBucket(0.125, 20.0))
+    GAPPED = Schema(
+        [
+            Attribute("used", Domain.boolean()),
+            Attribute("weight", Domain(AttributeKind.NUMERIC, buckets=BUCKETS)),
+        ],
+        name="gapped",
+    )
+
+    def _texts(self):
+        edges = sorted({edge for bucket in self.BUCKETS for edge in (bucket.low, bucket.high)})
+        points = [
+            *edges,
+            *(math.nextafter(edge, -math.inf) for edge in edges),
+            *(math.nextafter(edge, math.inf) for edge in edges),
+            *((low + high) / 2 for low, high in zip(edges, edges[1:])),
+            35.0,  # in the gap
+            -math.inf,
+            math.inf,
+            math.nan,
+        ]
+        return [repr(point) for point in points] + ["7", " 3.5 ", "1e400", "cheap", "", "0x10"]
+
+    def test_the_one_float_decode_equals_the_per_cell_path(self):
+        rows = [{"used": True, "weight": 1.0}, {"used": False, "weight": 60.0}]
+        site = HiddenWebSite(HiddenDatabaseInterface(Table(self.GAPPED, rows, name="g"), k=5))
+        backend = WebPageBackend(site, self.GAPPED)
+        attribute = self.GAPPED.attribute("weight")
+        outcomes = set()
+        for text in self._texts():
+            row = ParsedResultRow(3, {"used": "true", "weight": text})
+            try:
+                expected = _slow(attribute, text)
+            except (FormParseError, DomainValueError) as error:
+                with pytest.raises(type(error)) as raised:
+                    backend._decode_row(row)
+                assert str(raised.value) == str(error)
+                outcomes.add(type(error))
+                continue
+            _, values, selectable = backend._decode_row(row)
+            assert (values[1], selectable[1]) == expected
+            assert type(values[1]) is float and type(selectable[1]) is str
+            outcomes.add(str)
+        assert outcomes == {str, FormParseError, DomainValueError}
 
 
 class _FirstRowUntitledSite(HiddenWebSite):

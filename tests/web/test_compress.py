@@ -26,8 +26,9 @@ from repro.database.interface import CountMode
 from repro.database.query import ConjunctiveQuery
 from repro.database.ranking import StaticScoreRanking
 from repro.exceptions import FormParseError
-from repro.web.compress import accepts_gzip, decompress, maybe_compress
+from repro.web.compress import DEFAULT_COMPRESS_THRESHOLD, accepts_gzip, decompress, maybe_compress
 from repro.web.httpd import HiddenDatabaseHTTPServer
+from repro.web.jsoncodec import batch_request_to_dict, response_to_dict, schema_to_dict
 
 
 class TestNegotiationHelpers:
@@ -235,3 +236,90 @@ class TestWireCompression:
         with pytest.raises(urllib.error.HTTPError) as info:
             urllib.request.urlopen(request, timeout=5)
         assert info.value.code == 400
+
+
+@pytest.fixture()
+def vehicles_served(small_vehicles_table):
+    """A stack whose single-query answers run to several KB of JSON."""
+    return engine_stack(
+        small_vehicles_table, k=50, ranking=StaticScoreRanking(),
+        count_mode=CountMode.EXACT, statistics=False,
+    )
+
+
+def _wide_batch(schema, count=40):
+    """A batch whose request envelope clears the client's 1 KiB default."""
+    attributes = [schema.attribute(name) for name in schema.attribute_names[:3]]
+    return [
+        ConjunctiveQuery.from_assignment(
+            schema, {a.name: a.domain.values[i % len(a.domain.values)] for a in attributes}
+        )
+        for i in range(count)
+    ]
+
+
+def _exchange(url, schema):
+    """One schema fetch, one single submit and one 40-query batch POST."""
+    queries = _wide_batch(schema)
+    with RemoteBackend(url) as client:
+        single = client.submit(ConjunctiveQuery.empty(schema))
+        batch = client.submit_outcomes(queries)
+        counters = client.compression_statistics
+    return single, batch, counters
+
+
+class TestPlainAnswersByDefault:
+    def test_a_default_server_answers_every_api_route_in_plain_json(
+        self, vehicles_served, small_vehicles_table
+    ):
+        schema = small_vehicles_table.schema
+        with HiddenDatabaseHTTPServer(vehicles_served) as endpoint:
+            single, batch, counters = _exchange(endpoint.url, schema)
+            wire = endpoint.wire_statistics()
+        # Each answer clears the client's 1 KiB default, so only the server's
+        # plain default keeps it uncompressed.
+        assert len(json.dumps(response_to_dict(single))) > 1024
+        assert len(json.dumps(schema_to_dict(schema, vehicles_served.k))) > 1024
+        assert batch == [vehicles_served.submit(q) for q in _wide_batch(schema)]
+        assert counters["responses_decompressed"] == 0
+        assert wire["compressed_responses"] == 0
+
+    @pytest.mark.parametrize("path", ["/api/schema", "/api/submit"])
+    def test_an_explicit_accept_encoding_still_gets_plain_json(self, vehicles_served, path):
+        with HiddenDatabaseHTTPServer(vehicles_served) as endpoint:
+            request = urllib.request.Request(
+                endpoint.url + path, headers={"Accept-Encoding": "gzip"}
+            )
+            with urllib.request.urlopen(request, timeout=5) as response:
+                assert response.headers.get("Content-Encoding") is None
+                assert len(json.loads(response.read().decode())) > 0
+
+    def test_a_threshold_turns_compression_back_on_with_equal_answers(
+        self, vehicles_served, small_vehicles_table
+    ):
+        schema = small_vehicles_table.schema
+        with HiddenDatabaseHTTPServer(vehicles_served) as plain_endpoint:
+            plain = _exchange(plain_endpoint.url, schema)
+        with HiddenDatabaseHTTPServer(vehicles_served, compress_threshold=1024) as endpoint:
+            gzipped = _exchange(endpoint.url, schema)
+            wire = endpoint.wire_statistics()
+        # Schema fetch, single submit and batch answer all left compressed.
+        assert gzipped[2]["responses_decompressed"] == 3
+        assert wire["compressed_responses"] == 3
+        assert gzipped[:2] == plain[:2]
+
+    def test_a_default_client_still_gzips_a_large_batch_body(
+        self, vehicles_served, small_vehicles_table
+    ):
+        schema = small_vehicles_table.schema
+        body = json.dumps(batch_request_to_dict(_wide_batch(schema))).encode()
+        assert len(body) >= 1024
+        with HiddenDatabaseHTTPServer(vehicles_served) as endpoint:
+            with RemoteBackend(endpoint.url) as client:
+                assert client.compress_threshold == DEFAULT_COMPRESS_THRESHOLD == 1024
+                client.submit(ConjunctiveQuery.empty(schema))  # a small GET stays plain
+                client.submit_outcomes(_wide_batch(schema))
+                counters = client.compression_statistics
+            wire = endpoint.wire_statistics()
+        assert counters["requests_compressed"] == 1  # the batch POST body only
+        assert wire["compressed_requests"] == 1
