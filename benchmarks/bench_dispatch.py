@@ -9,14 +9,17 @@ Five sections:
 
 * **parallel_shards** (guarded) — 4 table shards, each wrapped in an
   ``UnreliableLayer(latency=...)`` simulating a per-request round-trip, behind
-  a serial ``ShardRouter`` vs a ``ConcurrentShardRouter``.  The merged
+  a serial ``ShardRouter`` vs ``ShardRouter(..., max_workers=4)``.  The merged
   responses are asserted byte-identical first; then the parallel router must
   deliver **≥ 2× the serial throughput** (it approaches 4× — the serial
   router pays 4 round-trips per query, the parallel one pays ~1).
-* **inprocess_shards** (informational) — the same routers over bare
-  CPU-bound shards, no latency.  Honest numbers: the interpreter lock
-  serialises pure-Python ranking, so threads buy ~nothing here; this section
-  documents that parallel dispatch is a *latency* optimisation, not a CPU one.
+* **inprocess_shards** (informational) — the same routers over CPU-bound
+  shards with no latency, each wrapped in a pass-through ``BackendLayer`` so
+  the router takes its scatter path (bare partitions of one table would be
+  answered from the shared match mask, and no thread would run).  Honest
+  numbers: the interpreter lock serialises pure-Python ranking, so threads
+  buy ~nothing here; this section documents that parallel dispatch is a
+  *latency* optimisation, not a CPU one.
 * **remote_http** (guarded) — live ``repro.web.httpd`` endpoints on loopback
   sockets.  Two guarded sub-sections exercise the transport optimisations on
   the configs they exist for: **pooled vs unpooled** on a connect-dominated
@@ -71,8 +74,8 @@ from urllib.parse import urlsplit
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.backends import (
+    BackendLayer,
     BackendStack,
-    ConcurrentShardRouter,
     RemoteBackend,
     ShardRouter,
     TableShardBackend,
@@ -184,7 +187,7 @@ def _latency_shards(table, ranking=None) -> list[UnreliableLayer]:
 def bench_parallel_shards(table, queries) -> dict:
     """Latency-bound shard dispatch: serial vs thread-pooled, same bytes."""
     serial = ShardRouter(_latency_shards(table))
-    parallel = ConcurrentShardRouter(_latency_shards(table), max_workers=N_SHARDS)
+    parallel = ShardRouter(_latency_shards(table), max_workers=N_SHARDS)
     # Byte-identical first, fast second.
     for query in queries[: min(20, len(queries))]:
         assert serial.submit(query) == parallel.submit(query), str(query)
@@ -203,9 +206,15 @@ def bench_parallel_shards(table, queries) -> dict:
 
 
 def bench_inprocess_shards(table, queries) -> dict:
-    """The honest control: CPU-bound shards, where the GIL caps the win."""
-    serial = ShardRouter.over_table(table, N_SHARDS, k=K)
-    parallel = ConcurrentShardRouter.over_table(table, N_SHARDS, k=K, max_workers=N_SHARDS)
+    """The honest control: CPU-bound shards, where the GIL caps the win.
+
+    Both routers scatter to the same bare partitions, each behind a
+    pass-through layer that only defeats the shared-mask fast path.
+    """
+    serial = ShardRouter.over_table(table, N_SHARDS, k=K, shard_layer=BackendLayer)
+    parallel = ShardRouter.over_table(
+        table, N_SHARDS, k=K, shard_layer=BackendLayer, max_workers=N_SHARDS
+    )
     for query in queries[: min(20, len(queries))]:
         assert serial.submit(query) == parallel.submit(query), str(query)
     serial_time = _time(serial.submit, queries)

@@ -37,10 +37,10 @@ from repro.analysis.engine import Finding, ModuleSource, Rule
 
 #: (path suffix, function name) pairs whose broad except IS the contract:
 #: per-item outcome capture turns any exception into that item's outcome.
+#: ``outcome_of`` is the one such capture; every batch path maps it.
 BROAD_EXCEPT_ALLOWLIST = frozenset(
     {
         ("repro/backends/base.py", "outcome_of"),
-        ("repro/web/httpd.py", "submit_batch_payload"),
     }
 )
 

@@ -9,8 +9,8 @@ The package separates *what answers conjunctive queries* (raw backends) from
   (JSON-over-HTTP against a :mod:`repro.web.httpd` endpoint), plus
   :class:`~repro.backends.shard.ShardRouter` /
   :class:`~repro.backends.shard.TableShardBackend` for partitioned
-  catalogues sharing one :class:`~repro.database.index.TableIndex` and the
-  thread-pooled :class:`~repro.backends.dispatch.ConcurrentShardRouter`;
+  catalogues sharing one :class:`~repro.database.index.TableIndex` (its
+  ``max_workers`` overlaps a scatter over independent shards);
 * layers — :class:`~repro.backends.layers.AccountingLayer` (budget and
   statistics in one node),
   :class:`~repro.backends.layers.UnreliableLayer`,
@@ -37,7 +37,7 @@ from repro.backends.adapters import (
     build_returned_tuples,
 )
 from repro.backends.base import BackendLayer, RawBackend, iter_chain
-from repro.backends.dispatch import ConcurrentShardRouter, DispatchLayer
+from repro.backends.dispatch import DispatchLayer
 from repro.backends.history import CachedResponseSource, HistoryLayer, HistoryStatistics
 from repro.backends.layers import AccountingLayer, UnreliableLayer, UnreliableStatistics
 from repro.backends.remote import RemoteBackend
@@ -72,7 +72,6 @@ __all__ = [
     "CircuitBreaker",
     "CircuitBreakerLayer",
     "CircuitBreakerPolicy",
-    "ConcurrentShardRouter",
     "CountPolicy",
     "Deadline",
     "DispatchLayer",

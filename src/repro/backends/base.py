@@ -9,7 +9,7 @@ separates the two concerns:
 
 * a **raw backend** answers conjunctive queries and nothing else — it
   reports its match count as its count policy shapes it (exact by default)
-  and never counts, charges or caches (:class:`RawBackend` is the
+  and never counts, charges or caches (:data:`RawBackend` names the
   structural protocol; the concrete adapters live in
   :mod:`repro.backends.adapters` and :mod:`repro.backends.shard`);
 * a **layer** wraps any backend (raw or already-layered) and adds one
@@ -29,16 +29,16 @@ outcomes: ``submit(query)`` runs that body over ``[query]`` with
 :func:`outcomes_of` (the inner ``submit``) as its forward function, and
 :func:`only_outcome` returns the one answer or raises the one error.
 
-Every layer is itself a valid :class:`RawBackend`, so layers compose freely;
+Every layer is itself a valid :data:`RawBackend`, so layers compose freely;
 :class:`repro.backends.stack.BackendStack` is the curated composition the
 rest of the system builds on.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Protocol, Sequence, runtime_checkable
+from typing import Callable, Iterator, Sequence
 
-from repro.database.interface import InterfaceResponse
+from repro.database.interface import HiddenDatabase, InterfaceResponse
 from repro.database.query import ConjunctiveQuery
 from repro.database.schema import Schema
 
@@ -98,28 +98,12 @@ def only_outcome(outcomes: Sequence["InterfaceResponse | Exception"]) -> Interfa
     return outcome
 
 
-@runtime_checkable
-class RawBackend(Protocol):
-    """Structural protocol of any hidden-database access path.
-
-    Identical in shape to :class:`repro.database.interface.HiddenDatabase` —
-    deliberately so: samplers written against the old protocol run unchanged
-    over a bare adapter, a single layer, or a whole stack.  The *semantic*
-    contract of a raw (unlayered) backend is stricter: ``submit`` reports the
-    match count as built (exact unless the backend was given a count
-    policy) and performs no accounting.
-    """
-
-    @property
-    def schema(self) -> Schema:  # pragma: no cover - protocol declaration
-        ...
-
-    @property
-    def k(self) -> int:  # pragma: no cover - protocol declaration
-        ...
-
-    def submit(self, query: ConjunctiveQuery) -> InterfaceResponse:  # pragma: no cover
-        ...
+#: Any hidden-database access path: the one structural protocol,
+#: :class:`~repro.database.interface.HiddenDatabase`, under the name the
+#: backend package uses.  A *raw* (unlayered) backend keeps a stricter
+#: semantic contract: ``submit`` reports the match count as built (exact
+#: unless the backend was given a count policy) and performs no accounting.
+RawBackend = HiddenDatabase
 
 
 class BackendLayer:

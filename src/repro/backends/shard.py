@@ -23,6 +23,12 @@ its top-``k`` cut, deferred to the first read
 shard is asked at all.
 That is exactly the merge of the per-shard cuts a scatter would gather.
 
+Shards that are not bare partitions of one table (remote, latency- or
+breaker-wrapped backends) take the independent scatter path, where every
+shard answers a full sub-query; ``max_workers`` overlaps those round-trips
+on the shared :class:`~repro.backends.resilience.LazyPool` (serial by
+default), gathered in shard order so the merge is byte-identical either way.
+
 Both classes are raw backends: no accounting.  Shards always report exact
 counts; the router shapes its merged total through a
 :class:`~repro.backends.adapters.CountPolicy` (exact unless told otherwise),
@@ -33,9 +39,10 @@ budgets, statistics and history over the whole sharded catalogue at once.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence, TypeVar, cast
+from typing import Callable, Sequence, cast
 
 from repro.backends.adapters import CountPolicy, answer_response
+from repro.backends.resilience import LazyPool
 from repro.database.index import RankCache
 from repro.database.interface import InterfaceResponse, ReturnedTuple
 from repro.database.query import ConjunctiveQuery
@@ -43,8 +50,6 @@ from repro.database.ranking import RankingFunction, RowIdRanking
 from repro.database.schema import Schema
 from repro.database.table import Table
 from repro.exceptions import InterfaceError
-
-_T = TypeVar("_T")
 
 #: Orders merged tuples; smaller sorts first.  Must agree with the shards'
 #: own internal ranking for the scatter/gather to be lossless.
@@ -156,6 +161,12 @@ class ShardRouter:
     over the disjoint partition), reports the total as ``counts`` shapes it
     (exact without one) and does no accounting of its own — wrap it in
     layers for that.
+
+    ``max_workers`` bounds the pool the scatter path issues its per-shard
+    sub-queries on; ``None`` (the default) issues them serially on the
+    calling thread.  The :meth:`over_table` layout asks no shard, so it never
+    uses the pool.  :meth:`close` releases the worker threads (the router
+    stays usable), and the router is a context manager.
     """
 
     def __init__(
@@ -163,6 +174,7 @@ class ShardRouter:
         shards: Sequence[object],
         merge_key: MergeKey | None = None,
         counts: CountPolicy | None = None,
+        max_workers: int | None = None,
     ) -> None:
         if not shards:
             raise InterfaceError("a shard router needs at least one shard")
@@ -183,6 +195,9 @@ class ShardRouter:
             getattr(self._shards[0], "display_columns", ())
         )
         self._shared_ranks = self._detect_table_partition()
+        self._pool = LazyPool(
+            max_workers if max_workers is not None else 1, thread_name_prefix="shard-dispatch"
+        )
 
     def _detect_table_partition(self) -> RankCache | None:
         """The shared :class:`RankCache` when the shards exactly modulo-
@@ -216,6 +231,7 @@ class ShardRouter:
         display_columns: Sequence[str] = (),
         shard_layer: Callable[[object], object] | None = None,
         counts: CountPolicy | None = None,
+        max_workers: int | None = None,
     ) -> "ShardRouter":
         """Partition ``table`` into ``n_shards`` backends sharing one index.
 
@@ -230,7 +246,8 @@ class ShardRouter:
         independent scatter path (the shared-index fast path needs bare
         :class:`TableShardBackend` instances), which is exactly what a
         per-shard reliability layer needs: each ``shard.submit`` is a real
-        call the wrapper observes.
+        call the wrapper observes.  ``max_workers`` is the scatter path's pool
+        bound (see the class docstring).
         """
         ranking = ranking if ranking is not None else RowIdRanking()
         shards = [
@@ -243,13 +260,14 @@ class ShardRouter:
         merge_key = lambda t: shards[0].rank_position(t.tuple_id)  # noqa: E731
         if shard_layer is not None:
             router = cls(
-                [shard_layer(shard) for shard in shards], merge_key=merge_key, counts=counts
+                [shard_layer(shard) for shard in shards],
+                merge_key=merge_key, counts=counts, max_workers=max_workers,
             )
             # Layers do not forward ``display_columns``; re-advertise what the
             # bare shards would have exposed.
             router.display_columns = tuple(display_columns)
             return router
-        return cls(shards, merge_key=merge_key, counts=counts)
+        return cls(shards, merge_key=merge_key, counts=counts, max_workers=max_workers)
 
     # -- RawBackend contract -------------------------------------------------
 
@@ -268,6 +286,11 @@ class ShardRouter:
         """The partition backends, in shard order."""
         return self._shards
 
+    @property
+    def max_workers(self) -> int:
+        """The pool bound the scatter path issues sub-queries under (1: serial)."""
+        return self._pool.max_workers
+
     def submit(self, query: ConjunctiveQuery) -> InterfaceResponse:
         """Fan ``query`` out, merge the ranked answers, apply the top-``k`` cut.
 
@@ -277,22 +300,12 @@ class ShardRouter:
         """
         ranks = self._shared_ranks
         if ranks is None:
-            return self._merge(query, self._gather(lambda shard: shard.submit(query)))
+            responses = self._pool.map(lambda shard: shard.submit(query), self._shards)
+            return self._merge(query, responses)
         total, row_ids = ranks.top(query, self._k)
         return cast(TableShardBackend, self._shards[0]).response(
             query, total, self._counts.shape(total), row_ids
         )
-
-    def _gather(self, work: Callable[[Any], _T]) -> list[_T]:
-        """``work`` applied to every shard, results in shard order.
-
-        This is the scatter half of the router, factored out so
-        :class:`~repro.backends.dispatch.ConcurrentShardRouter` can override
-        *how* the per-shard work is issued (thread pool vs loop) without
-        touching what it computes — the merge consumes results in shard
-        order either way, which is what makes the two byte-identical.
-        """
-        return [work(shard) for shard in self._shards]
 
     def _merge(
         self, query: ConjunctiveQuery, responses: list[InterfaceResponse]
@@ -317,5 +330,19 @@ class ShardRouter:
             k=self._k,
         )
 
+    def close(self) -> None:
+        """Release the worker threads (the router stays usable; a new pool
+        is created on the next concurrent scatter)."""
+        self._pool.close()
+
+    def __enter__(self) -> "ShardRouter":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ShardRouter(shards={len(self._shards)}, k={self._k})"
+        return (
+            f"ShardRouter(shards={len(self._shards)}, k={self._k}, "
+            f"max_workers={self.max_workers})"
+        )

@@ -22,10 +22,9 @@ be anything — including a :class:`~repro.backends.shard.ShardRouter`, which
 is how a sharded catalogue gets budgets, count modes and history in one line.
 
 Two more builders cover the scaled-out deployments: :func:`sharded_stack`
-accepts ``parallel=N`` to scatter sub-queries over a
-:class:`~repro.backends.dispatch.ConcurrentShardRouter` thread pool (same
-bytes, overlapped round-trips), and :func:`remote_stack` puts the usual
-layers — plus a retrying
+puts the same layers over a :class:`~repro.backends.shard.ShardRouter` of
+table partitions, and :func:`remote_stack` puts the usual layers — plus a
+retrying
 :class:`~repro.backends.layers.UnreliableLayer` — over a
 :class:`~repro.backends.remote.RemoteBackend` talking to a
 :mod:`repro.web.httpd` endpoint across a real socket, or, given a list of
@@ -50,7 +49,7 @@ from typing import Callable, Mapping, Sequence
 
 from repro.backends.adapters import CountPolicy, QueryEngineBackend, WebPageBackend
 from repro.backends.base import RawBackend, forward_outcomes, iter_chain
-from repro.backends.dispatch import ConcurrentShardRouter, DispatchLayer
+from repro.backends.dispatch import DispatchLayer
 from repro.backends.history import HistoryLayer
 from repro.backends.layers import AccountingLayer, UnreliableLayer
 from repro.backends.resilience import (
@@ -165,7 +164,7 @@ class BackendStack:
         The one batch call that raises: every item is attempted first, then
         the first failed item's error (by input order) is raised.  When the
         outermost layer is a :class:`~repro.backends.dispatch.DispatchLayer`
-        (``web_stack(..., parallel=N)``) the batch is issued concurrently;
+        (``remote_stack(..., parallel=N)``) the batch is issued concurrently;
         otherwise it goes down the layers as one batch, so callers can
         always batch without caring how the stack was built.
         """
@@ -334,7 +333,6 @@ def web_stack(
     display_columns: Sequence[str] = (),
     budget: QueryBudget | None = None,
     history: bool = False,
-    parallel: int | None = None,
 ) -> BackendStack:
     """The HTML-scraping access path as a stack.
 
@@ -343,21 +341,12 @@ def web_stack(
     directly on the page fetcher, so with ``history=True`` the counters
     report *actual page fetches* — every history hit is a whole round-trip
     saved, which ``benchmarks/bench_backend_stack.py`` measures.
-
-    ``parallel=N`` puts a :class:`~repro.backends.dispatch.DispatchLayer` on
-    top, so ``stack.submit_outcomes(queries)`` (and ``stack.submit_many``,
-    which raises the first failure) fetches up to ``N`` pages concurrently.
-    It composes with ``history=True``: the thread-safe history layer sits
-    under the dispatch layer, deduplicates concurrent fetches of the same
-    page (per-key in-flight guard) and answers repeats without any fetch at
-    all.
     """
     raw = WebPageBackend(site, schema, display_columns=display_columns)
     return _compose(
         raw,
         budget=budget,
         history=history,
-        parallel=parallel,
     )
 
 
@@ -373,7 +362,6 @@ def sharded_stack(
     seed: int | random.Random | None = 0,
     history: bool = False,
     statistics: bool = True,
-    parallel: int | None = None,
 ) -> BackendStack:
     """A sharded catalogue behind the same layer stack as the direct path.
 
@@ -382,27 +370,14 @@ def sharded_stack(
     client sees (counts, budget, statistics, history) is identical to
     :func:`engine_stack` over the unsharded table.  The router shapes the
     merged count, drawing ``NOISY`` counts from one generator seeded by
-    ``seed`` exactly as the flat engine adapter does.
-
-    ``parallel=N`` swaps in a
-    :class:`~repro.backends.dispatch.ConcurrentShardRouter` that scatters
-    the per-shard sub-queries over ``N`` worker threads — responses stay
-    byte-identical (the property tests prove it), only the round-trips
-    overlap.  ``parallel=1`` (or ``None``) keeps the serial router.
+    ``seed`` exactly as the flat engine adapter does.  The partitions share
+    the table's index, so the router answers each query from one match mask
+    on the calling thread and asks no shard.
     """
-    if parallel is not None and parallel < 1:
-        raise ConfigurationError("parallel must be at least 1 when given")
-    counts = CountPolicy(count_mode, count_noise, seed)
-    if parallel is not None and parallel > 1:
-        raw: RawBackend = ConcurrentShardRouter.over_table(
-            table, n_shards, k, ranking=ranking, display_columns=display_columns,
-            max_workers=parallel, counts=counts,
-        )
-    else:
-        raw = ShardRouter.over_table(
-            table, n_shards, k, ranking=ranking, display_columns=display_columns,
-            counts=counts,
-        )
+    raw = ShardRouter.over_table(
+        table, n_shards, k, ranking=ranking, display_columns=display_columns,
+        counts=CountPolicy(count_mode, count_noise, seed),
+    )
     return _compose(
         raw,
         budget=budget,

@@ -26,7 +26,9 @@ from repro.algorithms.brute_force import BruteForceSampler
 from repro.algorithms.count_based import CountAidedSampler
 from repro.algorithms.ordering import RandomOrdering
 from repro.algorithms.random_walk import RandomWalkConfig, RandomWalkSampler
+from repro.backends.base import iter_chain
 from repro.backends.history import HistoryLayer, JobHistory
+from repro.backends.remote import RemoteBackend
 from repro.backends.resilience import current_deadline, resilience_report
 from repro.core.config import HDSamplerConfig, SamplerAlgorithm
 from repro.core.scope import ScopedDatabase
@@ -43,8 +45,12 @@ class SampleGenerator:
         rng = resolve_rng(config.seed)
         #: An open circuit on this chain parks the job mid-walk (see
         #: :meth:`repro.service.SamplingService.run_all`), so its walks must
-        #: rewind like deadline-scoped ones (see :meth:`next_candidate`).
-        self._can_park = resilience_report(database) is not None
+        #: rewind like deadline-scoped ones (see :meth:`next_candidate`).  A
+        #: remote chain can park with no local breaker: the server relays
+        #: its own open circuit as a 503 the client re-raises.
+        self._can_park = resilience_report(database) is not None or any(
+            isinstance(node, RemoteBackend) for node in iter_chain(database)
+        )
 
         # Access path: the sampler sees the analyst's scoped schema; beneath
         # the scope, the job's view counts on the one history level.

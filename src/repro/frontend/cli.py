@@ -62,18 +62,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--shards", type=int, default=1,
                         help="partition the simulated catalogue over N shard backends "
                              "behind one router (results are identical to --shards 1)")
-    parser.add_argument("--parallel", type=int, default=None, metavar="N",
-                        help="overlap round-trips over N worker threads: shard "
-                             "sub-queries with --shards > 1, batch chunks with "
-                             "--remote (results are identical to serial)")
     parser.add_argument("--remote", default=None, metavar="URL",
                         help="sample a remote hidden database served by a "
                              "repro.web.httpd endpoint instead of simulating one locally "
                              "(--dataset/--rows/--shards are then ignored)")
-    parser.add_argument("--batch", type=int, default=None, metavar="M",
-                        help="with --remote: ship up to M queries per wire round-trip "
-                             "through POST /api/submit_batch (per-item statuses; "
-                             "combine with --parallel N to overlap chunks)")
     parser.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
                         help="wall-clock budget for the whole run: retry backoff "
                              "sleeps clip to the remaining budget, expired work "
@@ -122,34 +114,19 @@ def _build_backend(args: argparse.Namespace) -> BackendStack:
     """The simulated hidden database as a composed backend stack.
 
     With ``--shards N`` the raw backend is a shard router over N partitions
-    sharing one table index; adding ``--parallel M`` scatters the sub-queries
-    over M worker threads.  The count mode and the accounting layer above
-    are identical either way, as are the sampled results.  With
-    ``--remote URL`` nothing is simulated: the stack talks JSON-over-HTTP to
-    the named endpoint over pooled keep-alive connections, retrying real
-    429s/5xxs; ``--batch M`` ships up to M queries per round-trip and
-    ``--parallel N`` overlaps those chunks.
+    sharing one table index; the count mode, the accounting layer above and
+    the sampled results are identical to ``--shards 1``.  With ``--remote
+    URL`` nothing is simulated: the stack talks JSON-over-HTTP to the named
+    endpoint over pooled keep-alive connections, retrying real 429s/5xxs.
+    A sampling job submits one query at a time — each drill-down step
+    depends on the answer before it — so neither path has a batch to fan
+    out.
     """
     if args.shards < 1:
         raise ReproError("--shards must be at least 1")
-    if args.parallel is not None and args.parallel < 1:
-        raise ReproError("--parallel must be at least 1")
-    if args.batch is not None and args.batch < 1:
-        raise ReproError("--batch must be at least 1")
-    if args.batch is not None and args.remote is None:
-        raise ReproError("--batch configures the remote wire batch; it needs --remote URL")
-    if (
-        args.parallel is not None
-        and args.parallel > 1
-        and args.remote is None
-        and args.shards < 2
-    ):
-        raise ReproError("--parallel needs --shards > 1 or --remote to have work to overlap")
     budget = QueryBudget(limit=args.budget) if args.budget is not None else QueryBudget()
     if args.remote is not None:
-        return remote_stack(
-            args.remote, budget=budget, parallel=args.parallel, batch=args.batch
-        )
+        return remote_stack(args.remote, budget=budget)
     count_mode = (
         CountMode.EXACT
         if args.algorithm == SamplerAlgorithm.COUNT_AIDED.value
@@ -169,7 +146,6 @@ def _build_backend(args: argparse.Namespace) -> BackendStack:
         return sharded_stack(
             table, args.shards, args.top_k, ranking=ranking, count_mode=count_mode,
             budget=budget, display_columns=display_columns, seed=args.seed,
-            parallel=args.parallel,
         )
     return engine_stack(
         table, args.top_k, ranking=ranking, count_mode=count_mode,

@@ -36,7 +36,10 @@ connection) and handlers speak HTTP/1.1 keep-alive, so a pooled
 across many requests.  The listening socket keeps a backlog of
 :attr:`_Server.request_queue_size` pending connections, so a wave of clients
 arriving at once is accepted rather than dropped.  Batch items are answered
-concurrently over a bounded worker pool: every layer in the served chain —
+concurrently over the program's one worker-pool type,
+:class:`~repro.backends.resilience.LazyPool` (``batch_workers`` threads, named
+``httpd-batch…``, started on the first batch of two or more items): every
+layer in the served chain —
 including the one-lock :class:`~repro.backends.history.HistoryLayer` —
 is thread-safe, so nothing needs the serialising submit-lock earlier
 revisions carried (see ``docs/architecture.md``).  Each connection carries a
@@ -55,7 +58,7 @@ from __future__ import annotations
 
 import json
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import TYPE_CHECKING
 from urllib.parse import urlsplit
@@ -333,8 +336,7 @@ class DatabaseEndpoint:
     """
 
     #: Machine-checked by reprolint R1 (guarded-state): the request counters
-    #: update under ``_lock`` (handler/executor threads report concurrently),
-    #: and the lazily-created batch pool swaps only under its own lock.
+    #: update under ``_lock`` (handler and batch threads report concurrently).
     _guarded_by = {
         "requests_served": "_lock",
         "fault_responses": "_lock",
@@ -342,7 +344,6 @@ class DatabaseEndpoint:
         "deadline_shed": "_lock",
         "compressed_requests": "_lock",
         "compressed_responses": "_lock",
-        "_batch_pool": "_batch_pool_lock",
     }
 
     def __init__(
@@ -353,6 +354,10 @@ class DatabaseEndpoint:
         compress_threshold: int | None = None,
         request_timeout: float | None = DEFAULT_REQUEST_TIMEOUT,
     ) -> None:
+        # Imported lazily: repro.web must import without repro.backends
+        # (which itself imports this module for the API paths).
+        from repro.backends.resilience import LazyPool
+
         if batch_workers < 1:
             raise ConfigurationError("batch_workers must be at least 1")
         if request_timeout is not None and request_timeout <= 0:
@@ -370,8 +375,9 @@ class DatabaseEndpoint:
         #: Per-connection socket timeout, seconds (``None`` disables — the
         #: pre-timeout behaviour, kept reachable for debugging only).
         self.request_timeout = request_timeout
-        self._batch_pool: ThreadPoolExecutor | None = None
-        self._batch_pool_lock = threading.Lock()
+        #: Answers the items of one batch; one worker answers them in order
+        #: on the handler thread.
+        self._pool = LazyPool(batch_workers, thread_name_prefix="httpd-batch")
         self._lock = threading.Lock()
         self.requests_served = 0
         self.fault_responses = 0
@@ -436,30 +442,20 @@ class DatabaseEndpoint:
 
         A fault while answering one item becomes that item's ``error`` entry
         — its siblings still come back answered.  Items are answered
-        concurrently over the bounded batch pool (every layer beneath is
-        thread-safe; the history layer deduplicates and the budget
-        layer charges exactly as it would for concurrent clients).
+        concurrently over the bounded batch pool, each under the request's
+        deadline (every layer beneath is thread-safe; the history layer
+        deduplicates and the budget layer charges exactly as it would for
+        concurrent clients).
         """
+        from repro.backends.base import outcome_of
         from repro.backends.resilience import deadline_scope
 
         if deadline is not None and deadline.expired:
             self.count_deadline_shed()
             raise DeadlineExceededError("server-side batch submission", remaining_ms=0)
         queries = batch_request_from_dict(self.backend.schema, payload)
-
-        def answer(query) -> object:
-            try:
-                # Re-installed per item: the pool threads never inherited the
-                # handler thread's ambient deadline scope.
-                with deadline_scope(deadline):
-                    return self.backend.submit(query)
-            except Exception as error:  # noqa: BLE001 - per-item status
-                return error
-
-        if len(queries) <= 1 or self.batch_workers == 1:
-            outcomes = [answer(query) for query in queries]
-        else:
-            outcomes = list(self._pool().map(answer, queries))
+        with deadline_scope(deadline):
+            outcomes = self._pool.map(partial(outcome_of, self.backend), queries)
         with self._lock:
             self.batch_items_served += len(queries)
         return batch_response_to_dict(outcomes)
@@ -540,21 +536,9 @@ class DatabaseEndpoint:
             }
 
     def close_pools(self) -> None:
-        """Shut down the lazily-created batch worker pool (the server calls
-        this from its ``stop``)."""
-        with self._batch_pool_lock:
-            pool, self._batch_pool = self._batch_pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    def _pool(self) -> ThreadPoolExecutor:
-        with self._batch_pool_lock:
-            if self._batch_pool is None:
-                self._batch_pool = ThreadPoolExecutor(
-                    max_workers=self.batch_workers,
-                    thread_name_prefix="httpd-batch",
-                )
-            return self._batch_pool
+        """Shut down the batch worker pool (the server calls this from its
+        ``stop``)."""
+        self._pool.close()
 
 
 class HiddenDatabaseHTTPServer(DatabaseEndpoint):

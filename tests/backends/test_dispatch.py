@@ -1,10 +1,11 @@
 """Concurrent dispatch: byte-identical to serial, whatever the thread timing.
 
-The contract under test is absolute: a :class:`ConcurrentShardRouter` (any
-worker count, any shard count, any ranking) returns *exactly* the response a
-serial :class:`ShardRouter` over the same shards returns, and
+The contract under test is absolute: a :class:`ShardRouter` with a worker
+pool (any worker count, any shard count, any ranking) returns *exactly* the
+response a serial :class:`ShardRouter` over the same shards returns, and
 ``DispatchLayer.submit_outcomes`` returns exactly what a serial loop would,
-in input order.  Concurrency may only change the wall clock.
+in input order.  Concurrency may only change the wall clock.  A pool bound
+of one overlaps nothing, so it answers on the calling thread.
 """
 
 import random
@@ -15,18 +16,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backends import (
+    AccountingLayer,
+    BackendLayer,
     BackendStack,
-    ConcurrentShardRouter,
+    Deadline,
     DispatchLayer,
+    HistoryLayer,
     QueryEngineBackend,
     ShardRouter,
     TableShardBackend,
     UnreliableLayer,
+    WebPageBackend,
+    current_deadline,
+    deadline_scope,
     engine_stack,
     sharded_stack,
     web_stack,
 )
-from repro.database.interface import CountMode
 from repro.database.query import ConjunctiveQuery
 from repro.database.ranking import (
     AttributeWeightedRanking,
@@ -36,7 +42,7 @@ from repro.database.ranking import (
 )
 from repro.database.schema import Attribute, Domain, Schema
 from repro.database.table import Table
-from repro.exceptions import ConfigurationError, InterfaceError, TransientBackendError
+from repro.exceptions import InterfaceError, TransientBackendError
 from repro.web.server import HiddenWebSite
 
 from tests.property.test_properties import schema_and_table
@@ -62,10 +68,30 @@ def _random_queries(schema, rng, count):
     return queries
 
 
-class TestConcurrentShardRouterEquivalence:
+class ThreadRecorder:
+    """Raw-contract shim noting the thread and ambient deadline of each submit."""
+
+    def __init__(self, inner, seen):
+        self.inner = inner
+        self.seen = seen
+
+    @property
+    def schema(self):
+        return self.inner.schema
+
+    @property
+    def k(self):
+        return self.inner.k
+
+    def submit(self, query):
+        self.seen.append((threading.current_thread().name, current_deadline()))
+        return self.inner.submit(query)
+
+
+class TestShardRouterWorkers:
     def test_partitioned_layout_is_byte_identical(self, tiny_table, tiny_schema):
         serial = ShardRouter.over_table(tiny_table, 3, k=2, ranking=StaticScoreRanking())
-        with ConcurrentShardRouter.over_table(
+        with ShardRouter.over_table(
             tiny_table, 3, k=2, ranking=StaticScoreRanking(), max_workers=2
         ) as parallel:
             for query in _random_queries(tiny_schema, random.Random(0), 30):
@@ -74,7 +100,7 @@ class TestConcurrentShardRouterEquivalence:
     def test_heterogeneous_shards_are_byte_identical(self, tiny_table, tiny_schema):
         # Latency-wrapped shards defeat the shared-index fast path, taking
         # the independent scatter branch — the round-trip-bound case the
-        # concurrent router exists for.
+        # router's worker pool exists for.
         def shards():
             return [
                 UnreliableLayer(TableShardBackend(tiny_table, 2, i, 3), latency=0.001)
@@ -82,7 +108,7 @@ class TestConcurrentShardRouterEquivalence:
             ]
 
         serial = ShardRouter(shards())
-        with ConcurrentShardRouter(shards(), max_workers=3) as parallel:
+        with ShardRouter(shards(), max_workers=3) as parallel:
             for query in _random_queries(tiny_schema, random.Random(1), 15):
                 assert parallel.submit(query) == serial.submit(query)
 
@@ -91,49 +117,67 @@ class TestConcurrentShardRouterEquivalence:
     def test_property_any_shard_and_worker_count_all_rankings(
         self, data, n_shards, max_workers
     ):
-        """The satellite property: parallel dispatch (any worker count, any
-        shard count) is byte-identical to serial across the four rankings."""
+        """Parallel dispatch (any worker count, any shard count, either
+        path) is byte-identical to serial across the four rankings."""
         schema, table = data
         queries = _random_queries(schema, random.Random(42), 6)
         for ranking in _rankings():
             serial = ShardRouter.over_table(table, n_shards, k=3, ranking=ranking)
-            with ConcurrentShardRouter.over_table(
+            with ShardRouter.over_table(
                 table, n_shards, k=3, ranking=ranking, max_workers=max_workers
-            ) as parallel:
+            ) as parallel, ShardRouter.over_table(
+                table, n_shards, k=3, ranking=ranking, max_workers=max_workers,
+                shard_layer=BackendLayer,
+            ) as scatter:
                 for query in queries:
                     assert parallel.submit(query) == serial.submit(query)
+                    assert scatter.submit(query) == serial.submit(query)
 
-    def test_sharded_stack_parallel_is_byte_identical(self, tiny_table, tiny_schema):
-        serial = sharded_stack(tiny_table, 4, k=2, count_mode=CountMode.EXACT)
-        parallel = sharded_stack(tiny_table, 4, k=2, count_mode=CountMode.EXACT, parallel=3)
-        for query in _random_queries(tiny_schema, random.Random(2), 30):
-            assert parallel.submit(query) == serial.submit(query)
-        assert parallel.statistics.queries_issued == serial.statistics.queries_issued
+    def test_a_scatter_carries_the_ambient_deadline_into_its_workers(
+        self, tiny_table, tiny_schema
+    ):
+        seen = []
+        shards = [ThreadRecorder(TableShardBackend(tiny_table, 2, i, 3), seen) for i in range(3)]
+        serial = ShardRouter([TableShardBackend(tiny_table, 2, i, 3) for i in range(3)])
+        deadline = Deadline.after(60.0)
+        with ShardRouter(shards, max_workers=3) as parallel, deadline_scope(deadline):
+            for query in _random_queries(tiny_schema, random.Random(10), 10):
+                assert parallel.submit(query) == serial.submit(query)
+        assert len(seen) == 33
+        assert {name.rsplit("_", 1)[0] for name, _ in seen} == {"shard-dispatch"}
+        assert {id(ambient) for _, ambient in seen} == {id(deadline)}
 
-    def test_stack_describes_the_concurrent_router(self, tiny_table):
-        stack = sharded_stack(tiny_table, 2, k=2, parallel=2)
-        assert stack.describe().endswith("ConcurrentShardRouter")
+    def test_a_one_worker_router_scatters_on_the_calling_thread(self, tiny_table, tiny_schema):
+        seen = []
+        shards = [ThreadRecorder(TableShardBackend(tiny_table, 2, i, 3), seen) for i in range(3)]
+        router = ShardRouter(shards, max_workers=1)
+        router.submit(ConjunctiveQuery.empty(tiny_schema))
+        assert [name for name, _ in seen] == [threading.current_thread().name] * 3
+        assert router._pool._executor is None
 
-    def test_parallel_one_keeps_the_serial_router(self, tiny_table):
-        stack = sharded_stack(tiny_table, 2, k=2, parallel=1)
-        assert type(stack.raw) is ShardRouter
+    def test_the_sharded_stack_has_no_parallel_option(self, tiny_table):
+        with pytest.raises(TypeError):
+            sharded_stack(tiny_table, 2, k=2, parallel=2)
 
     def test_worker_validation(self, tiny_table):
         with pytest.raises(InterfaceError):
-            ConcurrentShardRouter.over_table(tiny_table, 2, k=2, max_workers=0)
-        with pytest.raises(ConfigurationError):
-            sharded_stack(tiny_table, 2, k=2, parallel=0)
+            ShardRouter.over_table(tiny_table, 2, k=2, max_workers=0)
 
     def test_close_releases_and_the_router_stays_usable(self, tiny_table, tiny_schema):
-        router = ConcurrentShardRouter.over_table(tiny_table, 2, k=2, max_workers=2)
+        router = ShardRouter.over_table(
+            tiny_table, 2, k=2, max_workers=2, shard_layer=BackendLayer
+        )
         query = ConjunctiveQuery.empty(tiny_schema)
         first = router.submit(query)
+        assert router._pool._executor is not None
         router.close()
+        assert router._pool._executor is None
         assert router.submit(query) == first  # a fresh pool is created lazily
         router.close()
 
-    def test_default_worker_bound_tracks_shard_count(self, tiny_table):
-        assert ConcurrentShardRouter.over_table(tiny_table, 3, k=2).max_workers == 3
+    def test_the_default_bound_is_serial(self, tiny_table):
+        assert ShardRouter.over_table(tiny_table, 3, k=2).max_workers == 1
+        assert ShardRouter.over_table(tiny_table, 3, k=2, max_workers=3).max_workers == 3
 
 
 class TestDispatchLayer:
@@ -194,9 +238,11 @@ class TestDispatchLayer:
         assert stack.budget.issued == 10  # charged to the limit, not past it
         layer.close()
 
-    def test_web_stack_parallel_fetches_batches_concurrently(self, tiny_table, tiny_schema):
+    def test_a_web_stack_under_dispatch_fetches_batches_concurrently(
+        self, tiny_table, tiny_schema
+    ):
         site = HiddenWebSite(QueryEngineBackend(tiny_table, k=2, ranking=StaticScoreRanking()))
-        stack = web_stack(site, tiny_schema, parallel=4)
+        stack = _dispatched_web_stack(site, tiny_schema)
         assert stack.describe().startswith("DispatchLayer")
         queries = _random_queries(tiny_schema, random.Random(6), 12)
         oracle = web_stack(
@@ -220,7 +266,7 @@ class TestDispatchLayer:
         """The thread-safe HistoryLayer legally sits under the dispatch layer:
         concurrent batches answer identically AND repeats cost no fetches."""
         site = HiddenWebSite(QueryEngineBackend(tiny_table, k=2, ranking=StaticScoreRanking()))
-        stack = web_stack(site, tiny_schema, history=True, parallel=4)
+        stack = _dispatched_web_stack(site, tiny_schema, HistoryLayer)
         assert stack.describe() == (
             "DispatchLayer → HistoryLayer → AccountingLayer → WebPageBackend"
         )
@@ -269,26 +315,31 @@ class TestDispatchLayer:
         layer.close()
 
     def test_dispatch_runs_on_worker_threads(self, tiny_table, tiny_schema):
-        seen: set[str] = set()
-
-        class ThreadRecorder:
-            def __init__(self, inner):
-                self.inner = inner
-
-            @property
-            def schema(self):
-                return self.inner.schema
-
-            @property
-            def k(self):
-                return self.inner.k
-
-            def submit(self, query):
-                seen.add(threading.current_thread().name)
-                return self.inner.submit(query)
-
-        raw = ThreadRecorder(QueryEngineBackend(tiny_table, k=2, ranking=StaticScoreRanking()))
+        seen = []
+        raw = ThreadRecorder(
+            QueryEngineBackend(tiny_table, k=2, ranking=StaticScoreRanking()), seen
+        )
         layer = DispatchLayer(raw, max_workers=4)
         layer.submit_outcomes(_random_queries(tiny_schema, random.Random(8), 20))
-        assert all(name.startswith("backend-dispatch") for name in seen)
+        assert all(name.startswith("backend-dispatch") for name, _ in seen)
         layer.close()
+
+    def test_a_one_worker_layer_answers_on_the_calling_thread(self, tiny_table, tiny_schema):
+        seen = []
+        raw = ThreadRecorder(
+            QueryEngineBackend(tiny_table, k=2, ranking=StaticScoreRanking()), seen
+        )
+        layer = DispatchLayer(raw, max_workers=1)
+        queries = _random_queries(tiny_schema, random.Random(11), 8)
+        assert layer.submit_outcomes(queries) == [raw.inner.submit(q) for q in queries]
+        assert [name for name, _ in seen] == [threading.current_thread().name] * 9
+        assert layer._pool._executor is None
+
+
+def _dispatched_web_stack(site, schema, *upper):
+    """``AccountingLayer(WebPageBackend)``, then ``upper``, under a 4-worker
+    :class:`DispatchLayer`."""
+    return BackendStack(
+        WebPageBackend(site, schema),
+        [AccountingLayer, *upper, lambda inner: DispatchLayer(inner, max_workers=4)],
+    )

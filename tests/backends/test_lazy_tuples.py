@@ -24,7 +24,6 @@ from repro.backends import (
 from repro.backends import adapters as adapters_module
 from repro.backends.adapters import LazyTuples
 from repro.backends.base import BackendLayer
-from repro.backends.dispatch import ConcurrentShardRouter
 from repro.backends.history import JobHistory
 from repro.database.interface import InterfaceResponse, ReturnedTuple
 from repro.database.query import ConjunctiveQuery
@@ -67,7 +66,7 @@ def _backends(table, k, ranking):
     return [
         ("flat", QueryEngineBackend(table, **options)),
         ("router", ShardRouter.over_table(table, 3, **options)),
-        ("concurrent", ConcurrentShardRouter.over_table(table, 3, **options)),
+        ("concurrent", ShardRouter.over_table(table, 3, max_workers=3, **options)),
         ("shard_layer", ShardRouter.over_table(table, 3, shard_layer=BackendLayer, **options)),
     ]
 
@@ -201,7 +200,7 @@ class TestNoBitScanUntilRead:
             "flat": lambda: QueryEngineBackend(table, k=50),
             "history": lambda: AccountingLayer(HistoryLayer(QueryEngineBackend(table, k=50))),
             "router": lambda: ShardRouter.over_table(table, 4, k=50),
-            "concurrent": lambda: ConcurrentShardRouter.over_table(table, 4, k=50),
+            "concurrent": lambda: ShardRouter.over_table(table, 4, k=50, max_workers=4),
         }
         backend = backends[path]()
         query = ConjunctiveQuery.from_assignment(schema, {"color": "red"})

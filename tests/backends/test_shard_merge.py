@@ -6,7 +6,6 @@ from repro.backends import QueryEngineBackend, ShardRouter
 from repro.backends import adapters as adapters_module
 from repro.backends import shard as shard_module
 from repro.backends.base import BackendLayer
-from repro.backends.dispatch import ConcurrentShardRouter
 from repro.database.query import ConjunctiveQuery
 from repro.database.ranking import (
     AttributeWeightedRanking,
@@ -49,11 +48,13 @@ def build_calls(monkeypatch):
 
 
 class TestOneBuildPerQuery:
-    @pytest.mark.parametrize("router_class", [ShardRouter, ConcurrentShardRouter])
+    @pytest.mark.parametrize("max_workers", [None, 3], ids=["serial", "pooled"])
     def test_shared_path_builds_once_with_at_most_k_rows(
-        self, tiny_table, tiny_schema, build_calls, router_class
+        self, tiny_table, tiny_schema, build_calls, max_workers
     ):
-        router = router_class.over_table(tiny_table, 3, k=2, ranking=StaticScoreRanking())
+        router = ShardRouter.over_table(
+            tiny_table, 3, k=2, ranking=StaticScoreRanking(), max_workers=max_workers
+        )
         for query in _queries(tiny_schema):
             del build_calls[:]
             response = router.submit(query)
@@ -75,12 +76,14 @@ class TestOneBuildPerQuery:
                     assert [t.tuple_id for t in response.tuples] == ranks.first(mask, 7), name
                     assert response.reported_count == mask.bit_count()
 
-    @pytest.mark.parametrize("router_class", [ShardRouter, ConcurrentShardRouter])
+    @pytest.mark.parametrize("max_workers", [None, 3], ids=["serial", "pooled"])
     def test_shared_path_asks_no_shard_and_scans_once_on_read(
-        self, small_vehicles_table, monkeypatch, bit_scans, router_class
+        self, small_vehicles_table, monkeypatch, bit_scans, max_workers
     ):
         table = small_vehicles_table
-        router = router_class.over_table(table, 4, k=20, ranking=StaticScoreRanking("score"))
+        router = ShardRouter.over_table(
+            table, 4, k=20, ranking=StaticScoreRanking("score"), max_workers=max_workers
+        )
 
         def refuse(*args):
             raise AssertionError("the shared-rank path cut a shard")
@@ -91,9 +94,8 @@ class TestOneBuildPerQuery:
         assert bit_scans == []
         assert response.tuples[5] == response.tuples[:][5]
         assert bit_scans == [20]
-        if router_class is ConcurrentShardRouter:
-            assert router._pool._pool is None  # no work went to the pool
-            router.close()
+        assert router._pool._executor is None  # no work went to the pool
+        router.close()
 
     def test_cut_returns_the_shards_count_and_first_k(self, tiny_table, tiny_schema):
         router = ShardRouter.over_table(tiny_table, 2, k=2)
@@ -126,8 +128,8 @@ class TestByteIdenticalAtTheTopKBoundary:
             flat = QueryEngineBackend(tiny_table, k=k, ranking=ranking, display_columns=columns)
             expected = flat.submit(query)
             assert expected.reported_count == total
-            with ConcurrentShardRouter.over_table(
-                tiny_table, 3, k=k, ranking=ranking, display_columns=columns
+            with ShardRouter.over_table(
+                tiny_table, 3, k=k, ranking=ranking, display_columns=columns, max_workers=3
             ) as concurrent:
                 routers = [
                     ShardRouter.over_table(

@@ -20,7 +20,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro._rng import resolve_rng
-from repro.backends import QueryEngineBackend, ShardRouter, engine_stack, sharded_stack
+from repro.backends import (
+    AccountingLayer,
+    BackendLayer,
+    BackendStack,
+    CountPolicy,
+    QueryEngineBackend,
+    ShardRouter,
+    engine_stack,
+    sharded_stack,
+)
 from repro.core.config import HDSamplerConfig, SamplerAlgorithm
 from repro.core.tradeoff import TradeoffSlider
 from repro.database.engine import QueryEngine, QueryOutcome
@@ -174,8 +183,13 @@ class TestStackMatchesLegacyOracle:
             # The shard router draws its NOISY counts itself: same seed, same
             # stream, whether the shards answer serially or from a pool.
             sharded_stack(small_vehicles_table, 4, ranking=RANKINGS[ranking_name](), **build),
-            sharded_stack(
-                small_vehicles_table, 4, ranking=RANKINGS[ranking_name](), parallel=4, **build
+            BackendStack(
+                ShardRouter.over_table(
+                    small_vehicles_table, 4, 25, ranking=RANKINGS[ranking_name](),
+                    display_columns=("title",), shard_layer=BackendLayer, max_workers=4,
+                    counts=CountPolicy(count_mode, 0.4, 99),
+                ),
+                [AccountingLayer],
             ),
         ]
         rng = random.Random(4)

@@ -11,7 +11,6 @@ import threading
 import pytest
 
 from repro.backends import QueryEngineBackend, ShardRouter
-from repro.backends.dispatch import ConcurrentShardRouter
 from repro.database.engine import QueryEngine, QueryOutcome
 from repro.database.query import ConjunctiveQuery
 from repro.database.ranking import (
@@ -188,7 +187,7 @@ class TestColdCacheConcurrency:
             for q in queries
         ]
         engine_backend = QueryEngineBackend(table, k=10, ranking=ranking)
-        router = ConcurrentShardRouter.over_table(table, 4, k=10, ranking=ranking)
+        router = ShardRouter.over_table(table, 4, k=10, ranking=ranking, max_workers=4)
         assert table.index.rank_cache(ranking).bitmap_bytes() == 0
         barrier = threading.Barrier(8)
         results: dict[int, list] = {}

@@ -191,61 +191,14 @@ class TestCli:
     def test_cli_rejects_bad_shard_count(self, capsys):
         assert main(["--rows", "100", "--samples", "5", "--shards", "0"]) == 2
 
-    def test_cli_parallel_run_matches_serial(self, capsys):
-        flags = ["--rows", "400", "--top-k", "20", "--samples", "10",
-                 "--tradeoff", "1.0", "--seed", "6", "--shards", "4",
-                 "--histogram", "make"]
-        assert main(flags) == 0
-        serial = capsys.readouterr().out
-        assert main(flags + ["--parallel", "4"]) == 0
-        parallel = capsys.readouterr().out
-        assert "ConcurrentShardRouter" in parallel and "ConcurrentShardRouter" not in serial
-        # Same samples and histograms: concurrency changed the wall clock only.
-        assert [l for l in parallel.splitlines() if "samples=" in l] == [
-            l for l in serial.splitlines() if "samples=" in l
-        ]
-        assert [l for l in parallel.splitlines() if "|" in l and "issued" not in l] == [
-            l for l in serial.splitlines() if "|" in l and "issued" not in l
-        ]
-
-    def test_cli_rejects_parallel_without_shards(self, capsys):
-        assert main(["--rows", "100", "--samples", "5", "--parallel", "4"]) == 2
-        assert main(["--rows", "100", "--samples", "5", "--shards", "2",
-                     "--parallel", "0"]) == 2
-
-    def test_cli_rejects_batch_without_remote(self, capsys):
-        # --batch configures the remote wire batch; silently ignoring it on a
-        # local path would promise round-trip savings that never happen.
-        assert main(["--rows", "100", "--samples", "5", "--batch", "8"]) == 2
-        assert "error:" in capsys.readouterr().err
-        assert main(["--remote", "http://127.0.0.1:9", "--batch", "0"]) == 2
-        assert "error:" in capsys.readouterr().err
-
-    def test_cli_samples_a_remote_endpoint_with_batch_and_parallel(self, capsys):
-        """--remote now composes with --parallel/--batch: the stack carries a
-        DispatchLayer cutting wire batches, and sampling works end to end."""
-        from repro.backends import engine_stack
-        from repro.datasets.vehicles import (
-            VehiclesConfig,
-            default_vehicles_ranking,
-            generate_vehicles_table,
-        )
-        from repro.web.httpd import HiddenDatabaseHTTPServer
-
-        table = generate_vehicles_table(VehiclesConfig(n_rows=300, seed=0))
-        served = engine_stack(
-            table, 100, ranking=default_vehicles_ranking(), statistics=False
-        )
-        with HiddenDatabaseHTTPServer(served) as endpoint:
-            exit_code = main(
-                ["--remote", endpoint.url, "--samples", "5", "--seed", "1",
-                 "--parallel", "4", "--batch", "8"]
-            )
-        captured = capsys.readouterr()
-        assert exit_code == 0
-        assert "DispatchLayer" in captured.out
-        assert "RemoteBackend" in captured.out
-        assert "samples=5" in captured.out
+    @pytest.mark.parametrize("flag", ["--parallel", "--batch"])
+    def test_cli_has_no_fan_out_flags(self, capsys, flag):
+        # A sampling job submits one query at a time, so there is no batch
+        # for a worker pool or a wire batch to carry.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--rows", "100", "--samples", "5", "--shards", "2", flag, "4"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_cli_samples_a_remote_endpoint(self, capsys):
         from repro.backends import engine_stack

@@ -2,8 +2,9 @@
 
 A deadline that expires inside a walk (the scenario harness re-enters
 ``run_all`` after each :class:`~repro.exceptions.DeadlineExceededError`) and
-an open circuit that parks a job mid-walk both abandon a walk after it drew
-from the sampler's RNG.  The generator rewinds the RNG to where the walk
+an open circuit that parks a job mid-walk — a local breaker's, or a server's
+relayed over the wire — all abandon a walk after it drew from the sampler's
+RNG.  The generator rewinds the RNG to where the walk
 started, so the re-entered job draws the same walk again and the history
 answers its already-paid prefix.  The probe cuts a 60-sample job at every
 n-th raw submission and compares it with the uncut job position by position.
@@ -25,6 +26,7 @@ from repro.database.interface import CountMode
 from repro.datasets.vehicles import default_vehicles_ranking
 from repro.exceptions import CircuitOpenError, DeadlineExceededError
 from repro.service import SamplingService
+from repro.web.httpd import HiddenDatabaseHTTPServer
 
 N_SAMPLES = 60
 SCOPE = ("make", "color", "body_style", "condition", "year")
@@ -155,6 +157,30 @@ class TestParkedCuts:
             if job.done:
                 break
             service.run_all(recovery_timeout=1.0)
+        assert cutter.cuts > 0
+        cut = _stream(job)
+        assert len(cut) == len(uncut) == N_SAMPLES
+        assert sum(a == b for a, b in zip(cut, uncut)) == N_SAMPLES
+
+    @pytest.mark.parametrize("every", [7, 13, 29])
+    def test_a_job_parked_by_a_relayed_open_circuit_resumes_the_same_walk(
+        self, small_vehicles_table, every
+    ):
+        uncut = _stream(_uncut(_raw(small_vehicles_table)))
+        # The server's chain raises the open circuit; the client has no
+        # breaker of its own, only the 503 it re-raises as CircuitOpenError.
+        # A millisecond hint parks the job briefly (a zero hint parks it
+        # for the default second).
+        cutter = CuttingBackend(
+            _raw(small_vehicles_table), every, lambda: CircuitOpenError(retry_after=0.001)
+        )
+        with HiddenDatabaseHTTPServer(cutter) as server:
+            service = SamplingService(server.url)
+            job = service.submit(_config())
+            for _ in range(1000):
+                if job.done:
+                    break
+                service.run_all(recovery_timeout=1.0)
         assert cutter.cuts > 0
         cut = _stream(job)
         assert len(cut) == len(uncut) == N_SAMPLES

@@ -276,10 +276,10 @@ class TestBatchPool:
         with HiddenDatabaseHTTPServer(served) as server:
             with RemoteBackend(server.url) as client:
                 assert client.submit_outcomes(one) == [served.submit(one[0])]
-                assert server._batch_pool is None
+                assert server._pool._executor is None
                 assert client.submit_outcomes(one * 2) == [served.submit(one[0])] * 2
-                assert server._batch_pool is not None
-        assert server._batch_pool is None  # stop() released it
+                assert server._pool._executor is not None
+        assert server._pool._executor is None  # stop() released it
 
     def test_one_batch_worker_answers_in_order_without_a_pool(
         self, served, small_vehicles_table
@@ -292,7 +292,7 @@ class TestBatchPool:
         with HiddenDatabaseHTTPServer(served, batch_workers=1) as server:
             with RemoteBackend(server.url) as client:
                 assert client.submit_outcomes(queries) == [served.submit(q) for q in queries]
-            assert server._batch_pool is None
+            assert server._pool._executor is None
             assert server.batch_items_served == len(queries)
 
 
@@ -396,9 +396,11 @@ class TestServerLifecycle:
     def test_stop_returns_on_a_server_that_never_started(self, served):
         server = HiddenDatabaseHTTPServer(served)
         port = _port(server.url)
-        server._pool()  # a batch pool, which stop() must release too
+        # A started batch pool, which stop() must release too.
+        assert server._pool.map(abs, [-1, -2]) == [1, 2]
+        assert server._pool._executor is not None
         assert _stop_within(server, 5), "stop() hung on a server that never started"
-        assert server._batch_pool is None
+        assert server._pool._executor is None
         with pytest.raises(ConnectionRefusedError):
             socket.create_connection(("127.0.0.1", port), timeout=5).close()
 
