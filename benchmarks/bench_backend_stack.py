@@ -37,7 +37,7 @@ from statistics import median
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.backends import QueryEngineBackend, engine_stack, sharded_stack, web_stack
+from repro.backends import HistoryLayer, QueryEngineBackend, engine_stack, sharded_stack, web_stack
 from repro.database.query import ConjunctiveQuery
 from repro.datasets.vehicles import (
     VehiclesConfig,
@@ -151,7 +151,9 @@ def bench_web_history(table, rng: random.Random, n_distinct: int, n_submissions:
         site = HiddenWebSite(
             QueryEngineBackend(table, k=K, ranking=ranking, display_columns=("title",))
         )
-        client = web_stack(site, vehicles_schema(), display_columns=("title",), history=history)
+        client = web_stack(site, vehicles_schema(), display_columns=("title",))
+        if history:
+            client = HistoryLayer(client)
         start = time.perf_counter()
         for query in workload:
             client.submit(query)
@@ -161,8 +163,7 @@ def bench_web_history(table, rng: random.Random, n_distinct: int, n_submissions:
             "ops_per_sec": round(len(workload) / elapsed, 1) if elapsed > 0 else float("inf"),
         }
         if history:
-            assert client.history is not None
-            results[label]["history"] = client.history.statistics.as_dict()
+            results[label]["history"] = client.statistics.as_dict()
     plain = results["plain"]["pages_fetched"]
     warm = results["history"]["pages_fetched"]
     savings = 1.0 - warm / plain if plain else 0.0

@@ -289,11 +289,14 @@ def bench_remote_batching(remote_table, queries) -> dict:
         single = remote_stack(server.url)
         batched = remote_stack(server.url, parallel=BATCH_WORKERS, batch=BATCH_SIZE)
         probe = queries[: min(20, len(queries))]
-        assert batched.submit_many(probe) == [single.submit(q) for q in probe]
+        assert batched.submit_outcomes(probe) == [single.submit(q) for q in probe]
         single_time = _time(single.submit, queries)
         batch_time = time.perf_counter()
-        batched.submit_many(queries)
+        outcomes = batched.submit_outcomes(queries)
         batch_time = time.perf_counter() - batch_time
+        failed = [outcome for outcome in outcomes if isinstance(outcome, Exception)]
+        if failed:
+            raise failed[0]
         retry_stats = batched.layer(UnreliableLayer).statistics.as_dict()
     speedup = single_time / batch_time if batch_time > 0 else float("inf")
     return {

@@ -42,39 +42,34 @@ def main() -> None:
     print(f"advertised top-k limit: {form.top_k}")
     print()
 
-    # history=True puts the lifted HistoryLayer on the scraping path too, so
-    # repeated and inferable queries stop costing page fetches entirely.
-    client = WebFormClient(
-        site, vehicles_schema(), display_columns=("title",), history=True
-    )
-    # The sampler-core history is off: since the backend-stack refactor the
-    # same optimisation lives *in the access path*, so even a history-less
-    # sampler never pays twice for a repeated or inferable page fetch.
+    client = WebFormClient(site, vehicles_schema(), display_columns=("title",))
+    # use_history puts the service's HistoryLayer above the scraping client,
+    # so repeated and inferable queries stop costing page fetches entirely.
     config = HDSamplerConfig(
         n_samples=150,
         attributes=("make", "color", "body_style"),
         tradeoff=TradeoffSlider(0.5),
-        use_history=False,
+        use_history=True,
         seed=13,
     )
     # The service neither knows nor cares that its backend is scraped HTML:
     # WebFormClient satisfies the same HiddenDatabase protocol.
-    result = SamplingService(client).submit(config).run()
+    service = SamplingService(client)
+    result = service.submit(config).run()
+    history = service.backend_statistics()["shared_history"]
 
     print(result.render_histogram("make"))
     print()
     print(result.render_histogram("body_style"))
     print()
     print(
-        f"{result.sample_count} samples scraped; the sampler asked for {result.queries_issued} "
+        f"{result.sample_count} samples scraped; the sampler asked for {history['submissions']} "
         f"queries but only {client.statistics.queries_issued} result pages were fetched "
         f"({site.pages_served} pages served in total, including the form page)"
     )
-    history = client.history
-    assert history is not None
     print(
-        f"the client-side HistoryLayer answered {history.statistics.saved} submissions "
-        f"({history.statistics.saving_ratio:.0%}) without any page fetch"
+        f"the job's HistoryLayer answered {history['saved']} submissions "
+        f"({history['saving_ratio']:.0%}) without any page fetch"
     )
     print("the reported counts on the result pages were approximate and HDSampler ignored")
     print("them, exactly as the paper does for Google Base.")

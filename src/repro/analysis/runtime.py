@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import threading
 from types import TracebackType
-from typing import Iterator
 
 from repro.exceptions import ReproError
 
@@ -77,11 +76,6 @@ class LockOrderRegistry:
         """A snapshot of every observed edge."""
         with self._lock:
             return {source: set(targets) for source, targets in self._edges.items()}
-
-    def edge_pairs(self) -> Iterator[tuple[str, str]]:
-        for source, targets in self.edges().items():
-            for target in sorted(targets):
-                yield (source, target)
 
 
 #: Default shared registry; tests that need isolation construct their own.

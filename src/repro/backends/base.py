@@ -21,9 +21,7 @@ A batch has one method on every node: ``submit_outcomes(queries)`` returns
 one outcome per item, the answer or the exception that item raised, so one
 failed item never costs its siblings their answers.  :func:`forward_outcomes`
 reaches it beneath any layer and degrades to a serial loop over a backend
-that has only ``submit``;
-:meth:`repro.backends.stack.BackendStack.submit_many` is the one call that
-raises a batch's first error instead.  A node with a per-item policy
+that has only ``submit``.  A node with a per-item policy
 (retry, circuit breaker, failover) writes it once, as a loop over a batch's
 outcomes: ``submit(query)`` runs that body over ``[query]`` with
 :func:`outcomes_of` (the inner ``submit``) as its forward function, and

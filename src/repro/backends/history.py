@@ -5,10 +5,13 @@ the query history and results to ensure that the random query generation
 process accumulates savings by not issuing the same query twice, or queries
 whose results can be inferred from the query history."  (paper Section 3.2)
 
-The optimisation is a middleware layer in the backend stack, so the direct
-engine path *and* the page-scraping web path both dedup and short-circuit
-known-empty/known-valid queries — on the web path every avoided submission is
-a whole page fetch saved.  :class:`HistoryLayer` intercepts submissions:
+The optimisation is a middleware layer over any finished access path, so the
+direct engine path *and* the page-scraping web path both dedup and
+short-circuit known-empty/known-valid queries — on the web path every avoided
+submission is a whole page fetch saved.  A job's ``use_history`` setting is
+its one switch: the :class:`~repro.service.SamplingService` builds one level
+per bound backend, and a :class:`~repro.core.sample_generator.SampleGenerator`
+used alone builds a private one.  :class:`HistoryLayer` intercepts submissions:
 
 * **exact hit** — a query with the same canonical predicate set was answered
   before: replay the stored response, issue nothing;
@@ -27,16 +30,15 @@ Savings are tracked in :class:`HistoryStatistics`, which benchmark E7 and
 One backend has one history level however many sampling jobs use it; each
 job counts its own savings through a :class:`JobHistory` view on it.
 
-Thread-safety contract: the layer can legally sit *under* a
-:class:`~repro.backends.dispatch.DispatchLayer` or serve concurrent HTTP
-clients.  One lock guards everything it keeps: the remembered responses in
-insertion order, the dict of *usable* entries (those that are empty or did
-not overflow: the only ones an ancestor search can use), the keys being
-issued right now, and the statistics.  A submission answered from the
-history — an exact hit, or an inference remembered as it is made — takes the
-lock once and is counted in that same section; a miss takes it once to claim
-its key and once more to remember and count the answer (an issue that raises
-counts its submission alone), so a :meth:`HistoryLayer.snapshot` never sees a
+Thread-safety contract: the layer is shared by concurrent jobs and may serve
+concurrent HTTP clients.  One lock guards everything it keeps: the remembered
+responses in insertion order, the dict of *usable* entries (those that are
+empty or did not overflow: the only ones an ancestor search can use), the
+keys being issued right now, and the statistics.  A submission answered from
+the history — an exact hit, or an inference remembered as it is made — takes
+the lock once and is counted in that same section; a miss takes it once to
+claim its key and once more to remember and count the answer (an issue that
+raises counts its submission alone), so a :meth:`HistoryLayer.snapshot` never sees a
 submission without its outcome.  The **per-key in-flight guard** ensures that
 when several threads miss on the same canonical query simultaneously, exactly
 one issues it to the inner backend — the rest wait and replay the cached
@@ -44,16 +46,6 @@ answer (the cache never double-pays a round-trip for the same bytes).  The
 guard records the owner without allocating anything; the first thread that
 actually has to wait creates the wake-up event, and the owner sets it, outside
 the lock, only if it exists.
-
-Batch submissions (:meth:`HistoryLayer.submit_outcomes`, the protocol's one
-batch method) answer every hit and inferable item locally, deduplicate
-repeated canonical keys *within* the batch, and forward only the first
-occurrence of each genuine miss — as one inner ``submit_outcomes``, which
-reaches the wire batch of :class:`~repro.backends.remote.RemoteBackend`
-beneath, so a warm history over a remote endpoint pays one small POST
-instead of many GETs.  The whole batch is classified in one critical section
-and its outcomes settled in one more.  Each item gets its own outcome: when
-one fails, the answers its siblings paid for are still remembered.
 
 Complexity contract: a subsuming ancestor's canonical key is, by definition,
 a subset of the query's canonical key, so the default ``inference="indexed"``
@@ -73,7 +65,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
-from repro.backends.base import BackendLayer, forward_outcomes, outcome_of
+from repro.backends.base import BackendLayer, outcome_of
 from repro.database.interface import HiddenDatabase, InterfaceResponse, ReturnedTuple
 from repro.database.query import ConjunctiveQuery
 from repro.database.schema import Schema
@@ -202,80 +194,8 @@ class HistoryLayer(BackendLayer):
     def submit_outcomes(
         self, queries: Sequence[ConjunctiveQuery]
     ) -> list[InterfaceResponse | Exception]:
-        """Answer a batch: cache hits locally, the misses as one inner batch.
-
-        Repeated canonical keys *within* the batch are issued once; keys
-        another thread is already issuing are awaited after our own forward
-        rather than re-issued.  Outcomes come back in input order; a failed
-        item reports its error in every slot of its key, and its siblings'
-        answers are remembered all the same.
-
-        Answers are identical to a serial loop's; the *savings* may be
-        slightly smaller: a serial loop can infer item ``j`` from item
-        ``i < j``'s fresh answer, while a batch decides every item against
-        the history as of batch start — the answers it would have inferred
-        ride along in the same single round-trip instead.
-        """
-        queries = list(queries)
-        results: list[InterfaceResponse | Exception | None] = [None] * len(queries)
-        owned: dict[tuple, list[int]] = {}      # key -> positions we must issue
-        awaited: list[tuple[int, threading.Event]] = []  # positions another thread issues
-        answered_here = 0
-        with self._lock:
-            for index, query in enumerate(queries):
-                key = query.canonical_key()
-                if key in owned:
-                    owned[key].append(index)  # within-batch duplicate: issue once
-                    continue
-                answered = self._answer_locked(key, query)
-                if answered is not None:
-                    results[index] = answered[0]
-                    answered_here += 1
-                    continue
-                waiter = self._claim_locked(key)
-                if waiter is None:
-                    owned[key] = [index]
-                else:
-                    awaited.append((index, waiter))
-        if owned:
-            keys = list(owned)
-            try:
-                outcomes = forward_outcomes(self.inner, [queries[owned[key][0]] for key in keys])
-            except BaseException:
-                with self._lock:
-                    # Every item not answered locally still counts as submitted.
-                    self.statistics.submissions += len(queries) - answered_here
-                    events = [self._in_flight.pop(key) for key in keys]
-                for event in events:
-                    if event is not None:
-                        event.set()
-                raise
-            events = []
-            with self._lock:
-                statistics = self.statistics
-                for key, outcome in zip(keys, outcomes):
-                    positions = owned[key]
-                    statistics.submissions += len(positions)
-                    # A failed key is only released: its waiters fend for
-                    # themselves, while its siblings' paid-for answers are kept.
-                    if not isinstance(outcome, Exception):
-                        self._store_locked(key, outcome)
-                        statistics.issued_to_interface += 1
-                        # A within-batch repeat of an issued key is the batch
-                        # shape of an exact hit: a serial loop replays it.
-                        statistics.exact_hits += len(positions) - 1
-                    events.append(self._in_flight.pop(key))
-                    for index in positions:
-                        results[index] = outcome
-            for event in events:
-                if event is not None:
-                    event.set()
-        for index, waiter in awaited:
-            # Another thread owned these keys; its answer is cached by now (or
-            # it failed, in which case lookup() re-guards and issues).
-            waiter.wait()
-            results[index] = outcome_of(self, queries[index])  # lookup() counts it
-        return results  # type: ignore[return-value] - every slot is filled
+        """Answer a batch one item at a time, each as :meth:`submit` would."""
+        return [outcome_of(self, query) for query in queries]
 
     # -- lookup, with the lock held ------------------------------------------------------
 
@@ -438,6 +358,12 @@ class HistoryLayer(BackendLayer):
 
     def __len__(self) -> int:
         return len(self._responses)
+
+
+def history_level(database: HiddenDatabase) -> HistoryLayer:
+    """The one history level over ``database``: the database itself when it
+    already is a :class:`HistoryLayer`, else a new layer wrapped around it."""
+    return database if isinstance(database, HistoryLayer) else HistoryLayer(database)
 
 
 class JobHistory:

@@ -58,7 +58,7 @@ from typing import Sequence
 from urllib.parse import urlsplit
 
 from repro._rng import resolve_rng, stable_hash
-from repro.backends.resilience import DEADLINE_HEADER, backoff_delay, current_deadline
+from repro.backends.resilience import backoff_delay, current_deadline
 from repro.database.interface import InterfaceResponse
 from repro.database.query import ConjunctiveQuery
 from repro.database.schema import Schema
@@ -81,6 +81,7 @@ from repro.web.httpd import (
     API_SCHEMA_PATH,
     API_SUBMIT_BATCH_PATH,
     API_SUBMIT_PATH,
+    DEADLINE_HEADER,
 )
 from repro.web.jsoncodec import (
     batch_request_to_dict,

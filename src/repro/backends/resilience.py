@@ -91,11 +91,6 @@ _R = TypeVar("_R")
 
 # -- deadlines --------------------------------------------------------------------
 
-#: Wire header carrying a submission's remaining time budget, in integer
-#: milliseconds.  The server treats a non-positive value as already expired
-#: and sheds the request with 503 before touching the backend.
-DEADLINE_HEADER = "X-Repro-Deadline-Ms"
-
 
 class Deadline:
     """A monotonic-clock time budget for one submission.
@@ -971,7 +966,6 @@ def chain_retry_after(backend: object) -> float:
 
 
 __all__ = [
-    "DEADLINE_HEADER",
     "BreakerState",
     "CircuitBreaker",
     "CircuitBreakerLayer",

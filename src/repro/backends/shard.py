@@ -34,7 +34,7 @@ counts; the router shapes its merged total through a
 :class:`~repro.backends.adapters.CountPolicy` (exact unless told otherwise),
 so a noisy or hidden count is decided once, over the whole catalogue.  Wrap
 the router in :class:`~repro.backends.stack.BackendStack` layers to get
-budgets, statistics and history over the whole sharded catalogue at once.
+budgets and statistics over the whole sharded catalogue at once.
 """
 
 from __future__ import annotations

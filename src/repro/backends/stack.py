@@ -13,13 +13,12 @@ Two builders encode the legacy access paths bit for bit:
   exact count through the requested
   :class:`~repro.backends.adapters.CountPolicy`;
 * :func:`web_stack` — what :class:`WebFormClient` always was:
-  ``AccountingLayer(WebPageBackend)``, optionally under a history layer so
-  the scraping path deduplicates page fetches.
+  ``AccountingLayer(WebPageBackend)``.
 
-Both accept ``history=True`` to slot a
-:class:`~repro.backends.history.HistoryLayer` on top, and the raw backend can
-be anything — including a :class:`~repro.backends.shard.ShardRouter`, which
-is how a sharded catalogue gets budgets, count modes and history in one line.
+No builder adds the §3.2 query history: a job's ``use_history`` setting
+turns it on, and the :class:`~repro.service.SamplingService` (or a
+stand-alone :class:`~repro.core.sample_generator.SampleGenerator`) wraps the
+one :class:`~repro.backends.history.HistoryLayer` around the finished stack.
 
 Two more builders cover the scaled-out deployments: :func:`sharded_stack`
 puts the same layers over a :class:`~repro.backends.shard.ShardRouter` of
@@ -36,10 +35,11 @@ Every builder takes its layer order from one table, :data:`LAYER_ORDER`
     CircuitBreaker < Unreliable < Accounting < History < Dispatch
 
 and :class:`BackendStack` refuses, at construction, any stack whose ranked
-layers break it.  Retries below accounting mean a submission that needed
-three attempts is charged and counted once; the breaker below the retry
-layer sees every attempt and, once open, its fast-fail passes through
-unretried.
+layers break it — history keeps its rank, so a hand-built stack cannot put
+it below the accounting layer, where its hits would be charged.  Retries
+below accounting mean a submission that needed three attempts is charged
+and counted once; the breaker below the retry layer sees every attempt and,
+once open, its fast-fail passes through unretried.
 """
 
 from __future__ import annotations
@@ -158,22 +158,6 @@ class BackendStack:
         """Submit a batch through every layer; one outcome per item, in input order."""
         return forward_outcomes(self.top, queries)
 
-    def submit_many(self, queries: Sequence[ConjunctiveQuery]) -> list[InterfaceResponse]:
-        """Submit a batch of independent queries, responses in input order.
-
-        The one batch call that raises: every item is attempted first, then
-        the first failed item's error (by input order) is raised.  When the
-        outermost layer is a :class:`~repro.backends.dispatch.DispatchLayer`
-        (``remote_stack(..., parallel=N)``) the batch is issued concurrently;
-        otherwise it goes down the layers as one batch, so callers can
-        always batch without caring how the stack was built.
-        """
-        outcomes = self.submit_outcomes(queries)
-        for outcome in outcomes:
-            if isinstance(outcome, Exception):
-                raise outcome
-        return outcomes  # type: ignore[return-value] - no exceptions left
-
     # -- introspection ---------------------------------------------------------
 
     @property
@@ -214,11 +198,6 @@ class BackendStack:
         """The query budget of this access path, if layered in."""
         layer = self.layer(AccountingLayer)
         return layer.budget if layer is not None else None
-
-    @property
-    def history(self) -> HistoryLayer | None:
-        """The history/dedup layer of this access path, if layered in."""
-        return self.layer(HistoryLayer)  # type: ignore[return-value]
 
     def describe(self) -> str:
         """The chain as text, outermost first — e.g. for the CLI and docs."""
@@ -266,15 +245,6 @@ def introspect(backend: object) -> dict[str, object]:
         if budget is not None
         else None
     )
-    history = probe("history")
-    if history is not None:
-        history_snapshot = getattr(history, "snapshot", None)
-        history_statistics = (
-            history_snapshot() if callable(history_snapshot) else history.statistics
-        )
-        report["history"] = history_statistics.as_dict()
-    else:
-        report["history"] = None
     # Breaker / failover state anywhere in the chain (None when the path
     # carries no resilience nodes), same walking rules as the layers above.
     resilience = resilience_report(backend)
@@ -296,7 +266,6 @@ def engine_stack(
     display_columns: Sequence[str] = (),
     seed: int | random.Random | None = 0,
     use_index: bool = True,
-    history: bool = False,
     statistics: bool = True,
 ) -> BackendStack:
     """The direct in-process access path as a stack.
@@ -304,9 +273,8 @@ def engine_stack(
     The engine adapter shapes its exact counts as ``count_mode`` asks (one
     ``NOISY`` generator seeded by ``seed``, shared by every thread that
     submits through the stack).  Above it the accounting layer charges the
-    budget before anything executes and counts the answers, then —
-    optionally — the history layer, whose hits never charge the budget nor
-    count as issued queries.  This is exactly the legacy
+    budget before anything executes and counts the answers.  This is exactly
+    the legacy
     :class:`HiddenDatabaseInterface` behaviour, which is now built on this
     function.
 
@@ -322,7 +290,6 @@ def engine_stack(
     return _compose(
         raw,
         budget=budget,
-        history=history,
         statistics=statistics,
     )
 
@@ -332,22 +299,17 @@ def web_stack(
     schema: Schema,
     display_columns: Sequence[str] = (),
     budget: QueryBudget | None = None,
-    history: bool = False,
 ) -> BackendStack:
     """The HTML-scraping access path as a stack.
 
     No count shaping: on this path it already happened on the server, the
     client sees only what the page displays.  The accounting layer sits
-    directly on the page fetcher, so with ``history=True`` the counters
-    report *actual page fetches* — every history hit is a whole round-trip
-    saved, which ``benchmarks/bench_backend_stack.py`` measures.
+    directly on the page fetcher, so under a job's history level the
+    counters report *actual page fetches* — every history hit is a whole
+    round-trip saved, which ``benchmarks/bench_backend_stack.py`` measures.
     """
     raw = WebPageBackend(site, schema, display_columns=display_columns)
-    return _compose(
-        raw,
-        budget=budget,
-        history=history,
-    )
+    return _compose(raw, budget=budget)
 
 
 def sharded_stack(
@@ -360,14 +322,13 @@ def sharded_stack(
     budget: QueryBudget | None = None,
     display_columns: Sequence[str] = (),
     seed: int | random.Random | None = 0,
-    history: bool = False,
     statistics: bool = True,
 ) -> BackendStack:
     """A sharded catalogue behind the same layer stack as the direct path.
 
     The raw backend is a :class:`~repro.backends.shard.ShardRouter` over
     ``n_shards`` partitions sharing one :class:`TableIndex`; everything the
-    client sees (counts, budget, statistics, history) is identical to
+    client sees (counts, budget, statistics) is identical to
     :func:`engine_stack` over the unsharded table.  The router shapes the
     merged count, drawing ``NOISY`` counts from one generator seeded by
     ``seed`` exactly as the flat engine adapter does.  The partitions share
@@ -381,7 +342,6 @@ def sharded_stack(
     return _compose(
         raw,
         budget=budget,
-        history=history,
         statistics=statistics,
     )
 
@@ -389,7 +349,6 @@ def sharded_stack(
 def remote_stack(
     url: str | Sequence[str],
     budget: QueryBudget | None = None,
-    history: bool = False,
     statistics: bool = True,
     max_retries: int = 3,
     retry_backoff: float = 0.05,
@@ -416,17 +375,13 @@ def remote_stack(
     server-side.
 
     ``batch=M`` puts a :class:`~repro.backends.dispatch.DispatchLayer` on top
-    that cuts every batch (``stack.submit_outcomes(queries)``, or
-    ``stack.submit_many`` which raises the first failure) into chunks of
-    ``M`` queries, each travelling down every layer's ``submit_outcomes`` as
-    **one** ``POST /api/submit_batch`` round-trip (per-item statuses; the
-    retry layer re-issues only failed items); ``parallel=N`` overlaps those
-    chunks on ``N`` worker threads.  ``parallel=N`` alone sends each query
-    of a batch as its own ``GET``, ``N`` at a time.  Both compose with
-    ``history=True``: the thread-safe
-    :class:`~repro.backends.history.HistoryLayer` legally sits under the
-    dispatch layer and strips every hit and inferable item out of the wire
-    batches.
+    that cuts every batch (``stack.submit_outcomes(queries)``, one outcome
+    per item) into chunks of ``M`` queries, each travelling down every
+    layer's ``submit_outcomes`` as **one** ``POST /api/submit_batch``
+    round-trip (per-item statuses; the retry layer re-issues only failed
+    items); ``parallel=N`` overlaps those chunks on ``N`` worker threads.
+    ``parallel=N`` alone sends each query of a batch as its own ``GET``,
+    ``N`` at a time.
 
     Retries sit *below* the accounting layer: a submission that needed
     three attempts still charges one budgeted query and counts once —
@@ -481,7 +436,6 @@ def remote_stack(
     return _compose(
         raw,
         budget=budget,
-        history=history,
         statistics=statistics,
         parallel=parallel,
         batch=batch,
@@ -492,7 +446,6 @@ def remote_stack(
 def _compose(
     raw: RawBackend,
     budget: QueryBudget | None = None,
-    history: bool = False,
     statistics: bool = True,
     parallel: int | None = None,
     batch: int | None = None,
@@ -511,11 +464,6 @@ def _compose(
     factories[AccountingLayer] = lambda inner: AccountingLayer(
         inner, budget=budget, statistics=statistics
     )
-    if history:
-        # The HistoryLayer is thread-safe, so it legally sits
-        # *under* the dispatch layer: concurrent batch fan-out and the §3.2
-        # history optimisation compose (earlier revisions refused this).
-        factories[HistoryLayer] = lambda inner: HistoryLayer(inner)
     if (parallel is not None and parallel > 1) or batch is not None:
         factories[DispatchLayer] = lambda inner: DispatchLayer(
             inner, max_workers=parallel if parallel is not None else 1, batch_size=batch

@@ -27,7 +27,7 @@ from repro.algorithms.count_based import CountAidedSampler
 from repro.algorithms.ordering import RandomOrdering
 from repro.algorithms.random_walk import RandomWalkConfig, RandomWalkSampler
 from repro.backends.base import iter_chain
-from repro.backends.history import HistoryLayer, JobHistory
+from repro.backends.history import JobHistory, history_level
 from repro.backends.remote import RemoteBackend
 from repro.backends.resilience import current_deadline, resilience_report
 from repro.core.config import HDSamplerConfig, SamplerAlgorithm
@@ -56,8 +56,7 @@ class SampleGenerator:
         # the scope, the job's view counts on the one history level.
         self.history: JobHistory | None = None
         if config.use_history:
-            level = database if isinstance(database, HistoryLayer) else HistoryLayer(database)
-            self.history = JobHistory(level)
+            self.history = JobHistory(history_level(database))
             database = self.history
         self.database = ScopedDatabase(
             database, attributes=config.attributes, bindings=config.bindings

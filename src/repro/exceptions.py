@@ -171,10 +171,6 @@ class SamplingError(ReproError):
     """A sampler could not make progress (e.g. empty database, zero budget)."""
 
 
-class SamplerStoppedError(SamplingError):
-    """The sampling session was stopped via the kill switch while running."""
-
-
 class SessionStateError(SamplingError):
     """An operation is invalid in the session's (or job's) current state.
 

@@ -98,11 +98,11 @@ class Dashboard:
         """One-line view of the attached access path's layer statistics.
 
         Works with anything statistics-shaped: a
-        :class:`~repro.backends.stack.BackendStack` (accounting + optional
-        history layer), a classic interface, a
+        :class:`~repro.backends.stack.BackendStack`, a classic interface, a
         :class:`~repro.service.SamplingService` (whose per-backend report
-        additionally carries the cross-job shared-history savings), or
-        nothing — in which case a placeholder is returned.
+        additionally carries its one history figure, the cross-job
+        shared-history savings), or nothing — in which case a placeholder is
+        returned.
         """
         if self.backend is None:
             return "no backend attached"
@@ -124,9 +124,6 @@ class Dashboard:
         budget = report["budget"]
         if budget is not None and budget["limit"] is not None:
             parts.append(f"budget {budget['issued']}/{budget['limit']}")
-        history = report["history"]
-        if history is not None:
-            parts.append(f"history saved {history['saved']} queries")
         shared = report.get("shared_history")
         if shared is not None:
             parts.append(f"shared history saved {shared['saved']} queries for all jobs")

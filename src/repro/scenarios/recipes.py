@@ -43,8 +43,8 @@ def retried_chaos_recipe(
 ) -> BackendStack:
     """A clean engine stack weathering injected faults healed by retries.
 
-    The retry layer sits on top of the finished clean stack (statistics and
-    history included), so everything beneath it sees the exact same request
+    The retry layer sits on top of the finished clean stack (statistics
+    included), so everything beneath it sees the exact same request
     stream as the baseline — the equivalence
     ``tests/backends/test_fault_equivalence.py`` proves byte-for-byte.
     ``max_retries`` defaults high enough to outlast any 85%-fault streak.

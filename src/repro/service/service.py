@@ -31,9 +31,7 @@ import threading
 import time
 from typing import Callable, Iterable, Mapping, Sequence
 
-from repro.backends.dispatch import DispatchLayer
-from repro.backends.history import HistoryLayer
-from repro.backends.stack import BackendStack
+from repro.backends.history import HistoryLayer, history_level
 from repro.core.config import HDSamplerConfig
 from repro.core.result import SamplingResult
 from repro.core.session import SessionState
@@ -93,11 +91,10 @@ class SamplingService:
     level's cross-job savings.  Jobs that *disable* history bypass the level.
     """
 
-    #: Machine-checked by reprolint R1 (guarded-state): the lazily-created
-    #: shared history layers and the job registry (dict + id counter) are
-    #: only mutated under their locks — analysts submit concurrently.
+    #: Machine-checked by reprolint R1 (guarded-state): the job registry
+    #: (dict + id counter) is only mutated under its lock — analysts submit
+    #: concurrently.
     _guarded_by = {
-        "_shared_history": "_shared_history_lock",
         "_jobs": "_jobs_lock",
         "_job_counter": "_jobs_lock",
     }
@@ -120,11 +117,7 @@ class SamplingService:
         if default_backend not in self._backends:
             raise UnknownBackendError(default_backend, tuple(self._backends))
         self._default_backend = default_backend
-        self._shared_history: dict[str, HistoryLayer] = {}
-        # Jobs may be submitted from concurrent analyst threads; the lock
-        # keeps lazy creation from racing two layers into existence, which
-        # would silently split the cache the feature exists to share.
-        self._shared_history_lock = threading.Lock()
+        self._levels = {name: history_level(backend) for name, backend in self._backends.items()}
         self._jobs: dict[str, SamplingJob] = {}
         self._job_counter = 0
         # The docstring promise — concurrent analyst threads may submit —
@@ -151,35 +144,20 @@ class SamplingService:
         """Bind one more named hidden database (object or ``http(s)://`` URL)."""
         if name in self._backends:
             raise ConfigurationError(f"backend {name!r} is already bound")
-        self._backends[name] = _resolve_backend(database)
+        database = _resolve_backend(database)
+        self._levels[name] = history_level(database)
+        self._backends[name] = database
 
     def shared_history(self, name: str | None = None) -> HistoryLayer:
-        """The history level every job of the named backend submits through.
-
-        The backend's own history layer when it is reachable through
-        pass-through nodes only — a facade's ``.stack``, a stack's ``.top``,
-        a :class:`~repro.backends.dispatch.DispatchLayer` (whose ``submit``
-        forwards unchanged) — else a service-owned thread-safe
-        :class:`~repro.backends.history.HistoryLayer` wrapped around the
-        backend.  Any other wrapper stops the walk, so a hand-added layer
-        above a history layer is never bypassed.
-        """
+        """The one history level every ``use_history`` job of the named backend
+        submits through, built when the backend was bound: the backend itself
+        when it is a :class:`~repro.backends.history.HistoryLayer`, else a
+        thread-safe one wrapped around it."""
         name = name or self._default_backend
-        backend = node = self.backend(name)
-        while not isinstance(node, HistoryLayer):
-            if isinstance(node, BackendStack):
-                node = node.top
-            elif isinstance(node, DispatchLayer):
-                node = node.inner
-            elif isinstance(getattr(node, "stack", None), BackendStack):
-                node = node.stack  # type: ignore[attr-defined]
-            else:
-                with self._shared_history_lock:
-                    layer = self._shared_history.get(name)
-                    if layer is None:
-                        layer = self._shared_history[name] = HistoryLayer(backend)
-                return layer
-        return node
+        try:
+            return self._levels[name]
+        except KeyError:
+            raise UnknownBackendError(name, tuple(self._backends)) from None
 
     def _job_database(self, name: str, use_history: bool = True) -> HiddenDatabase:
         """What a job is built over: the history level, or with
@@ -407,12 +385,12 @@ class SamplingService:
 
         For stack-built backends (:class:`~repro.backends.stack.BackendStack`
         or the thin facades over one) this surfaces the access path's single
-        statistics counter plus, when layered in, budget usage and
-        history-cache savings — the numbers an operator watches on a shared
-        deployment.  Backends whose access path does not count report ``None``
-        counters rather than guessing.  ``shared_history`` reports the
-        cross-job savings of the history level every job of this backend
-        submits through.
+        statistics counter plus, when layered in, budget usage — the numbers
+        an operator watches on a shared deployment.  Backends whose access
+        path does not count report ``None`` counters rather than guessing.
+        ``shared_history`` is the one history report: the cross-job savings
+        of the level every ``use_history`` job of this backend submits
+        through.
         """
         from repro.backends import introspect
 

@@ -15,10 +15,11 @@ Since the backend-stack refactor the client is a thin facade over
 bookkeeping is the stack's single
 :class:`~repro.backends.layers.AccountingLayer` — the only counter on this
 access path, so issued queries are never double-counted however the client
-is further wrapped.  Passing ``history=True`` slots a
-:class:`~repro.backends.history.HistoryLayer` on top, so repeated and
+is further wrapped.  The client carries no query history of its own: a job
+with ``use_history`` puts the one
+:class:`~repro.backends.history.HistoryLayer` above it, so repeated and
 inferable queries stop costing page fetches at all (the statistics then
-count *actual fetches*, and :attr:`history` reports the savings).
+count *actual fetches*).
 
 Configuration mirrors the paper's Section 3.1: "to customize HDSampler to a
 specific data source, one needs to specify the attributes and their domain
@@ -46,17 +47,10 @@ class WebFormClient:
         schema: Schema,
         display_columns: tuple[str, ...] = (),
         budget: QueryBudget | None = None,
-        history: bool = False,
     ) -> None:
         from repro.backends.stack import web_stack
 
-        self.stack = web_stack(
-            site,
-            schema,
-            display_columns=display_columns,
-            budget=budget,
-            history=history,
-        )
+        self.stack = web_stack(site, schema, display_columns=display_columns, budget=budget)
 
     # -- contract ---------------------------------------------------------------
 
@@ -71,11 +65,7 @@ class WebFormClient:
         return self.stack.k
 
     def submit(self, query: ConjunctiveQuery) -> InterfaceResponse:
-        """Submit ``query`` by fetching and parsing the corresponding result page.
-
-        With ``history=True`` a repeated or inferable query is answered from
-        the history layer without fetching any page.
-        """
+        """Submit ``query`` by fetching and parsing the corresponding result page."""
         return self.stack.submit(query)
 
     # -- layer-backed accessors ---------------------------------------------------
@@ -86,11 +76,6 @@ class WebFormClient:
         statistics = self.stack.statistics
         assert statistics is not None
         return statistics
-
-    @property
-    def history(self):
-        """The history layer when built with ``history=True``, else ``None``."""
-        return self.stack.history
 
     @property
     def display_columns(self) -> tuple[str, ...]:

@@ -93,10 +93,8 @@ API_SUBMIT_BATCH_PATH = "/api/submit_batch"
 API_HEALTH_PATH = "/api/health"
 
 #: Request header carrying the client's remaining deadline budget in integer
-#: milliseconds (the server-side name for
-#: :data:`repro.backends.resilience.DEADLINE_HEADER`; duplicated here because
-#: ``repro.web`` must stay importable without dragging in ``repro.backends``
-#: — a unit test asserts the two strings agree).
+#: milliseconds.  The server treats a non-positive value as already expired
+#: and sheds the request with 503 before touching the backend.
 DEADLINE_HEADER = "X-Repro-Deadline-Ms"
 
 #: Largest accepted ``POST /api/submit_batch`` body, bytes.  Far above any

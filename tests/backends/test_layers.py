@@ -71,7 +71,7 @@ class TestAccountingLayer:
 
     def test_a_batch_is_charged_all_or_nothing(self, raw, tiny_schema, any_query):
         layer = AccountingLayer(raw, budget=QueryBudget(limit=2))
-        for submit in (BackendStack(layer).submit_many, layer.submit_outcomes):
+        for submit in (BackendStack(layer).submit_outcomes, layer.submit_outcomes):
             with pytest.raises(QueryBudgetExceededError):
                 submit([any_query] * 3)
         assert layer.budget.issued == 0 and layer.statistics.queries_issued == 0
@@ -100,7 +100,7 @@ class TestAccountingLayer:
     def test_statistics_false_charges_only(self, raw, any_query):
         layer = AccountingLayer(raw, budget=QueryBudget(limit=3), statistics=False)
         layer.submit(any_query)
-        BackendStack(layer).submit_many([any_query])
+        BackendStack(layer).submit_outcomes([any_query])
         layer.submit_outcomes([any_query])
         layer.reset()
         assert layer.budget.issued == 3
@@ -135,9 +135,9 @@ class TestAccountingLayer:
         assert [isinstance(o, RateLimitedError) for o in outcomes] == [False, True] * 2
         assert layer.budget.issued == 4 and layer.statistics.queries_issued == 2
 
-    def test_a_raising_batch_attempts_every_item_first(self, raw, tiny_schema):
-        """``submit_many`` raises the first failed item's error, but only after
-        every item went down the stack: charged and issued, the answers counted."""
+    def test_a_failed_item_does_not_stop_its_batch(self, raw, tiny_schema):
+        """A failed item gets its error as its outcome, and every item still
+        went down the stack: charged and issued, the answers counted."""
         poison = ConjunctiveQuery.from_assignment(tiny_schema, {"make": "Ford"})
         issued = []
 
@@ -157,8 +157,10 @@ class TestAccountingLayer:
             for assignment in ({"make": "Honda"}, {"make": "Ford"}, {"make": "Toyota"},
                                {"color": "red"})
         ]
-        with pytest.raises(QueryBudgetExceededError):
-            stack.submit_many(queries)
+        outcomes = stack.submit_outcomes(queries)
+        assert [isinstance(o, QueryBudgetExceededError) for o in outcomes] == [
+            False, True, False, False
+        ]
         assert issued == queries
         assert stack.budget.issued == 4
         assert stack.statistics.queries_issued == 3
@@ -444,34 +446,33 @@ class TestHistoryOnTheWebPath:
         )
 
     def test_exact_repeat_fetches_no_page(self, site, tiny_schema):
-        client = WebFormClient(site, tiny_schema, history=True)
+        client = WebFormClient(site, tiny_schema)
+        history = HistoryLayer(client)
         query = ConjunctiveQuery.from_assignment(tiny_schema, {"make": "Honda"})
         fetched_before = site.pages_served
-        first = client.submit(query)
-        second = client.submit(query)
+        first = history.submit(query)
+        second = history.submit(query)
         assert second == first
         assert site.pages_served == fetched_before + 1  # one result page, not two
         assert client.statistics.queries_issued == 1    # counts actual fetches
-        assert client.history is not None
-        assert client.history.statistics.exact_hits == 1
+        assert history.statistics.exact_hits == 1
 
     def test_subset_inference_fetches_no_page(self, site, tiny_schema):
-        client = WebFormClient(site, tiny_schema, history=True)
+        history = HistoryLayer(WebFormClient(site, tiny_schema))
         broad = ConjunctiveQuery.from_assignment(tiny_schema, {"make": "Honda"})
         narrow = broad.specialise("color", "red")
-        client.submit(broad)  # valid: both Hondas fit in k=2
+        history.submit(broad)  # valid: both Hondas fit in k=2
         fetched = site.pages_served
-        response = client.submit(narrow)
+        response = history.submit(narrow)
         assert site.pages_served == fetched
         assert [t.tuple_id for t in response.tuples] == [4]
-        assert client.history.statistics.inferred == 1
+        assert history.statistics.inferred == 1
 
     def test_history_off_by_default_keeps_legacy_contract(self, site, tiny_schema):
         client = WebFormClient(site, tiny_schema)
         query = ConjunctiveQuery.from_assignment(tiny_schema, {"make": "Honda"})
         client.submit(query)
         client.submit(query)
-        assert client.history is None
         assert client.statistics.queries_issued == 2
 
 
@@ -479,21 +480,39 @@ class TestBackendStack:
     def test_engine_stack_layers_and_accessors(self, tiny_table):
         stack = engine_stack(
             tiny_table, k=2, ranking=StaticScoreRanking(),
-            count_mode=CountMode.EXACT, budget=QueryBudget(limit=10), history=True,
+            count_mode=CountMode.EXACT, budget=QueryBudget(limit=10),
         )
         assert stack.statistics is not None and stack.budget is not None
-        assert stack.history is not None
-        assert stack.describe() == "HistoryLayer → AccountingLayer → QueryEngineBackend"
+        assert stack.describe() == "AccountingLayer → QueryEngineBackend"
         assert engine_stack(tiny_table, k=2).describe() == "AccountingLayer → QueryEngineBackend"
+
+    @pytest.mark.parametrize(
+        "builder", ["engine_stack", "web_stack", "sharded_stack", "remote_stack", "WebFormClient"]
+    )
+    def test_no_builder_has_a_history_option(self, builder, tiny_table, tiny_schema):
+        """A job's ``use_history`` is the one history switch: every builder
+        and facade refuses a ``history=`` argument before building anything."""
+        from repro.backends import remote_stack, sharded_stack
+
+        site = HiddenWebSite(QueryEngineBackend(tiny_table, k=2))
+        build = {
+            "engine_stack": lambda: engine_stack(tiny_table, k=2, history=True),
+            "web_stack": lambda: web_stack(site, tiny_schema, history=True),
+            "sharded_stack": lambda: sharded_stack(tiny_table, 2, k=2, history=True),
+            "remote_stack": lambda: remote_stack("http://127.0.0.1:9", history=True),
+            "WebFormClient": lambda: WebFormClient(site, tiny_schema, history=True),
+        }[builder]
+        with pytest.raises(TypeError, match="history"):
+            build()
 
     def test_history_hits_charge_no_budget_and_count_no_queries(self, tiny_table, tiny_schema):
         stack = engine_stack(
-            tiny_table, k=2, ranking=StaticScoreRanking(),
-            budget=QueryBudget(limit=10), history=True,
+            tiny_table, k=2, ranking=StaticScoreRanking(), budget=QueryBudget(limit=10),
         )
+        history = HistoryLayer(stack)
         query = ConjunctiveQuery.from_assignment(tiny_schema, {"make": "Honda"})
-        stack.submit(query)
-        stack.submit(query)
+        history.submit(query)
+        history.submit(query)
         assert stack.budget.issued == 1
         assert stack.statistics.queries_issued == 1
 

@@ -27,7 +27,6 @@ from repro.backends import (
     engine_stack,
 )
 from repro.backends.resilience import (
-    DEADLINE_HEADER,
     backoff_delay,
     chain_retry_after,
     chain_would_allow,
@@ -541,9 +540,3 @@ class TestChainHelpers:
         assert chain_would_allow(router)
 
 
-def test_deadline_header_constant_agrees_with_the_server():
-    # httpd.py duplicates the constant to avoid a module import cycle; this
-    # is the test that duplication comment promises.
-    from repro.web.httpd import DEADLINE_HEADER as server_header
-
-    assert server_header == DEADLINE_HEADER

@@ -113,14 +113,16 @@ class TestDashboard:
     def test_dashboard_renders_the_attached_backend_stack(self, tiny_table):
         from repro.backends import engine_stack
         from repro.database.limits import QueryBudget
+        from repro.service import SamplingService
 
-        stack = engine_stack(tiny_table, k=2, budget=QueryBudget(limit=50), history=True)
-        sampler = HDSampler(stack, HDSamplerConfig(n_samples=4, tradeoff=TradeoffSlider(1.0), seed=4))
-        dashboard = Dashboard(sampler, backend=stack)
-        sampler.run()
+        stack = engine_stack(tiny_table, k=2, budget=QueryBudget(limit=50))
+        service = SamplingService(stack)
+        job = service.submit(HDSamplerConfig(n_samples=4, tradeoff=TradeoffSlider(1.0), seed=4))
+        dashboard = Dashboard(job, backend=service)
+        job.run()
         line = dashboard.render_backend_line()
         assert "QueryEngineBackend" in line and "issued" in line
-        assert "budget" in line and "history saved" in line
+        assert "budget" in line and line.count("history saved") == 1
 
     def test_dashboard_backend_line_without_backend(self, tiny_interface):
         sampler = HDSampler(tiny_interface, HDSamplerConfig(n_samples=2, seed=3))

@@ -413,7 +413,7 @@ class TestRunAll:
         from repro.backends import sharded_stack
         from repro.database.limits import QueryBudget
 
-        stack = sharded_stack(tiny_table, 2, k=2, budget=QueryBudget(limit=99), history=True)
+        stack = sharded_stack(tiny_table, 2, k=2, budget=QueryBudget(limit=99))
         service = SamplingService({"classic": tiny_interface, "sharded": stack})
         service.submit(_config(3, seed=60), backend="sharded").run()
 
@@ -421,11 +421,13 @@ class TestRunAll:
         assert report["access_path"].endswith("ShardRouter")
         assert report["statistics"]["queries_issued"] > 0
         assert report["budget"]["limit"] == 99
-        assert report["history"]["submissions"] >= report["statistics"]["queries_issued"]
+        assert [key for key in report if "history" in key] == ["shared_history"]
+        assert report["shared_history"]["submissions"] >= report["statistics"]["queries_issued"]
 
         classic = service.backend_statistics("classic")
         assert classic["access_path"].endswith("QueryEngineBackend")
-        assert classic["history"] is None
+        assert [key for key in classic if "history" in key] == ["shared_history"]
+        assert classic["shared_history"]["submissions"] == 0
 
 
 class TestSharedHistory:
@@ -466,14 +468,14 @@ class TestSharedHistory:
         assert service.shared_history("tiny") is not service.shared_history("figure1")
         assert service.shared_history("tiny") is service.shared_history("tiny")
 
-    def test_backend_with_own_history_layer_is_not_double_wrapped(self, tiny_table):
-        from repro.backends import engine_stack
-
-        stack = engine_stack(tiny_table, k=2, history=True)
-        service = SamplingService(stack)
-        assert service.shared_history() is stack.history
-        job = service.submit(_config(2, seed=72))
-        assert job.session.generator.history.inner is stack.history
+    def test_a_bound_backend_gets_its_level_and_an_unknown_one_raises(
+        self, tiny_interface, figure1_interface
+    ):
+        service = SamplingService(tiny_interface)
+        with pytest.raises(UnknownBackendError):
+            service.shared_history("figure1")
+        service.add_backend("figure1", figure1_interface)
+        assert service.shared_history("figure1").inner is figure1_interface
 
     def test_backend_statistics_surface_shared_savings(self, tiny_interface):
         service = SamplingService(tiny_interface)
@@ -507,20 +509,34 @@ class TestSharedHistory:
             s.tuple_id for s in cold.samples
         ]
 
-    def test_no_history_jobs_bypass_the_shared_layer(self, tiny_interface):
+    @pytest.mark.parametrize("path", ["engine_stack", "sharded_stack", "WebFormClient"])
+    def test_no_history_jobs_bypass_the_shared_layer(self, path, tiny_table, tiny_schema):
         """A use_history=False job must measure genuinely uncached round-trips:
         neither its own cache NOR the service's shared layer may absorb them."""
-        service = SamplingService(tiny_interface)
+        from repro.backends import QueryEngineBackend, engine_stack, sharded_stack
+        from repro.web.client import WebFormClient
+        from repro.web.server import HiddenWebSite
+
+        backend = {
+            "engine_stack": lambda: engine_stack(tiny_table, k=2),
+            "sharded_stack": lambda: sharded_stack(tiny_table, 2, k=2),
+            "WebFormClient": lambda: WebFormClient(
+                HiddenWebSite(QueryEngineBackend(tiny_table, k=2)), tiny_schema
+            ),
+        }[path]()
+        service = SamplingService(backend)
         spec = _config(4, seed=77, use_history=False)
         job = service.submit(spec)
         assert job.session.generator.history is None
-        assert job.session.generator.database.inner is tiny_interface
+        assert job.session.generator.database.inner is backend
         job.run()
-        before = tiny_interface.statistics.queries_issued
+        # The accounting layer counted every query the sampler issued.
+        assert backend.statistics.queries_issued == job.queries_issued > 0
+        before = backend.statistics.queries_issued
         rerun = service.submit(_config(4, seed=77, use_history=False))
         rerun.run()
         # The identical workload re-pays every interface query.
-        assert tiny_interface.statistics.queries_issued - before == job.queries_issued
+        assert backend.statistics.queries_issued - before == job.queries_issued
 
 
 class TestOneHistoryLevel:
@@ -552,11 +568,14 @@ class TestOneHistoryLevel:
             s.tuple_id for s in second.output.samples
         ]
 
-    def test_stack_with_history_gives_every_job_exactly_one_level(self, tiny_table):
-        from repro.backends import engine_stack
+    def test_a_history_layer_backend_is_every_jobs_one_level(self, tiny_table):
+        """A backend that already is a HistoryLayer is not wrapped again: it
+        is the one level every job of the backend counts on."""
+        from repro.backends import HistoryLayer, engine_stack
 
-        stack = engine_stack(tiny_table, k=2, history=True)
-        service = SamplingService(stack)
+        level = HistoryLayer(engine_stack(tiny_table, k=2))
+        service = SamplingService(level)
+        assert service.shared_history() is level
         jobs = [
             service.submit(_config(3, seed=80)),
             service.submit(_config(3, seed=81, bindings={"color": "red"})),
@@ -564,36 +583,24 @@ class TestOneHistoryLevel:
         ]
         service.run_all()
         for job in jobs:
-            assert self._history_layers(job) == [stack.history]
-        assert stack.history.statistics.submissions == sum(
+            assert job.session.generator.history.inner is level
+            assert self._history_layers(job) == [level]
+        assert level.statistics.submissions == sum(
             job.session.generator.history.statistics.submissions for job in jobs
         )
-
-    def test_jobs_attach_through_a_dispatch_layer(self, tiny_table):
-        from repro.backends import BackendStack, DispatchLayer, HistoryLayer, QueryEngineBackend
-
-        stack = BackendStack(
-            QueryEngineBackend(tiny_table, 2),
-            [HistoryLayer, lambda inner: DispatchLayer(inner, max_workers=2)],
-        )
-        service = SamplingService(stack)
-        assert service.shared_history() is stack.history
-        job = service.submit(_config(3, seed=83))
-        job.run()
-        assert self._history_layers(job) == [stack.history]
 
     def test_a_wrapper_above_a_history_layer_is_never_bypassed(self, tiny_table):
         """The service puts its own level on top of a hand-added wrapper, and
         the wrapper sees every submission that level forwards."""
-        from repro.backends import UnreliableLayer, engine_stack
+        from repro.backends import HistoryLayer, UnreliableLayer, engine_stack
 
-        stack = engine_stack(tiny_table, k=2, history=True)
-        wrapper = UnreliableLayer(stack.top)
+        inner_level = HistoryLayer(engine_stack(tiny_table, k=2))
+        wrapper = UnreliableLayer(inner_level)
         service = SamplingService(wrapper)
         level = service.shared_history()
-        assert level is not stack.history
+        assert level is not inner_level
         assert level.inner is wrapper
         job = service.submit(_config(4, seed=84))
         job.run()
-        assert self._history_layers(job) == [level, stack.history]
+        assert self._history_layers(job) == [level, inner_level]
         assert wrapper.statistics.attempts == level.statistics.issued_to_interface > 0

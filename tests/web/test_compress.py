@@ -163,7 +163,7 @@ class TestWireCompression:
         # One 40-query envelope clears the client's default 1024-byte threshold.
         stack = remote_stack(compressing_server.url, parallel=4, batch=40)
         try:
-            assert stack.submit_many(queries) == [oracle.submit(q) for q in queries]
+            assert stack.submit_outcomes(queries) == [oracle.submit(q) for q in queries]
             counters = stack.raw.compression_statistics
         finally:
             stack.raw.close()

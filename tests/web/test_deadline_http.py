@@ -13,10 +13,12 @@ The acceptance contract of the resilience tier, end to end:
   the primary process dies mid-run.
 """
 
+import ast
 import json
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -33,7 +35,6 @@ from repro.backends import (
     iter_chain,
     remote_stack,
 )
-from repro.backends.resilience import DEADLINE_HEADER
 from repro.database.interface import CountMode
 from repro.database.query import ConjunctiveQuery
 from repro.database.ranking import StaticScoreRanking
@@ -41,7 +42,7 @@ from repro.exceptions import (
     DeadlineExceededError,
     TransientBackendError,
 )
-from repro.web.httpd import HiddenDatabaseHTTPServer
+from repro.web.httpd import DEADLINE_HEADER, HiddenDatabaseHTTPServer
 
 
 @pytest.fixture()
@@ -107,6 +108,25 @@ class TestClientDeadline:
         with deadline_scope(Deadline.after(30.0)):
             remote.submit(query)  # served fine, header attached
         assert server.deadline_shed == 0
+
+    def test_the_header_is_defined_once_in_a_web_module_free_of_backends(self):
+        """The client sends the server's own constant, and no ``repro.web``
+        module imports ``repro.backends`` when it loads (``repro.backends``
+        imports ``repro.web.httpd``, so such an import would cycle)."""
+        from repro.backends import remote, resilience
+        from repro.web import httpd
+
+        assert remote.DEADLINE_HEADER is httpd.DEADLINE_HEADER
+        assert not hasattr(resilience, "DEADLINE_HEADER")
+        web_dir = Path(httpd.__file__).parent
+        for path in sorted(web_dir.glob("*.py")):
+            for node in ast.parse(path.read_text()).body:  # module level only
+                names = (
+                    [alias.name for alias in node.names] if isinstance(node, ast.Import)
+                    else [node.module or ""] if isinstance(node, ast.ImportFrom)
+                    else []
+                )
+                assert not any(n.startswith("repro.backends") for n in names), path.name
 
     def test_expired_deadline_never_reaches_the_wire(self, server, tiny_schema):
         remote = RemoteBackend(server.url)

@@ -74,8 +74,7 @@ def _random_queries(schema, seed: int, count: int):
 
 
 def _distinct_misses(schema):
-    """Ten queries of two predicates each: none subsumes another, so a
-    history layer can infer none of them from the others' answers."""
+    """Ten queries of two predicates each: none subsumes another."""
     assignments = [
         {"make": make, "price": price}
         for make in schema["make"].domain.values
@@ -223,17 +222,6 @@ class TestBatchWire:
         assert len(answered) == 3  # the budget's worth
         assert refused and all(isinstance(o, QueryBudgetExceededError) for o in refused)
 
-    def test_submit_many_raises_first_input_order_error(self, tiny_table, tiny_schema):
-        served = engine_stack(
-            tiny_table, k=2, ranking=StaticScoreRanking(),
-            budget=QueryBudget(limit=1), statistics=False,
-        )
-        queries = _random_queries(tiny_schema, 7, 3)
-        with HiddenDatabaseHTTPServer(served, batch_workers=1) as endpoint:
-            remote = RemoteBackend(endpoint.url)
-            with pytest.raises(QueryBudgetExceededError):
-                BackendStack(remote).submit_many(queries)
-
     def test_retry_layer_reissues_only_failed_items(self, tiny_table, tiny_schema):
         """A server that rate-limits every 3rd submission: the batch heals
         through per-item retries without re-paying answered items."""
@@ -246,7 +234,7 @@ class TestBatchWire:
         oracle = engine_stack(tiny_table, k=2, ranking=StaticScoreRanking(), statistics=False)
         with HiddenDatabaseHTTPServer(chaotic, batch_workers=1) as endpoint:
             stack = remote_stack(endpoint.url, max_retries=6, retry_backoff=0.0, batch=32)
-            responses = stack.submit_many(queries)
+            responses = stack.submit_outcomes(queries)
             retry_layer = stack.layer(UnreliableLayer)
             assert retry_layer.statistics.backend_rate_limited > 0
             assert retry_layer.statistics.gave_up == 0
@@ -254,43 +242,44 @@ class TestBatchWire:
         # Statistics sit above the retry layer: every submission counted once.
         assert stack.statistics.queries_issued == len(queries)
 
-    def test_remote_stack_with_parallel_batch_and_history(self, server, tiny_schema, tiny_backend):
-        stack = remote_stack(server.url, parallel=4, batch=4, history=True)
-        assert stack.describe() == (
-            "DispatchLayer → HistoryLayer → AccountingLayer → "
-            "UnreliableLayer → RemoteBackend"
-        )
-        queries = _random_queries(tiny_schema, 9, 20)
-        assert stack.submit_many(queries) == [tiny_backend.submit(q) for q in queries]
-        # A warm second pass strips every item out of the wire batches.
-        served_before = server.requests_served
-        assert stack.submit_many(queries) == [tiny_backend.submit(q) for q in queries]
-        assert server.requests_served == served_before
-        assert stack.history.statistics.saved >= len(queries)
-
-    def test_history_over_a_batching_dispatch_posts_its_misses_in_chunks(
-        self, server, tiny_schema, tiny_backend
-    ):
-        """Both batch entry points put the same requests on the wire: ten
-        misses cut into chunks of five travel as two POSTs, not ten GETs."""
-        queries = _distinct_misses(tiny_schema)
-        for entry in ("submit_many", "submit_outcomes"):
-            stack = remote_stack(server.url, history=True, parallel=2, batch=5)
-            submit = stack.submit_many if entry == "submit_many" else stack.top.submit_outcomes
-            answers, requests, items = _wire_traffic(server, submit, queries)
-            assert answers == [tiny_backend.submit(q) for q in queries], entry
-            assert (requests, items) == (2, 10), entry
-
     def test_dispatch_without_batch_size_sends_one_get_per_query(
         self, server, tiny_schema, tiny_backend
     ):
         queries = _distinct_misses(tiny_schema)[:4]
-        for entry in ("submit_many", "submit_outcomes"):
+        for entry in ("stack", "top"):
             stack = remote_stack(server.url, parallel=2)
-            submit = stack.submit_many if entry == "submit_many" else stack.top.submit_outcomes
+            submit = stack.submit_outcomes if entry == "stack" else stack.top.submit_outcomes
             answers, requests, items = _wire_traffic(server, submit, queries)
             assert answers == [tiny_backend.submit(q) for q in queries], entry
             assert (requests, items) == (4, 0), entry
+
+    def test_a_history_level_over_a_parallel_batching_remote_stack(
+        self, server, tiny_schema, tiny_backend
+    ):
+        stack = remote_stack(server.url, parallel=4, batch=4)
+        level = HistoryLayer(stack)
+        assert stack.describe() == (
+            "DispatchLayer → AccountingLayer → UnreliableLayer → RemoteBackend"
+        )
+        queries = _random_queries(tiny_schema, 9, 20)
+        assert level.submit_outcomes(queries) == [tiny_backend.submit(q) for q in queries]
+        # A warm second pass is answered from the level without the wire.
+        served_before = server.requests_served
+        assert level.submit_outcomes(queries) == [tiny_backend.submit(q) for q in queries]
+        assert server.requests_served == served_before
+        assert level.statistics.saved >= len(queries)
+
+    def test_a_history_level_over_a_batching_dispatch_asks_its_misses_one_by_one(
+        self, server, tiny_schema, tiny_backend
+    ):
+        """A history level's batch is a serial loop of ``submit``: ten misses
+        travel as ten GETs, with the answers a loop gets."""
+        queries = _distinct_misses(tiny_schema)
+        level = HistoryLayer(remote_stack(server.url, parallel=2, batch=5))
+        answers, requests, items = _wire_traffic(server, level.submit_outcomes, queries)
+        assert answers == [tiny_backend.submit(q) for q in queries]
+        assert (requests, items) == (10, 0)
+        assert level.statistics.issued_to_interface == len(queries)
 
     def test_unknown_batch_request_version_is_a_clear_400(self, server):
         body = json.dumps({"version": 999, "queries": []}).encode()

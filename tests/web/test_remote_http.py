@@ -31,6 +31,7 @@ from repro.backends import (
     BackendStack,
     CircuitBreakerPolicy,
     FailoverRouter,
+    HistoryLayer,
     QueryEngineBackend,
     RemoteBackend,
     UnreliableLayer,
@@ -234,10 +235,10 @@ class TestRemoteRoundTrip:
         # neither corrupt the cache nor change any answer.
         from concurrent.futures import ThreadPoolExecutor
 
-        served = engine_stack(
+        served = HistoryLayer(engine_stack(
             tiny_table, k=2, ranking=StaticScoreRanking(),
-            count_mode=CountMode.EXACT, statistics=False, history=True,
-        )
+            count_mode=CountMode.EXACT, statistics=False,
+        ))
         oracle = engine_stack(
             tiny_table, k=2, ranking=StaticScoreRanking(),
             count_mode=CountMode.EXACT, statistics=False,
@@ -353,10 +354,8 @@ class TestFaultTranslation:
 
 class TestRemoteStackAndService:
     def test_remote_stack_layers(self, server):
-        stack = remote_stack(server.url, history=True)
-        assert stack.describe() == (
-            "HistoryLayer → AccountingLayer → UnreliableLayer → RemoteBackend"
-        )
+        stack = remote_stack(server.url)
+        assert stack.describe() == "AccountingLayer → UnreliableLayer → RemoteBackend"
 
     def test_breaker_sits_below_the_retry_layer(self, server):
         stack = remote_stack(server.url, parallel=2, breaker=True)
@@ -370,10 +369,8 @@ class TestRemoteStackAndService:
         with HiddenDatabaseHTTPServer(tiny_backend) as primary, HiddenDatabaseHTTPServer(
             tiny_backend
         ) as replica:
-            stack = remote_stack([primary.url, replica.url], history=True, breaker=policy)
-            assert stack.describe() == (
-                "HistoryLayer → AccountingLayer → UnreliableLayer → FailoverRouter"
-            )
+            stack = remote_stack([primary.url, replica.url], breaker=policy)
+            assert stack.describe() == "AccountingLayer → UnreliableLayer → FailoverRouter"
             router = stack.raw
             assert isinstance(router, FailoverRouter)
             assert [target.base_url for target in router.targets] == [primary.url, replica.url]
@@ -387,13 +384,13 @@ class TestRemoteStackAndService:
             remote_stack([])
 
     def test_history_layer_saves_round_trips_over_the_socket(self, server, tiny_schema):
-        stack = remote_stack(server.url, history=True)
+        history = HistoryLayer(remote_stack(server.url))
         query = ConjunctiveQuery.from_assignment(tiny_schema, {"make": "Honda"})
         before = server.requests_served
-        first = stack.submit(query)
-        assert stack.submit(query) == first
+        first = history.submit(query)
+        assert history.submit(query) == first
         assert server.requests_served == before + 1  # one HTTP request, not two
-        assert stack.history.statistics.exact_hits == 1
+        assert history.statistics.exact_hits == 1
 
     def test_service_accepts_url_backends(self, server):
         service = SamplingService(server.url)
